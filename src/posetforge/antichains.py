@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import CycleDetected, SizeMismatch
+from .errors import SizeMismatch
 from .poset import Antichain, Poset, _bits, transitive_closure
 
 
@@ -27,7 +25,7 @@ def ideal_leq(A: Antichain, B: Antichain) -> bool:
     P = A.poset
     covered = 0
     for b in _bits(B.mask):
-        covered |= P._below_eq[b]
+        covered |= P.down[b] | 1 << b
     return A.mask & ~covered == 0
 
 
@@ -43,23 +41,24 @@ def is_exchange_cover(A: Antichain, B: Antichain) -> bool:
         return False
     a = next(_bits(a_only))
     b = next(_bits(b_only))
-    return bool(A.poset.cover_matrix[a, b])
+    return bool(A.poset.cover_up[a] >> b & 1)
 
 
-def _exchange_edges(P: Poset, masks: list[int], *, covers_only: bool) -> np.ndarray:
+def _exchange_edges(P: Poset, masks: list[int], *, covers_only: bool) -> list[int]:
+    """Successor bitsets of the single-replacement steps between antichains."""
     pos = {m: i for i, m in enumerate(masks)}
-    count = len(masks)
-    step_from = P._cover_up if covers_only else P._above
-    comp = P._comp
-    adj = np.zeros((count, count), dtype=bool)
-    for row, m in enumerate(masks):
+    step_from = P.cover_up if covers_only else P.up
+    comp = [u | d for u, d in zip(P.up, P.down)]
+    succ = []
+    for m in masks:
+        out = 0
         for a in _bits(m):
             rest = m & ~(1 << a)
             for b in _bits(step_from[a]):
-                if comp[b] & rest:
-                    continue
-                adj[row, pos[rest | (1 << b)]] = True
-    return adj
+                if comp[b] & rest == 0:
+                    out |= 1 << pos[rest | (1 << b)]
+        succ.append(out)
+    return succ
 
 
 def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Poset:
@@ -73,12 +72,10 @@ def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Pose
     if edges not in ("covers", "all"):
         raise ValueError(f"edges must be 'covers' or 'all', not {edges!r}")
     masks = P._antichain_masks(k)
-    adj = _exchange_edges(P, masks, covers_only=(edges == "covers"))
-    lt = transitive_closure(adj)
-    if lt.diagonal().any():
-        raise CycleDetected("exchange relation closed into a cycle")
+    succ = _exchange_edges(P, masks, covers_only=(edges == "covers"))
+    up = transitive_closure(succ)
     labels = [P.subset_label(_bits(m)) for m in masks]
-    return Poset(labels, lt)
+    return Poset._from_up(labels, up, validated=False)
 
 
 def antichain_ideal_poset(P: Poset, k: int) -> Poset:
@@ -88,16 +85,14 @@ def antichain_ideal_poset(P: Poset, k: int) -> Poset:
     for m in masks:
         c = m
         for i in _bits(m):
-            c |= P._below[i]
+            c |= P.down[i]
         closure.append(c)
-    count = len(masks)
-    lt = np.zeros((count, count), dtype=bool)
-    for i in range(count):
-        for j in range(count):
-            if i != j and closure[i] & ~closure[j] == 0:
-                lt[i, j] = True
+    up = [
+        sum(1 << j for j, d in enumerate(closure) if i != j and c & ~d == 0)
+        for i, c in enumerate(closure)
+    ]
     labels = [P.subset_label(_bits(m)) for m in masks]
-    return Poset(labels, lt, _validated=True)
+    return Poset._from_up(labels, up, validated=True)
 
 
 @dataclass
@@ -136,15 +131,14 @@ def refinement_report(P: Poset, k: int) -> RefinementReport:
     report = RefinementReport(
         k=k,
         antichain_count=count,
-        exchange_pairs=int(exchange.lt.sum()),
-        ideal_pairs=int(ideal.lt.sum()),
+        exchange_pairs=sum(u.bit_count() for u in exchange.up),
+        ideal_pairs=sum(u.bit_count() for u in ideal.up),
     )
-    for i in range(count):
-        for j in range(count):
-            if exchange.lt[i, j] and not ideal.lt[i, j]:
-                report.violations.append((exchange.labels[i], exchange.labels[j]))
-            if ideal.lt[i, j] and not exchange.lt[i, j]:
-                report.coarsening_witnesses.append((ideal.labels[i], ideal.labels[j]))
+    for i, (e, d) in enumerate(zip(exchange.up, ideal.up)):
+        for j in _bits(e & ~d):
+            report.violations.append((exchange.labels[i], exchange.labels[j]))
+        for j in _bits(d & ~e):
+            report.coarsening_witnesses.append((ideal.labels[i], ideal.labels[j]))
     return report
 
 
@@ -160,7 +154,7 @@ def has_order_matching(P: Poset, A: Antichain, B: Antichain) -> bool:
     def augment(u: int, seen: list[bool]) -> bool:
         for v in right:
             p = rpos[v]
-            if P.leq[u, v] and not seen[p]:
+            if (u == v or P.up[u] >> v & 1) and not seen[p]:
                 seen[p] = True
                 if match_to[p] == -1 or augment(match_to[p], seen):
                     match_to[p] = u

@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import antichains as ac
 from . import corpus as corpus_mod
 from . import ferrers
@@ -25,7 +23,15 @@ from . import minuscule
 from . import roots
 from . import sequences as seq
 from .errors import BadParameters, UnknownCheck
-from .poset import Antichain, Poset, _bits, build_poset, discrete_poset, find_isomorphism, grid_poset
+from .poset import (
+    Poset,
+    _bits,
+    build_poset,
+    discrete_poset,
+    find_isomorphism,
+    grid_poset,
+    mapped_order_equal,
+)
 
 
 @dataclass
@@ -112,25 +118,11 @@ def run_all(overrides: dict | None = None) -> list[CheckReport]:
 # -- shared helpers ---------------------------------------------------------
 
 
-def _mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
-    """Whether ``label_map`` carries the full order of P onto the order of Q."""
-    if P.n != Q.n or len(label_map) != P.n:
-        return False
-    if set(label_map.values()) != set(Q.labels):
-        return False
-    img = [Q.index(label_map[lab]) for lab in P.labels]
-    return np.array_equal(P.lt, Q.lt[np.ix_(img, img)])
-
-
 def _mapped_cover_counts(P: Poset, Q: Poset, label_map: dict[str, str]) -> tuple[int, int, bool]:
     """Cover sets of P and Q compared through the map; returns (|P|, |Q|, equal)."""
     covP = {(label_map[a], label_map[b]) for a, b in P.covers()}
     covQ = set(Q.covers())
     return len(covP), len(covQ), covP == covQ
-
-
-def _antichain_objects(P: Poset, k: int) -> list[Antichain]:
-    return [Antichain(P, tuple(_bits(m))) for m in P._antichain_masks(k)]
 
 
 def _catalan(m: int) -> int:
@@ -174,7 +166,7 @@ def _check_gale_rank_covers(n: int) -> tuple[bool, dict]:
                     if i == j:
                         continue
                     pairs += 1
-                    is_cover = bool(P.cover_matrix[i, j])
+                    is_cover = bool(P.cover_up[i] >> j & 1)
                     rank_step = x.leq(y) and seq.entry_sum(y) == seq.entry_sum(x) + 1
                     if is_cover != rank_step:
                         return False, {
@@ -206,7 +198,7 @@ def _check_weak_chain_shift_iso(a: int, b: int) -> tuple[bool, dict]:
             C = seq.gale_poset(aa + bb, bb)
             elems = seq.weak_chain_elements(aa, bb)
             label_map = {e.label: seq.weak_chain_to_ksubset(e).label for e in elems}
-            if not _mapped_order_equal(S, C, label_map):
+            if not mapped_order_equal(S, C, label_map):
                 return False, {"counterexample": {"a": aa, "b": bb}}
             cover_pairs = set(S.covers())
             step_pairs = set()
@@ -244,7 +236,7 @@ def _check_ideal_heights_iso(a: int, b: int) -> tuple[bool, dict]:
                         "counterexample": {"a": aa, "b": bb, "ideal": idl.label}
                     }
                 label_map[idl.label] = chain.label
-            if not _mapped_order_equal(J, S, label_map):
+            if not mapped_order_equal(J, S, label_map):
                 return False, {"counterexample": {"a": aa, "b": bb}}
     return True, {"exhausted": {"max_a": a, "max_b": b}}
 
@@ -266,7 +258,7 @@ def _check_box_gale_composite(a: int, b: int) -> tuple[bool, dict]:
                 idl.label: seq.box_ideal_to_ksubset(aa, bb, idl).label
                 for idl in G.ideals()
             }
-            if not _mapped_order_equal(J, C, label_map):
+            if not mapped_order_equal(J, C, label_map):
                 return False, {"counterexample": {"a": aa, "b": bb}}
             if aa == a and bb == b:
                 sample = label_map
@@ -351,7 +343,7 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
         for k in range(w + 1):
             E = ac.antichain_exchange_poset(P, k)  # construction validates the order
             E_all = ac.antichain_exchange_poset(P, k, edges="all")
-            if not np.array_equal(E.lt, E_all.lt):
+            if E.up != E_all.up:
                 return False, {
                     "counterexample": {"poset": P.covers(), "k": k, "reason": "edge routes differ"}
                 }
@@ -362,8 +354,10 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
                     "counterexample": {"poset": P.covers(), "k": 1, "reason": "A_1 not iso to P"}
                 }
             I = ac.antichain_ideal_poset(P, k)
-            if (E.lt & ~I.lt).any():
-                i, j = map(int, np.argwhere(E.lt & ~I.lt)[0])
+            missing = [(i, e & ~d) for i, (e, d) in enumerate(zip(E.up, I.up)) if e & ~d]
+            if missing:
+                i, extra = missing[0]
+                j = next(_bits(extra))
                 return False, {
                     "counterexample": {
                         "poset": P.covers(),
@@ -372,12 +366,12 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
                         "reason": "exchange relation missing from ideal order",
                     }
                 }
-            chains = _antichain_objects(P, k)
+            chains = P.antichains_of_size(k)
             for i in range(E.n):
                 for j in range(E.n):
                     if i == j:
                         continue
-                    related = bool(E.lt[i, j])
+                    related = bool(E.up[i] >> j & 1)
                     if related:
                         stats["relations"] += 1
                         if not ac.has_order_matching(P, chains[i], chains[j]):
@@ -389,7 +383,7 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
                                     "reason": "no order-compatible matching",
                                 }
                             }
-                    if bool(E.cover_matrix[i, j]) != ac.is_exchange_cover(chains[i], chains[j]):
+                    if bool(E.cover_up[i] >> j & 1) != ac.is_exchange_cover(chains[i], chains[j]):
                         return False, {
                             "counterexample": {
                                 "poset": P.covers(),
@@ -410,7 +404,7 @@ def _check_five_element_example() -> tuple[bool, dict]:
     P = _five_element_example()
     if P.width() != 2:
         return False, {"counterexample": {"width": P.width()}}
-    chains = _antichain_objects(P, 2)
+    chains = P.antichains_of_size(2)
     labels = sorted(A.label for A in chains)
     if labels != ["{a,b}", "{d,e}"]:
         return False, {"counterexample": {"antichains": labels}}
@@ -419,7 +413,7 @@ def _check_five_element_example() -> tuple[bool, dict]:
     if not ac.ideal_leq(low, high):
         return False, {"counterexample": {"reason": "{a,b} not below {d,e} in ideal order"}}
     E = ac.antichain_exchange_poset(P, 2)
-    if E.lt.any():
+    if any(E.up):
         return False, {"counterexample": {"reason": "exchange order relates the two antichains"}}
     if ac.is_exchange_cover(low, high) or ac.is_exchange_cover(high, low):
         return False, {"counterexample": {"reason": "unexpected exchange cover"}}
@@ -450,8 +444,8 @@ def _check_boolean_cube_example() -> tuple[bool, dict]:
     E = ac.antichain_exchange_poset(J, 2)
     if E.n != 9:
         return False, {"counterexample": {"antichain_count": E.n}}
-    maximal = [E.labels[i] for i in range(E.n) if not E.lt[i].any()]
-    minimal = [E.labels[i] for i in range(E.n) if not E.lt[:, i].any()]
+    maximal = [E.labels[i] for i in range(E.n) if not E.up[i]]
+    minimal = [E.labels[i] for i in range(E.n) if not E.down[i]]
     if len(maximal) != 3 or len(minimal) != 3:
         return False, {"counterexample": {"maximal": maximal, "minimal": minimal}}
     verdict = lattice.is_distributive(E)
@@ -483,10 +477,10 @@ def _check_grid_antichain_split(a: int, b: int) -> tuple[bool, dict]:
                 E = ac.antichain_exchange_poset(G, k)
                 prod = seq.gale_poset(aa, k).product(seq.gale_poset(bb, k))
                 label_map = {}
-                for A in _antichain_objects(G, k):
+                for A in G.antichains_of_size(k):
                     xs, ys = ferrers.split_grid_antichain(aa, bb, A)
                     label_map[A.label] = f"({xs.label},{ys.label})"
-                if not _mapped_order_equal(E, prod, label_map):
+                if not mapped_order_equal(E, prod, label_map):
                     return False, {"counterexample": {"a": aa, "b": bb, "k": k}}
                 np_, nq, same = _mapped_cover_counts(E, prod, label_map)
                 if not same:
@@ -532,7 +526,7 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
         to_pair = {
             idl.label: seq.box_ideal_to_ksubset(nn, 2, idl).label for idl in G.ideals()
         }
-        if not _mapped_order_equal(P, pair_poset, to_pair):
+        if not mapped_order_equal(P, pair_poset, to_pair):
             return False, {"counterexample": {"n": nn, "reason": "base identification"}}
         w = P.width()
         if w != (nn + 2) // 2:
@@ -541,11 +535,11 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
             E = ac.antichain_exchange_poset(P, k)
             target = seq.gale_poset(nn + 2, 2 * k)
             label_map = {}
-            for A in _antichain_objects(P, k):
+            for A in P.antichains_of_size(k):
                 members = [to_pair[lab] for lab in A.member_labels]
                 image = pair_poset.antichain(members)
                 label_map[A.label] = ferrers.spin_antichain_merge(nn, image).label
-            if not _mapped_order_equal(E, target, label_map):
+            if not mapped_order_equal(E, target, label_map):
                 return False, {"counterexample": {"n": nn, "k": k}}
             _, _, same = _mapped_cover_counts(E, target, label_map)
             if not same or find_isomorphism(E, target) is None:
@@ -683,7 +677,7 @@ def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
         star: dict[int, dict[str, str]] = {}
         for k in range(nn):
             images = {}
-            for A in _antichain_objects(P, k):
+            for A in P.antichains_of_size(k):
                 img = roots.panyushev_complement(A)
                 if len(img) != nn - 1 - k:
                     return False, {"counterexample": {"n": nn, "A": A.label}}
@@ -700,7 +694,7 @@ def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
         for k in range(nn):
             E = ac.antichain_exchange_poset(P, k)
             F = ac.antichain_exchange_poset(P, nn - 1 - k)
-            if not _mapped_order_equal(E, F, star[k]):
+            if not mapped_order_equal(E, F, star[k]):
                 return False, {"counterexample": {"n": nn, "k": k, "reason": "not an iso"}}
             _, _, same = _mapped_cover_counts(E, F, star[k])
             if not same or find_isomorphism(E, F) is None:

@@ -12,8 +12,6 @@ import threading
 from collections import Counter
 from functools import lru_cache
 
-import numpy as np
-
 from .poset import Poset, _bits, find_isomorphism
 
 
@@ -40,10 +38,10 @@ def _fingerprint(P: Poset) -> tuple:
                 "leaf",
                 P.heights[i],
                 P.depths[i],
-                P._cover_up[i].bit_count(),
-                P._cover_down[i].bit_count(),
-                P._below[i].bit_count(),
-                P._above[i].bit_count(),
+                P.cover_up[i].bit_count(),
+                P.cover_down[i].bit_count(),
+                P.down[i].bit_count(),
+                P.up[i].bit_count(),
             )
         )
         for i in range(P.n)
@@ -54,8 +52,8 @@ def _fingerprint(P: Poset) -> tuple:
             _intern(
                 (
                     col[i],
-                    tuple(sorted(col[j] for j in _bits(P._cover_up[i]))),
-                    tuple(sorted(col[j] for j in _bits(P._cover_down[i]))),
+                    tuple(sorted(col[j] for j in _bits(P.cover_up[i]))),
+                    tuple(sorted(col[j] for j in _bits(P.cover_down[i]))),
                 )
             )
             for i in range(P.n)
@@ -69,18 +67,15 @@ def _fingerprint(P: Poset) -> tuple:
 def _extend(P: Poset, ideal_mask: int) -> Poset:
     """Add one new maximal element whose strict down-set is the given ideal."""
     n = P.n
-    lt = np.zeros((n + 1, n + 1), dtype=bool)
-    lt[:n, :n] = P.lt
-    for i in _bits(ideal_mask):
-        lt[i, n] = True
-    labels = [f"x{i}" for i in range(n + 1)]
-    return Poset(labels, lt, _validated=True)
+    new = 1 << n
+    up = [u | new if ideal_mask >> i & 1 else u for i, u in enumerate(P.up)] + [0]
+    return Poset._from_up([f"x{i}" for i in range(n + 1)], up, validated=True)
 
 
 @lru_cache(maxsize=None)
 def _posets_of_size(n: int) -> tuple[Poset, ...]:
     if n == 0:
-        return (Poset([], np.zeros((0, 0), dtype=bool), _validated=True),)
+        return (Poset._from_up([], [], validated=True),)
     buckets: dict[tuple, list[Poset]] = {}
     out: list[Poset] = []
     for P in _posets_of_size(n - 1):

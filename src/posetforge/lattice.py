@@ -50,8 +50,9 @@ def meet_join_table(P: Poset) -> MeetJoinTable:
     n = P.n
     meet = np.full((n, n), -1, dtype=np.int64)
     join = np.full((n, n), -1, dtype=np.int64)
-    be, ae = P._below_eq, P._above_eq
-    above, below = P._above, P._below
+    above, below = P.up, P.down
+    be = [d | 1 << i for i, d in enumerate(below)]
+    ae = [u | 1 << i for i, u in enumerate(above)]
     for x in range(n):
         for y in range(x, n):
             m = _unique_extreme(be[x] & be[y], above)
@@ -64,12 +65,16 @@ def meet_join_table(P: Poset) -> MeetJoinTable:
     return MeetJoinTable(meet, join, bool(complete))
 
 
+def _join_irreducible_indices(P: Poset) -> list[int]:
+    """Elements covering exactly one element (the join-irreducibles of a lattice)."""
+    return [i for i, c in enumerate(P.cover_down) if c.bit_count() == 1]
+
+
 def join_irreducibles(P: Poset) -> Poset:
     """Induced sub-poset of elements covering exactly one element."""
     if not meet_join_table(P).complete:
         raise NotALattice("join-irreducibles need a lattice")
-    idx = [i for i in range(P.n) if P._cover_down[i].bit_count() == 1]
-    return P.induced(idx)
+    return P.induced(_join_irreducible_indices(P))
 
 
 @dataclass
@@ -128,12 +133,13 @@ def is_distributive(P: Poset) -> DistributivityResult:
             }
             return DistributivityResult(False, True, failure=failure)
 
-    irr = join_irreducibles(P)
-    irr_idx = [P.index(lab) for lab in irr.labels]
+    irr_idx = _join_irreducible_indices(P)
+    irr = P.induced(irr_idx)
     ideal_poset = irr.ideals_poset()
     forward = {}
     for x in range(n):
-        members = [p for p, i in enumerate(irr_idx) if P.leq[i, x]]
+        below_eq = P.down[x] | 1 << x
+        members = [p for p, i in enumerate(irr_idx) if below_eq >> i & 1]
         forward[P.labels[x]] = irr.subset_label(members)
     witness = PosetIso(forward, {v: k for k, v in forward.items()})
     if not witness.verify(P, ideal_poset):

@@ -1,21 +1,25 @@
-"""Finite posets over a dense strict-order matrix.
+"""Finite posets over per-element up-set bitsets.
 
-A poset is an immutable tuple of distinct string labels together with an
-n x n boolean matrix ``lt`` over canonical indices 0..n-1, where
-``lt[i, j]`` means "element i is strictly below element j".  The matrix
+A poset is an immutable tuple of distinct string labels together with
+``up``, one Python-int bitset per canonical index 0..n-1: bit j of
+``up[i]`` means "element i is strictly below element j".  The relation
 is always irreflexive, antisymmetric and transitively closed; public
 constructors either verify this or compute the closure themselves.
+Down-sets and covers are derived from ``up`` on first use and cached,
+as are the read-only numpy views ``lt``, ``leq`` and ``cover_matrix``
+kept for callers outside the package.
 
 Labels are opaque at the API boundary.  All internal computation runs on
-indices, with subsets of the ground set handled as Python int bitmasks.
-Every object in this module is immutable after construction, so values
-can be shared freely across threads.
+indices, with subsets handled as Python int bitmasks, so every relation
+test is exact at any size.  Every object is immutable after
+construction, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,18 +46,74 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+def _mask_rows(matrix: np.ndarray) -> tuple[int, ...]:
+    """Row i of a boolean matrix as a bitset: bit j is ``matrix[i, j]``."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def transitive_closure(adj: np.ndarray) -> np.ndarray:
-    """Reachability matrix of a directed graph, by repeated squaring."""
-    reach = adj.copy()
-    while True:
-        grown = reach | _bool_matmul(reach, reach)
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
+def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
+    """Read-only square boolean matrix with the given row bitsets."""
+    n = len(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    out = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    out.setflags(write=False)
+    return out
+
+
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """Column bitsets of the square bit matrix with the given row bitsets."""
+    return _mask_rows(_bit_matrix(rows).T)
+
+
+def transitive_closure(succ: Sequence[int]) -> tuple[int, ...]:
+    """Strict up-sets (reachability) of a directed graph given by successor bitsets.
+
+    Orders the vertices topologically, then ORs each vertex's successors
+    with their up-sets in reverse order, as in Aho, Garey & Ullman, "The
+    transitive reduction of a directed graph", SIAM J. Comput. 1972.
+    Raises CycleDetected when the graph has a cycle.
+    """
+    n = len(succ)
+    indegree = [0] * n
+    for s in succ:
+        for j in _bits(s):
+            indegree[j] += 1
+    order = [i for i in range(n) if indegree[i] == 0]
+    for i in order:  # grows while it is read
+        for j in _bits(succ[i]):
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    if len(order) < n:
+        raise CycleDetected("relation has a cycle")
+    up = [0] * n
+    for i in reversed(order):
+        up[i] = reduce(or_, (up[j] for j in _bits(succ[i])), succ[i])
+    return tuple(up)
+
+
+def _distinct(labels: Iterable) -> tuple[str, ...]:
+    labels = tuple(str(x) for x in labels)
+    seen: set[str] = set()
+    for lab in labels:
+        if lab in seen:
+            raise DuplicateLabel(f"duplicate element label {lab!r}")
+        seen.add(lab)
+    return labels
+
+
+def _check_order(up: tuple[int, ...]) -> None:
+    """Raise unless ``up`` is irreflexive, antisymmetric and transitively closed."""
+    closed = True
+    for i, u in enumerate(up):
+        for j in _bits(u):
+            if up[j] >> i & 1:  # j == i included: a reflexive pair
+                raise CycleDetected("strict order must be irreflexive and antisymmetric")
+            closed = closed and up[j] & ~u == 0
+    if not closed:
+        raise ValueError("strict order must be transitively closed")
 
 
 def point_label(i: int, j: int) -> str:
@@ -82,25 +142,24 @@ class Poset:
     """
 
     def __init__(self, labels: Sequence[str], lt: np.ndarray, *, _validated: bool = False):
-        labels = tuple(str(x) for x in labels)
-        if len(set(labels)) != len(labels):
-            seen: set[str] = set()
-            for lab in labels:
-                if lab in seen:
-                    raise DuplicateLabel(f"duplicate element label {lab!r}")
-                seen.add(lab)
-        n = len(labels)
-        lt = np.array(lt, dtype=bool)
+        self.labels = _distinct(labels)
+        n = self.n
+        lt = np.asarray(lt, dtype=bool)
         if lt.shape != (n, n):
             raise ValueError(f"relation matrix must be {n}x{n}, got {lt.shape}")
+        self.up = _mask_rows(lt)
         if not _validated:
-            if lt.diagonal().any() or (lt & lt.T).any():
-                raise CycleDetected("strict order must be irreflexive and antisymmetric")
-            if (_bool_matmul(lt, lt) & ~lt).any():
-                raise ValueError("strict order must be transitively closed")
-        lt.setflags(write=False)
-        self.labels = labels
-        self.lt = lt
+            _check_order(self.up)
+
+    @classmethod
+    def _from_up(cls, labels: Iterable[str], up: Sequence[int], *, validated: bool) -> "Poset":
+        """Build from strict up-set bitsets; checks the order unless ``validated``."""
+        P = cls.__new__(cls)
+        P.labels = _distinct(labels)
+        P.up = tuple(up)
+        if not validated:
+            _check_order(P.up)
+        return P
 
     # -- basic accessors -------------------------------------------------
 
@@ -112,14 +171,15 @@ class Poset:
         return self.n
 
     def __repr__(self) -> str:
-        return f"Poset({self.n} elements, {int(self.cover_matrix.sum())} covers)"
+        covers = sum(c.bit_count() for c in self.cover_up)
+        return f"Poset({self.n} elements, {covers} covers)"
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.lt, other.lt)
+        return self.labels == other.labels and self.up == other.up
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -133,115 +193,73 @@ class Poset:
         except KeyError:
             raise UnknownLabel(f"no element labelled {label!r}") from None
 
+    # -- relation views derived from ``up`` --------------------------------
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """down[i] = bitmask of elements strictly below i."""
+        return _transpose(self.up)
+
+    @cached_property
+    def cover_up(self) -> tuple[int, ...]:
+        """cover_up[i] = bitmask of the upper covers of i."""
+        up = self.up
+        out = []
+        for u in up:
+            # an element already in ``reach`` adds nothing: its up-set is in it
+            reach, rest = 0, u
+            while rest:
+                low = rest & -rest
+                reach |= up[low.bit_length() - 1]
+                rest &= ~(reach | low)
+            out.append(u & ~reach)
+        return tuple(out)
+
+    @cached_property
+    def cover_down(self) -> tuple[int, ...]:
+        return _transpose(self.cover_up)
+
+    @cached_property
+    def lt(self) -> np.ndarray:
+        """Read-only matrix view: ``lt[i, j]`` when i is strictly below j."""
+        return _bit_matrix(self.up)
+
     @cached_property
     def leq(self) -> np.ndarray:
-        out = self.lt | np.eye(self.n, dtype=bool)
-        out.setflags(write=False)
-        return out
+        return _bit_matrix([u | 1 << i for i, u in enumerate(self.up)])
 
     @cached_property
     def cover_matrix(self) -> np.ndarray:
-        out = self.lt & ~_bool_matmul(self.lt, self.lt)
-        out.setflags(write=False)
-        return out
+        return _bit_matrix(self.cover_up)
 
     def covers(self) -> list[tuple[str, str]]:
         """Covering pairs (x, y) with x below y, ordered by canonical index."""
-        cm = self.cover_matrix
-        return [
-            (self.labels[i], self.labels[j])
-            for i in range(self.n)
-            for j in range(self.n)
-            if cm[i, j]
-        ]
-
-    # -- bitmask views of the relation -----------------------------------
-
-    @cached_property
-    def _below(self) -> tuple[int, ...]:
-        """_below[i] = bitmask of elements strictly below i."""
-        cols = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if self.lt[j, i]:
-                    m |= 1 << j
-            cols.append(m)
-        return tuple(cols)
-
-    @cached_property
-    def _above(self) -> tuple[int, ...]:
-        rows = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if self.lt[i, j]:
-                    m |= 1 << j
-            rows.append(m)
-        return tuple(rows)
-
-    @cached_property
-    def _comp(self) -> tuple[int, ...]:
-        """Mask of elements comparable to i (strictly; excludes i itself)."""
-        return tuple(b | a for b, a in zip(self._below, self._above))
-
-    @cached_property
-    def _below_eq(self) -> tuple[int, ...]:
-        return tuple(m | (1 << i) for i, m in enumerate(self._below))
-
-    @cached_property
-    def _above_eq(self) -> tuple[int, ...]:
-        return tuple(m | (1 << i) for i, m in enumerate(self._above))
-
-    @cached_property
-    def _cover_up(self) -> tuple[int, ...]:
-        cm = self.cover_matrix
-        out = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if cm[i, j]:
-                    m |= 1 << j
-            out.append(m)
-        return tuple(out)
-
-    @cached_property
-    def _cover_down(self) -> tuple[int, ...]:
-        cm = self.cover_matrix
-        out = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if cm[j, i]:
-                    m |= 1 << j
-            out.append(m)
-        return tuple(out)
+        labels = self.labels
+        return [(labels[i], labels[j]) for i, c in enumerate(self.cover_up) for j in _bits(c)]
 
     # -- derived statistics ----------------------------------------------
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain strictly below each element."""
-        order = sorted(range(self.n), key=lambda i: self._below[i].bit_count())
+        order = sorted(range(self.n), key=lambda i: self.down[i].bit_count())
         h = [0] * self.n
         for i in order:
-            down = self._cover_down[i]
-            h[i] = 1 + max((h[j] for j in _bits(down)), default=-1)
+            h[i] = 1 + max((h[j] for j in _bits(self.cover_down[i])), default=-1)
         return tuple(h)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        order = sorted(range(self.n), key=lambda i: self._above[i].bit_count())
+        order = sorted(range(self.n), key=lambda i: self.up[i].bit_count())
         d = [0] * self.n
         for i in order:
-            up = self._cover_up[i]
-            d[i] = 1 + max((d[j] for j in _bits(up)), default=-1)
+            d[i] = 1 + max((d[j] for j in _bits(self.cover_up[i])), default=-1)
         return tuple(d)
 
     def width(self) -> int:
         """Maximum antichain size, via the chain-cover matching bound."""
         n = self.n
-        above = self._above
+        above = self.up
         match_to: list[int] = [-1] * n
 
         def augment(u: int, seen: list[bool]) -> bool:
@@ -279,10 +297,6 @@ class Poset:
     def ideal(self, members: Iterable[int | str]) -> "Ideal":
         return Ideal(self, members)
 
-    def is_antichain_mask(self, mask: int) -> bool:
-        comp = self._comp
-        return all(comp[i] & mask == 0 for i in _bits(mask))
-
     def _antichain_masks(self, k: int) -> list[int]:
         """All size-k antichains as bitmasks, in index-lexicographic order."""
         if k < 0:
@@ -290,7 +304,7 @@ class Poset:
         if k == 0:
             return [0]
         n = self.n
-        comp = self._comp
+        comp = [u | d for u, d in zip(self.up, self.down)]
         out: list[int] = []
 
         def extend(start: int, mask: int, need: int) -> None:
@@ -312,7 +326,7 @@ class Poset:
 
     def ideal_masks(self, cap: int = DEFAULT_IDEAL_CAP) -> list[int]:
         """All downward-closed subsets as bitmasks, smallest first."""
-        below = self._below
+        below = self.down
         seen = {0}
         frontier = [0]
         while frontier:
@@ -337,16 +351,12 @@ class Poset:
     def ideals_poset(self, cap: int = DEFAULT_IDEAL_CAP) -> "Poset":
         """The poset of all ideals ordered by containment."""
         masks = self.ideal_masks(cap)
-        count = len(masks)
-        member = np.zeros((count, self.n), dtype=bool)
-        for r, m in enumerate(masks):
-            for i in _bits(m):
-                member[r, i] = True
-        # subset test: nothing in row r misses from row s
-        leq = (member.astype(np.uint8) @ (~member).astype(np.uint8).T) == 0
-        lt = leq & ~np.eye(count, dtype=bool)
+        up = [
+            sum(1 << s for s, t in enumerate(masks) if s != r and m & ~t == 0)
+            for r, m in enumerate(masks)
+        ]
         labels = [self.subset_label(_bits(m)) for m in masks]
-        return Poset(labels, lt, _validated=True)
+        return Poset._from_up(labels, up, validated=True)
 
     # -- constructions -----------------------------------------------------
 
@@ -361,15 +371,15 @@ class Poset:
     def induced(self, indices: Sequence[int]) -> "Poset":
         """Sub-poset on the given indices, keeping their labels."""
         idx = list(indices)
-        lt = self.lt[np.ix_(idx, idx)] if idx else np.zeros((0, 0), dtype=bool)
-        return Poset([self.labels[i] for i in idx], lt, _validated=True)
+        up = [sum(1 << q for q, j in enumerate(idx) if self.up[i] >> j & 1) for i in idx]
+        return Poset._from_up([self.labels[i] for i in idx], up, validated=True)
 
     def relabeled(self, labels: Sequence[str] | None = None, prefix: str = "p") -> "Poset":
         if labels is None:
             labels = [f"{prefix}{i}" for i in range(self.n)]
         if len(labels) != self.n:
             raise ValueError("need exactly one new label per element")
-        return Poset(labels, self.lt, _validated=True)
+        return Poset._from_up(labels, self.up, validated=True)
 
 
 class _Subset:
@@ -414,10 +424,11 @@ class Antichain(_Subset):
 
     def __init__(self, poset: Poset, members: Iterable[int | str]):
         super().__init__(poset, members)
-        comp = poset._comp
+        up, down = poset.up, poset.down
         for i in _bits(self.mask):
-            if comp[i] & self.mask:
-                j = next(_bits(comp[i] & self.mask))
+            clash = (up[i] | down[i]) & self.mask
+            if clash:
+                j = next(_bits(clash))
                 raise NotAnAntichain(
                     f"{poset.labels[i]!r} and {poset.labels[j]!r} are comparable"
                 )
@@ -426,7 +437,7 @@ class Antichain(_Subset):
         """The ideal generated by this antichain (downward closure)."""
         mask = self.mask
         for i in _bits(self.mask):
-            mask |= self.poset._below[i]
+            mask |= self.poset.down[i]
         return Ideal(self.poset, tuple(_bits(mask)))
 
 
@@ -436,8 +447,8 @@ class Ideal(_Subset):
     def __init__(self, poset: Poset, members: Iterable[int | str]):
         super().__init__(poset, members)
         for i in _bits(self.mask):
-            if poset._below[i] & ~self.mask:
-                j = next(_bits(poset._below[i] & ~self.mask))
+            if poset.down[i] & ~self.mask:
+                j = next(_bits(poset.down[i] & ~self.mask))
                 raise NotAnIdeal(
                     f"{poset.labels[j]!r} lies below member {poset.labels[i]!r} but is missing"
                 )
@@ -445,7 +456,7 @@ class Ideal(_Subset):
     def max_elements(self) -> Antichain:
         """The maximal members; inverse of :meth:`Antichain.ideal`."""
         mask = self.mask
-        tops = [i for i in _bits(mask) if self.poset._above[i] & mask == 0]
+        tops = [i for i in _bits(mask) if self.poset.up[i] & mask == 0]
         return Antichain(self.poset, tops)
 
 
@@ -458,43 +469,33 @@ def build_poset(labels: Sequence[str], relations: Iterable[Sequence[str]]) -> Po
     Raises CycleDetected when the closure of the generators has a cycle,
     UnknownLabel when a pair mentions a label not in ``labels``.
     """
-    labels = tuple(str(x) for x in labels)
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabel(f"duplicate element label {lab!r}")
-        seen.add(lab)
+    labels = _distinct(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    adj = np.zeros((n, n), dtype=bool)
+    succ = [0] * len(labels)
     for pair in relations:
         a, b = pair
         a, b = str(a), str(b)
         for end in (a, b):
             if end not in index:
                 raise UnknownLabel(f"relation endpoint {end!r} is not an element")
-        adj[index[a], index[b]] = True
-    lt = transitive_closure(adj)
-    if lt.diagonal().any():
-        where = int(np.flatnonzero(lt.diagonal())[0])
-        raise CycleDetected(f"relation has a cycle through {labels[where]!r}")
-    return Poset(labels, lt, _validated=True)
+        succ[index[a]] |= 1 << index[b]
+    return Poset._from_up(labels, transitive_closure(succ), validated=True)
 
 
 def chain_poset(n: int) -> Poset:
     """The chain 1 < 2 < ... < n."""
     if n < 0:
         raise BadParameters(f"chain length must be nonnegative, got {n}")
-    lt = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return Poset([str(i) for i in range(1, n + 1)], lt, _validated=True)
+    full = (1 << n) - 1
+    up = [full & ~((2 << i) - 1) for i in range(n)]
+    return Poset._from_up([str(i) for i in range(1, n + 1)], up, validated=True)
 
 
 def discrete_poset(labels: Sequence[str] | int) -> Poset:
     """An antichain: no two elements comparable."""
     if isinstance(labels, int):
         labels = [str(i) for i in range(1, labels + 1)]
-    n = len(labels)
-    return Poset(labels, np.zeros((n, n), dtype=bool), _validated=True)
+    return Poset._from_up(labels, [0] * len(labels), validated=True)
 
 
 def grid_poset(a: int, b: int) -> Poset:
@@ -510,6 +511,16 @@ def grid_points(subset: _Subset) -> list[tuple[int, int]]:
 # -- isomorphism search ----------------------------------------------------
 
 
+def mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
+    """Whether ``label_map`` is a bijection carrying the order of P exactly onto Q's."""
+    if P.n != Q.n or set(label_map) != set(P.labels):
+        return False
+    if set(label_map.values()) != set(Q.labels):
+        return False
+    img = [Q.index(label_map[lab]) for lab in P.labels]
+    return all(sum(1 << img[j] for j in _bits(u)) == Q.up[img[i]] for i, u in enumerate(P.up))
+
+
 @dataclass(frozen=True)
 class PosetIso:
     """A witness isomorphism: label maps in both directions."""
@@ -522,18 +533,9 @@ class PosetIso:
 
     def verify(self, P: Poset, Q: Poset) -> bool:
         """Direct check: bijective and order-preserving both ways."""
-        if P.n != Q.n or set(self.forward) != set(P.labels):
-            return False
-        if set(self.forward.values()) != set(Q.labels):
-            return False
         if any(self.backward.get(v) != k for k, v in self.forward.items()):
             return False
-        img = [Q.index(self.forward[lab]) for lab in P.labels]
-        for i in range(P.n):
-            for j in range(P.n):
-                if P.lt[i, j] != Q.lt[img[i], img[j]]:
-                    return False
-        return True
+        return mapped_order_equal(P, Q, self.forward)
 
     def to_json_dict(self) -> dict:
         return {"forward": dict(self.forward), "backward": dict(self.backward)}
@@ -547,10 +549,20 @@ def _stable_colors(P: Poset, Q: Poset) -> tuple[list[int], list[int]] | None:
             (
                 R.heights[i],
                 R.depths[i],
-                R._cover_up[i].bit_count(),
-                R._cover_down[i].bit_count(),
-                R._below[i].bit_count(),
-                R._above[i].bit_count(),
+                R.cover_up[i].bit_count(),
+                R.cover_down[i].bit_count(),
+                R.down[i].bit_count(),
+                R.up[i].bit_count(),
+            )
+            for i in range(R.n)
+        ]
+
+    def refined(R: Poset, col: list[int]) -> list[tuple]:
+        return [
+            (
+                col[i],
+                tuple(sorted(col[j] for j in _bits(R.cover_up[i]))),
+                tuple(sorted(col[j] for j in _bits(R.cover_down[i]))),
             )
             for i in range(R.n)
         ]
@@ -566,22 +578,7 @@ def _stable_colors(P: Poset, Q: Poset) -> tuple[list[int], list[int]] | None:
         if len(palette) == ncolors:
             return colP, colQ
         ncolors = len(palette)
-        sigP = [
-            (
-                colP[i],
-                tuple(sorted(colP[j] for j in _bits(P._cover_up[i]))),
-                tuple(sorted(colP[j] for j in _bits(P._cover_down[i]))),
-            )
-            for i in range(P.n)
-        ]
-        sigQ = [
-            (
-                colQ[i],
-                tuple(sorted(colQ[j] for j in _bits(Q._cover_up[i]))),
-                tuple(sorted(colQ[j] for j in _bits(Q._cover_down[i]))),
-            )
-            for i in range(Q.n)
-        ]
+        sigP, sigQ = refined(P, colP), refined(Q, colQ)
 
 
 def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> PosetIso | None:
@@ -607,8 +604,8 @@ def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> Pos
     if any(c not in candidates for c in colP):
         return None
     order = sorted(range(P.n), key=lambda i: (len(candidates[colP[i]]), colP[i], i))
-    belowP, aboveP = P._below, P._above
-    belowQ, aboveQ = Q._below, Q._above
+    belowP, aboveP = P.down, P.up
+    belowQ, aboveQ = Q.down, Q.up
     mapping = [-1] * P.n
     used = [False] * Q.n
     assigned: list[int] = []

@@ -16,6 +16,8 @@ from posetforge import (
     is_exchange_cover,
     refinement_report,
 )
+from posetforge.minuscule import SpinD, minuscule_poset
+from posetforge.sequences import gale_poset
 
 from conftest import posets
 
@@ -235,3 +237,11 @@ def test_matching_matches_bruteforce(P):
         for A in chains[:8]:
             for B in chains[:8]:
                 assert has_order_matching(P, A, B) == matching_oracle(P, A, B)
+
+
+def test_spin9_exchange_covers_match_gale():
+    # 330 elements, where 256 or more elements can lie between a pair
+    E = antichain_exchange_poset(minuscule_poset(SpinD(9)), 2)
+    G = gale_poset(11, 4)
+    assert E.n == G.n == 330
+    assert len(E.covers()) == len(G.covers()) == 840

@@ -125,11 +125,53 @@ def test_direct_constructor_rejects_unclosed_relation():
         Poset(["a", "b", "c"], lt)
 
 
+def test_direct_constructor_rejects_relation_missing_a_pair_with_256_paths():
+    # 0 < m < 257 for all 256 middles m, but no 0 < 257: a path count of
+    # 256 must not read as "no path"
+    from posetforge.poset import Poset
+
+    lt = np.zeros((258, 258), dtype=bool)
+    lt[0, 1:257] = lt[1:257, 257] = True
+    with pytest.raises(ValueError):
+        Poset([str(i) for i in range(258)], lt)
+
+
+def test_direct_constructor_rejects_cycles():
+    from posetforge.poset import Poset
+
+    with pytest.raises(CycleDetected):
+        Poset(["a", "b"], np.array([[False, True], [True, False]]))
+    with pytest.raises(CycleDetected):
+        Poset(["a", "b"], np.array([[True, False], [False, False]]))
+
+
+def test_transitive_closure_of_bitsets():
+    from posetforge.poset import transitive_closure
+
+    assert transitive_closure([0b010, 0b100, 0]) == (0b110, 0b100, 0)
+    assert transitive_closure([]) == ()
+
+
+def test_transitive_closure_rejects_two_cycle():
+    from posetforge.poset import transitive_closure
+
+    with pytest.raises(CycleDetected):
+        transitive_closure([0b10, 0b01])
+
+
 # -- covers ------------------------------------------------------------------
 
 
 def test_chain_covers():
     assert chain_poset(3).covers() == [("1", "2"), ("2", "3")]
+
+
+def test_long_chain_cover_count():
+    # 256 elements between the ends of a 258-chain must not wrap to none
+    P = chain_poset(258)
+    assert len(P.covers()) == 257
+    assert int(P.cover_matrix.sum()) == 257
+    assert not P.cover_matrix[0, 257]
 
 
 def test_grid_cover_count():
