@@ -41,19 +41,25 @@ class CheckReport:
     passed: bool
     certificate: dict | None
     elapsed: float
+    error: Exception | None = None
 
     @property
     def verdict(self) -> str:
+        if self.error is not None:
+            return "error"
         return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "check_id": self.check_id,
             "parameters": self.parameters,
             "verdict": self.verdict,
             "certificate": self.certificate,
             "elapsed_s": round(self.elapsed, 4),
         }
+        if self.error is not None:
+            out["error"] = {"type": type(self.error).__name__, "message": str(self.error)}
+        return out
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,12 @@ def check_defaults(check_id: str) -> dict:
 
 
 def run_check(check_id: str, params: dict | None = None) -> CheckReport:
-    """Run one check; unknown ids and unknown/ill-typed params are errors."""
+    """Run one check; unknown ids and unknown/ill-typed params are errors.
+
+    An exception raised by the check itself, such as a size cap being
+    hit, does not propagate: it becomes an ``error`` verdict carrying the
+    exception, so one check cannot abort a whole run.
+    """
     if check_id not in _REGISTRY:
         raise UnknownCheck(f"no check registered as {check_id!r}")
     cdef = _REGISTRY[check_id]
@@ -100,7 +111,10 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
             raise BadParameters(f"parameter {key!r} must be nonnegative")
     merged = {**cdef.defaults, **params}
     start = time.perf_counter()
-    passed, certificate = cdef.fn(**merged)
+    try:
+        passed, certificate = cdef.fn(**merged)
+    except Exception as exc:  # reported in the check's verdict
+        return CheckReport(check_id, merged, False, None, time.perf_counter() - start, exc)
     elapsed = time.perf_counter() - start
     return CheckReport(check_id, merged, passed, certificate, elapsed)
 

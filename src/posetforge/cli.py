@@ -6,7 +6,9 @@ chain in shell pipelines:
 
     posetforge minuscule grid 3 3 | posetforge ak 2 --order k | posetforge check distributive
 
-Exit codes: 0 success, 1 failed verification, 2 malformed input or usage.
+Exit codes: 0 success, 1 failed verification, 2 malformed input or usage,
+3 a size cap was hit.  `verify` reports every check before exiting: a
+check that hits a cap gets an "error" verdict and the run exits 3.
 The POSETFORGE_CAPS environment variable ("a=4,b=4,n=6,...") overrides
 default verification caps; explicit --param values win over it.
 """
@@ -19,7 +21,7 @@ import os
 import sys
 
 from . import checks
-from .errors import PosetForgeError
+from .errors import PosetForgeError, SizeLimitExceeded
 from .ferrers import FerrersDiagram, durfee_decompose, durfee_length
 from .lattice import is_distributive, meet_join_table
 from .minuscule import kind_from_args, minuscule_poset
@@ -294,9 +296,14 @@ def _cmd_verify(args) -> int:
         _emit_json([r.to_json_dict() for r in reports])
     else:
         for r in reports:
-            print(f"{r.verdict:4}  {r.check_id:28}  ({r.elapsed:6.2f}s)")
+            line = f"{r.verdict:5}  {r.check_id:28}  ({r.elapsed:6.2f}s)"
+            if r.error is not None:
+                line += f"  {type(r.error).__name__}: {r.error}"
+            print(line)
         failures = sum(not r.passed for r in reports)
         print(f"{len(reports) - failures}/{len(reports)} checks passed")
+    if any(isinstance(r.error, SizeLimitExceeded) for r in reports):
+        return 3
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -327,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except SizeLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except PosetForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,24 @@
 """Lattice recognition and distributivity certificates.
 
 A finite poset is a lattice when every pair of elements has a greatest
-lower bound and a least upper bound.  Distributivity is decided by
-checking the identity x ^ (y v z) = (x ^ y) v (x ^ z) over all triples,
-and certified on success by the canonical map onto the ideals of the
-join-irreducible elements.
+lower bound and a least upper bound.  Distributivity is certified first:
+the canonical map x -> {join-irreducibles below x} is built and checked
+as an order isomorphism onto the ideals of the join-irreducible
+sub-poset.  Ideal lattices are distributive (Birkhoff), so a verified
+map proves the claim outright.  Only when the map fails are the meet/join
+table and the triple scan of x ^ (y v z) = (x ^ y) v (x ^ z) computed,
+to name the missing bound or the failing triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NotALattice
-from .poset import Poset, PosetIso, _bits
+from .errors import NotALattice, SizeLimitExceeded
+from .poset import Poset, PosetIso
 
 
 @dataclass(frozen=True)
@@ -34,15 +38,21 @@ class MeetJoinTable:
         return None
 
 
-def _unique_extreme(members: int, blockers: tuple[int, ...]) -> int:
-    """The unique i in ``members`` with no other member in blockers[i], else -1."""
-    found = -1
-    for i in _bits(members):
-        if blockers[i] & members == 0:
-            if found >= 0:
-                return -1
-            found = i
-    return found
+def _unique_extreme(members: int, toward: Sequence[int], closed: Sequence[int]) -> int:
+    """The unique maximal element of a down-closed ``members``, else -1.
+
+    Walks from any member along ``toward`` (strict up-sets) while some
+    member lies further on; the walk ends at a maximal member m, which is
+    the only one exactly when ``members`` is m's closed down-set.  With
+    the roles of up- and down-sets swapped this finds the unique minimal
+    element of an up-closed set.
+    """
+    if not members:
+        return -1
+    m = members.bit_length() - 1
+    while step := toward[m] & members:
+        m = step.bit_length() - 1
+    return m if members == closed[m] else -1
 
 
 def meet_join_table(P: Poset) -> MeetJoinTable:
@@ -55,8 +65,8 @@ def meet_join_table(P: Poset) -> MeetJoinTable:
     ae = [u | 1 << i for i, u in enumerate(above)]
     for x in range(n):
         for y in range(x, n):
-            m = _unique_extreme(be[x] & be[y], above)
-            j = _unique_extreme(ae[x] & ae[y], below)
+            m = _unique_extreme(be[x] & be[y], above, be)
+            j = _unique_extreme(ae[x] & ae[y], below, ae)
             meet[x, y] = meet[y, x] = m
             join[x, y] = join[y, x] = j
     complete = n > 0 and (meet >= 0).all() and (join >= 0).all()
@@ -99,14 +109,44 @@ class DistributivityResult:
         return out
 
 
+def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
+    """The map x -> {join-irreducibles below x} with its irreducibles, if it verifies.
+
+    The target is the containment order on ideals of the irreducible
+    sub-poset.  A distributive lattice on n elements has exactly n such
+    ideals, so enumeration stops past n: a non-lattice with many
+    irreducibles could otherwise have up to 2^|irr| of them.
+    """
+    irr_idx = _join_irreducible_indices(P)
+    irr = P.induced(irr_idx)
+    try:
+        ideal_poset = irr.ideals_poset(cap=P.n)
+    except SizeLimitExceeded:
+        return None
+    forward = {}
+    for x in range(P.n):
+        below_eq = P.down[x] | 1 << x
+        members = [p for p, i in enumerate(irr_idx) if below_eq >> i & 1]
+        forward[P.labels[x]] = irr.subset_label(members)
+    witness = PosetIso(forward, {v: k for k, v in forward.items()})
+    return (witness, irr) if witness.verify(P, ideal_poset) else None
+
+
 def is_distributive(P: Poset) -> DistributivityResult:
     """Decide distributivity; on success include the ideal-representation witness.
 
     The witness maps each element to the set of join-irreducibles below
     it, landing in the containment order on ideals of the irreducible
-    sub-poset.  For a distributive lattice this map is an isomorphism,
-    and it is verified directly rather than trusted.
+    sub-poset.  It is built first and verified directly rather than
+    trusted: an order isomorphism onto an ideal lattice proves P is a
+    distributive lattice (Birkhoff), so success needs nothing more.
+    When the witness fails, the meet/join table and the triple scan name
+    the missing bound or the failing triple.
     """
+    certified = _ideal_witness(P)
+    if certified is not None:
+        witness, irr = certified
+        return DistributivityResult(True, True, witness=witness, irreducibles=irr)
     n = P.n
     table = meet_join_table(P)
     if not table.complete:
@@ -132,17 +172,5 @@ def is_distributive(P: Poset) -> DistributivityResult:
                 "triple": [P.labels[x], P.labels[y], P.labels[z]],
             }
             return DistributivityResult(False, True, failure=failure)
-
-    irr_idx = _join_irreducible_indices(P)
-    irr = P.induced(irr_idx)
-    ideal_poset = irr.ideals_poset()
-    forward = {}
-    for x in range(n):
-        below_eq = P.down[x] | 1 << x
-        members = [p for p, i in enumerate(irr_idx) if below_eq >> i & 1]
-        forward[P.labels[x]] = irr.subset_label(members)
-    witness = PosetIso(forward, {v: k for k, v in forward.items()})
-    if not witness.verify(P, ideal_poset):
-        failure = {"reason": "ideal-representation witness failed verification"}
-        return DistributivityResult(False, True, failure=failure)
-    return DistributivityResult(True, True, witness=witness, irreducibles=irr)
+    failure = {"reason": "ideal-representation witness failed verification"}
+    return DistributivityResult(False, True, failure=failure)

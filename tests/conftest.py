@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 from hypothesis import strategies as st
 
-from posetforge import build_poset
+from posetforge import build_poset, checks
 from posetforge.corpus import small_posets
 
 
@@ -36,3 +38,17 @@ def corpus7():
 @pytest.fixture(scope="session")
 def corpus8():
     return small_posets(8)
+
+
+@pytest.fixture
+def raise_in_check(monkeypatch):
+    """Make a registered check raise the given exception when it runs."""
+
+    def patch(check_id, exc):
+        def fn(**params):
+            raise exc
+
+        cdef = checks._REGISTRY[check_id]
+        monkeypatch.setitem(checks._REGISTRY, check_id, dataclasses.replace(cdef, fn=fn))
+
+    return patch

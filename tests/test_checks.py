@@ -3,7 +3,7 @@ import json
 import pytest
 
 import posetforge.minuscule
-from posetforge import BadParameters, UnknownCheck, chain_poset
+from posetforge import BadParameters, SizeLimitExceeded, UnknownCheck, chain_poset
 from posetforge.checks import check_defaults, registered_checks, run_all, run_check
 
 TINY_CAPS = {"a": 1, "b": 1, "n": 1, "m": 0, "max_size": 2}
@@ -95,3 +95,20 @@ def test_every_certificate_is_json_serializable():
     small = {"a": 1, "b": 1, "n": 1, "m": 0}
     blob = json.dumps(run_check("minuscule-distributive", small).to_json_dict())
     assert "witness" in blob
+
+
+def test_exception_in_check_becomes_error_verdict(raise_in_check):
+    raise_in_check("five-element-example", SizeLimitExceeded("capped at 3"))
+    report = run_check("five-element-example")
+    assert report.verdict == "error" and not report.passed
+    assert report.to_json_dict()["error"] == {"type": "SizeLimitExceeded", "message": "capped at 3"}
+    assert report.certificate is None
+    # the other checks still run and report
+    reports = run_all(TINY_CAPS)
+    assert len(reports) == 20
+    assert [r.check_id for r in reports if r.verdict != "pass"] == ["five-element-example"]
+
+
+def test_pass_report_has_no_error_key():
+    blob = run_check("five-element-example").to_json_dict()
+    assert set(blob) == {"check_id", "parameters", "verdict", "certificate", "elapsed_s"}

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from posetforge import poset_from_dict
+from posetforge import SizeLimitExceeded, poset_from_dict
 from posetforge.cli import main, to_dot
 
 BOWTIE = {
@@ -144,6 +144,13 @@ def test_iso_command(tmp_path, capsys):
     c = tmp_path / "c.json"
     c.write_text(json.dumps({"elements": ["u", "v"], "relations": []}))
     assert main(["iso", str(a), str(c)]) == 1
+
+
+def test_size_cap_exits_3(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"elements": [f"e{i}" for i in range(201)], "relations": []}))
+    assert main(["iso", str(big), str(big)]) == 3
+    assert "capped at 200" in capsys.readouterr()[1]
 
 
 def test_durfee_command(capsys):
@@ -290,3 +297,29 @@ def test_pipeline_through_real_processes():
     )
     assert p3.returncode == 0, p3.stdout + p3.stderr
     assert "yes" in p3.stdout
+
+
+def test_verify_all_reports_every_check_when_one_hits_a_cap(monkeypatch, capsys, raise_in_check):
+    monkeypatch.setenv("POSETFORGE_CAPS", "a=1,b=1,n=1,m=0,max_size=2")
+    raise_in_check("durfee-product", SizeLimitExceeded("capped at 200"))
+    assert main(["verify", "all"]) == 3
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 21 and lines[-1] == "19/20 checks passed"
+    assert [l.split()[0] for l in lines[:-1]].count("pass") == 19
+    assert "SizeLimitExceeded: capped at 200" in out
+    assert main(["verify", "all", "--json"]) == 3
+    reports = json.loads(capsys.readouterr()[0])
+    errors = [r for r in reports if "error" in r]
+    assert len(reports) == 20 and [r["verdict"] for r in errors] == ["error"]
+    assert errors[0]["error"]["type"] == "SizeLimitExceeded"
+
+
+def test_verify_exit_codes_for_check_errors(capsys, raise_in_check):
+    raise_in_check("five-element-example", SizeLimitExceeded("capped"))
+    assert main(["verify", "five-element-example"]) == 3
+    raise_in_check("five-element-example", ValueError("broken"))
+    assert main(["verify", "five-element-example"]) == 1
+    assert "error  five-element-example" in capsys.readouterr()[0]
+    # usage errors keep exit code 2
+    assert main(["verify", "five-element-example", "--param", "n=1"]) == 2

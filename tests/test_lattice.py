@@ -1,7 +1,13 @@
+import time
+
+import numpy as np
 import pytest
 
 from posetforge import (
     NotALattice,
+    PosetIso,
+    antichain_exchange_poset,
+    antichain_ideal_poset,
     build_poset,
     chain_poset,
     discrete_poset,
@@ -12,6 +18,7 @@ from posetforge import (
     join_irreducibles,
     meet_join_table,
 )
+from posetforge.poset import _bits
 
 
 def pentagon():
@@ -132,3 +139,87 @@ def test_meet_join_tables_match_definition(corpus5):
             for y in range(P.n):
                 assert table.meet[x, y] == bounds_oracle(P, x, y, "meet")
                 assert table.join[x, y] == bounds_oracle(P, x, y, "join")
+
+
+def scan_extreme(members, blockers):
+    """The unique i in ``members`` with no other member in blockers[i], else -1."""
+    found = -1
+    for i in _bits(members):
+        if blockers[i] & members == 0:
+            if found >= 0:
+                return -1
+            found = i
+    return found
+
+
+def scan_table(P):
+    """Meet/join tables by scanning every common bound of every pair."""
+    be = [d | 1 << i for i, d in enumerate(P.down)]
+    ae = [u | 1 << i for i, u in enumerate(P.up)]
+    meet = np.array([[scan_extreme(be[x] & be[y], P.up) for y in range(P.n)] for x in range(P.n)])
+    join = np.array([[scan_extreme(ae[x] & ae[y], P.down) for y in range(P.n)] for x in range(P.n)])
+    return meet, join
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        antichain_exchange_poset(grid_poset(5, 5), 2),
+        antichain_exchange_poset(discrete_poset(3).ideals_poset(), 2).product(gale_poset(5, 2)),
+    ],
+    ids=["grid5x5-k2", "cube-k2-x-gale52"],
+)
+def test_meet_join_walk_matches_scan(P):
+    meet, join = scan_table(P)
+    table = meet_join_table(P)
+    assert np.array_equal(table.meet, meet)
+    assert np.array_equal(table.join, join)
+    assert table.complete == bool(P.n and (meet >= 0).all() and (join >= 0).all())
+
+
+def table_first_verdict(P):
+    """The meet/join table, a triple scan and the ideal witness, called directly."""
+    table = meet_join_table(P)
+    if not table.complete:
+        if P.n == 0:
+            return {"distributive": False, "is_lattice": False, "failure": {"reason": "empty poset"}}
+        x, y = table.undefined_pair()
+        which = "meet" if table.meet[x, y] < 0 else "join"
+        failure = {"reason": f"no {which}", "pair": [P.labels[x], P.labels[y]]}
+        return {"distributive": False, "is_lattice": False, "failure": failure}
+    meet, join = table.meet, table.join
+    for x in range(P.n):
+        for y in range(P.n):
+            for z in range(P.n):
+                if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
+                    failure = {"reason": "distributivity fails", "triple": [P.labels[v] for v in (x, y, z)]}
+                    return {"distributive": False, "is_lattice": True, "failure": failure}
+    irr = join_irreducibles(P)
+    forward = {
+        lab: irr.subset_label(p for p, q in enumerate(irr.labels) if P.leq[P.index(q), x])
+        for x, lab in enumerate(P.labels)
+    }
+    witness = PosetIso(forward, {v: k for k, v in forward.items()})
+    assert witness.verify(P, irr.ideals_poset())
+    return {"distributive": True, "is_lattice": True, "witness": witness.to_json_dict()}
+
+
+def test_witness_first_agrees_with_table_route(corpus5):
+    orders = 0
+    for Q in corpus5:
+        for k in range(Q.width() + 1):
+            for E in (antichain_exchange_poset(Q, k), antichain_ideal_poset(Q, k)):
+                assert is_distributive(E).to_json_dict() == table_first_verdict(E), (Q.covers(), k)
+                orders += 1
+    assert orders == 622
+
+
+def test_ideal_cap_stops_non_lattice_with_many_irreducibles():
+    # 30 atoms over a bottom and no top: 30 join-irreducibles, 2^30 ideals of them
+    atoms = [f"a{i}" for i in range(30)]
+    P = build_poset(["0", *atoms], [("0", a) for a in atoms])
+    start = time.perf_counter()
+    verdict = is_distributive(P)
+    assert time.perf_counter() - start < 1.0
+    assert not verdict.is_lattice
+    assert verdict.failure["reason"] == "no join"
