@@ -2,66 +2,17 @@
 
 Every n-element poset arises from an (n-1)-element poset by inserting a
 new maximal element above one of its ideals, so the corpus is grown level
-by level and deduplicated with a refinement fingerprint plus an explicit
-isomorphism search inside fingerprint buckets.
+by level.  Each extension is refined once with the poset module's colour
+refinement, bucketed by the hash of its refinement key, and kept unless a
+backtracking search finds it isomorphic to a poset already in its bucket.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from functools import lru_cache
 
-from .poset import Poset, _bits, find_isomorphism
-
-
-# signatures interned process-wide so colors compare across posets;
-# isomorphic posets always intern to identical ids, so the fingerprint
-# stays isomorphism-invariant while keeping buckets near-singleton
-_SIGNATURE_IDS: dict[tuple, int] = {}
-_SIGNATURE_LOCK = threading.Lock()
-
-
-def _intern(sig: tuple) -> int:
-    value = _SIGNATURE_IDS.get(sig)
-    if value is None:
-        with _SIGNATURE_LOCK:
-            value = _SIGNATURE_IDS.setdefault(sig, len(_SIGNATURE_IDS))
-    return value
-
-
-def _fingerprint(P: Poset) -> tuple:
-    """Isomorphism-invariant key: stable refinement colors, sorted."""
-    col = [
-        _intern(
-            (
-                "leaf",
-                P.heights[i],
-                P.depths[i],
-                P.cover_up[i].bit_count(),
-                P.cover_down[i].bit_count(),
-                P.down[i].bit_count(),
-                P.up[i].bit_count(),
-            )
-        )
-        for i in range(P.n)
-    ]
-    ncolors = len(set(col))
-    while True:
-        col = [
-            _intern(
-                (
-                    col[i],
-                    tuple(sorted(col[j] for j in _bits(P.cover_up[i]))),
-                    tuple(sorted(col[j] for j in _bits(P.cover_down[i]))),
-                )
-            )
-            for i in range(P.n)
-        ]
-        refined = len(set(col))
-        if refined == ncolors:
-            return (P.n, tuple(sorted(col)))
-        ncolors = refined
+from .poset import Poset, _match, _refine
 
 
 def _extend(P: Poset, ideal_mask: int) -> Poset:
@@ -76,16 +27,18 @@ def _extend(P: Poset, ideal_mask: int) -> Poset:
 def _posets_of_size(n: int) -> tuple[Poset, ...]:
     if n == 0:
         return (Poset._from_up([], [], validated=True),)
-    buckets: dict[tuple, list[Poset]] = {}
+    # buckets hold hashes, not keys, which keeps peak memory down: a hash
+    # collision only merges two buckets, and _match decides isomorphism
+    buckets: dict[int, list[tuple[Poset, list[int]]]] = {}
     out: list[Poset] = []
     for P in _posets_of_size(n - 1):
         for mask in P.ideal_masks():
             Q = _extend(P, mask)
-            key = _fingerprint(Q)
-            bucket = buckets.setdefault(key, [])
-            if any(find_isomorphism(Q, R) is not None for R in bucket):
+            key, colQ = _refine(Q)
+            bucket = buckets.setdefault(hash(key), [])
+            if any(_match(Q, colQ, R, colR) is not None for R, colR in bucket):
                 continue
-            bucket.append(Q)
+            bucket.append((Q, colQ))
             out.append(Q)
     return tuple(out)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -260,21 +260,32 @@ class Poset:
         """Maximum antichain size, via the chain-cover matching bound."""
         n = self.n
         above = self.up
-        match_to: list[int] = [-1] * n
-
-        def augment(u: int, seen: list[bool]) -> bool:
-            for v in _bits(above[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    if match_to[v] == -1 or augment(match_to[v], seen):
-                        match_to[v] = u
-                        return True
-            return False
-
+        match_to = [-1] * n  # upper end v -> lower end u of the matched pair u < v
+        match_of = [-1] * n  # lower end u -> upper end v
+        via = [-1] * n  # lower end that reached v in the current search
         matched = 0
-        for u in range(n):
-            if augment(u, [False] * n):
-                matched += 1
+        for root in range(n):
+            # breadth-first search for an augmenting path from root
+            seen, queue, free = 0, [root], -1
+            for u in queue:  # grows while it is read
+                for v in _bits(above[u] & ~seen):
+                    seen |= 1 << v
+                    via[v] = u
+                    if match_to[v] == -1:
+                        free = v
+                        break
+                    queue.append(match_to[v])
+                if free != -1:
+                    break
+            if free == -1:
+                continue
+            matched += 1
+            v = free
+            while v != -1:  # flip the path back to root, whose match_of is -1
+                u = via[v]
+                v_next = match_of[u]
+                match_to[v], match_of[u] = u, v
+                v = v_next
         return n - matched
 
     # -- subsets -----------------------------------------------------------
@@ -299,23 +310,32 @@ class Poset:
 
     def _antichain_masks(self, k: int) -> list[int]:
         """All size-k antichains as bitmasks, in index-lexicographic order."""
-        if k < 0:
-            return []
-        if k == 0:
-            return [0]
-        n = self.n
+        if k <= 0:
+            return [0] if k == 0 else []
         comp = [u | d for u, d in zip(self.up, self.down)]
         out: list[int] = []
-
-        def extend(start: int, mask: int, need: int) -> None:
-            if need == 0:
-                out.append(mask)
-                return
-            for i in range(start, n - need + 1):
-                if comp[i] & mask == 0:
-                    extend(i + 1, mask | (1 << i), need - 1)
-
-        extend(0, 0, k)
+        # depth-first with an explicit stack: masks[-1] is the antichain so
+        # far and cands[-1] the larger indices still incomparable to all of it
+        masks, cands = [0], [(1 << self.n) - 1]
+        while cands:
+            cand = cands[-1]
+            need = k - len(cands) + 1
+            if need == 1:
+                mask = masks.pop()
+                cands.pop()
+                while cand:
+                    low = cand & -cand
+                    out.append(mask | low)
+                    cand ^= low
+            elif cand.bit_count() < need:
+                masks.pop()
+                cands.pop()
+            else:
+                low = cand & -cand
+                cand ^= low
+                cands[-1] = cand
+                masks.append(masks[-1] | low)
+                cands.append(cand & ~comp[low.bit_length() - 1])
         return out
 
     def antichains_of_size(self, k: int) -> list["Antichain"]:
@@ -351,8 +371,15 @@ class Poset:
     def ideals_poset(self, cap: int = DEFAULT_IDEAL_CAP) -> "Poset":
         """The poset of all ideals ordered by containment."""
         masks = self.ideal_masks(cap)
+        # containing[i] = the ideals that contain i; an ideal lies below
+        # exactly the ideals that contain all of its members
+        containing = [0] * self.n
+        for r, m in enumerate(masks):
+            for i in _bits(m):
+                containing[i] |= 1 << r
+        every = (1 << len(masks)) - 1
         up = [
-            sum(1 << s for s, t in enumerate(masks) if s != r and m & ~t == 0)
+            reduce(and_, (containing[i] for i in _bits(m)), every) & ~(1 << r)
             for r, m in enumerate(masks)
         ]
         labels = [self.subset_label(_bits(m)) for m in masks]
@@ -541,63 +568,52 @@ class PosetIso:
         return {"forward": dict(self.forward), "backward": dict(self.backward)}
 
 
-def _stable_colors(P: Poset, Q: Poset) -> tuple[list[int], list[int]] | None:
-    """Jointly refined vertex colors; None when multisets already differ."""
+def _refine(P: Poset) -> tuple[tuple, list[int]]:
+    """Colour refinement of P on its own: (isomorphism-invariant key, colours).
 
-    def initial(R: Poset) -> list[tuple]:
-        return [
-            (
-                R.heights[i],
-                R.depths[i],
-                R.cover_up[i].bit_count(),
-                R.cover_down[i].bit_count(),
-                R.down[i].bit_count(),
-                R.up[i].bit_count(),
-            )
-            for i in range(R.n)
-        ]
-
-    def refined(R: Poset, col: list[int]) -> list[tuple]:
-        return [
+    Elements start from (height, depth, cover degrees, down- and up-set
+    sizes) and are refined by the sorted colours of their upper and
+    lower covers until the number of colours stops growing.  A colour is
+    the rank of its signature in P's own sorted palette, so isomorphic
+    posets get equal keys and colours that correspond under every
+    isomorphism (McKay & Piperno, "Practical graph isomorphism II", 2014).
+    """
+    sig = [
+        (
+            P.heights[i],
+            P.depths[i],
+            P.cover_up[i].bit_count(),
+            P.cover_down[i].bit_count(),
+            P.down[i].bit_count(),
+            P.up[i].bit_count(),
+        )
+        for i in range(P.n)
+    ]
+    palettes = []
+    while True:
+        palette = sorted(set(sig))
+        rank = {s: c for c, s in enumerate(palette)}
+        col = [rank[s] for s in sig]
+        palettes.append(tuple(palette))
+        if len(palettes) > 1 and len(palette) == len(palettes[-2]):
+            return (P.n, tuple(palettes), tuple(sorted(col))), col
+        sig = [
             (
                 col[i],
-                tuple(sorted(col[j] for j in _bits(R.cover_up[i]))),
-                tuple(sorted(col[j] for j in _bits(R.cover_down[i]))),
+                tuple(sorted(col[j] for j in _bits(P.cover_up[i]))),
+                tuple(sorted(col[j] for j in _bits(P.cover_down[i]))),
             )
-            for i in range(R.n)
+            for i in range(P.n)
         ]
 
-    sigP, sigQ = initial(P), initial(Q)
-    ncolors = -1
-    while True:
-        palette = {sig: c for c, sig in enumerate(sorted(set(sigP) | set(sigQ)))}
-        colP = [palette[s] for s in sigP]
-        colQ = [palette[s] for s in sigQ]
-        if sorted(colP) != sorted(colQ):
-            return None
-        if len(palette) == ncolors:
-            return colP, colQ
-        ncolors = len(palette)
-        sigP, sigQ = refined(P, colP), refined(Q, colQ)
 
+def _match(P: Poset, colP: list[int], Q: Poset, colQ: list[int]) -> PosetIso | None:
+    """Backtrack for an isomorphism P -> Q that keeps every element's colour.
 
-def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> PosetIso | None:
-    """Search for an order isomorphism P -> Q.
-
-    Backtracking over color classes produced by iterated refinement of
-    (height, depth, cover degrees) signatures.  Deterministic for fixed
-    inputs.  Raises SizeLimitExceeded above ``max_size`` elements.
+    Every assignment is checked against all earlier ones in both
+    directions, so a returned map is always a true isomorphism whatever
+    the colours; the colours only prune the search.
     """
-    if P.n != Q.n:
-        return None
-    if P.n > max_size or Q.n > max_size:
-        raise SizeLimitExceeded(f"isomorphism search capped at {max_size} elements")
-    if P.n == 0:
-        return PosetIso({}, {})
-    colors = _stable_colors(P, Q)
-    if colors is None:
-        return None
-    colP, colQ = colors
     candidates: dict[int, list[int]] = {}
     for v in range(Q.n):
         candidates.setdefault(colQ[v], []).append(v)
@@ -642,6 +658,27 @@ def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> Pos
     forward = {P.labels[i]: Q.labels[mapping[i]] for i in range(P.n)}
     backward = {v: k for k, v in forward.items()}
     return PosetIso(forward, backward)
+
+
+def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> PosetIso | None:
+    """Search for an order isomorphism P -> Q.
+
+    Refines each poset on its own (:func:`_refine`), returns None when
+    the refinement keys differ, and otherwise backtracks over the colour
+    classes.  Deterministic for fixed inputs.  Raises SizeLimitExceeded
+    above ``max_size`` elements.
+    """
+    if P.n != Q.n:
+        return None
+    if P.n > max_size or Q.n > max_size:
+        raise SizeLimitExceeded(f"isomorphism search capped at {max_size} elements")
+    if P.n == 0:
+        return PosetIso({}, {})
+    keyP, colP = _refine(P)
+    keyQ, colQ = _refine(Q)
+    if keyP != keyQ:
+        return None
+    return _match(P, colP, Q, colQ)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -112,3 +112,11 @@ def test_exception_in_check_becomes_error_verdict(raise_in_check):
 def test_pass_report_has_no_error_key():
     blob = run_check("five-element-example").to_json_dict()
     assert set(blob) == {"check_id", "parameters", "verdict", "certificate", "elapsed_s"}
+
+
+@pytest.mark.parametrize("check_id", ["spin-antichain-merge", "root-complement-involution"])
+def test_checks_past_the_iso_cap_pass_on_their_explicit_maps(check_id):
+    # n=8 reaches exchange orders above the 200-element isomorphism cap;
+    # the verified label map alone proves the isomorphism
+    report = run_check(check_id, {"n": 8})
+    assert report.verdict == "pass", report.to_json_dict()

@@ -5,8 +5,10 @@ from posetforge.corpus import corpus_census, small_posets
 
 
 def test_census_matches_known_counts():
-    # unlabeled posets on 0..6 points
-    assert corpus_census(6) == {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+    # unlabeled posets on 0..8 points (Brinkmann & McKay, "Posets on up to 16 points", 2002)
+    assert corpus_census(8) == {
+        0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999
+    }
 
 
 def test_representatives_pairwise_nonisomorphic():

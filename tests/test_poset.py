@@ -22,7 +22,7 @@ from posetforge import (
     poset_from_dict,
     poset_to_dict,
 )
-from posetforge.poset import parse_point
+from posetforge.poset import _bits, parse_point
 
 from conftest import posets
 
@@ -245,6 +245,24 @@ def test_ideal_masks_match_oracle_on_corpus(corpus5):
         assert set(P.ideal_masks()) == set(ideal_masks_oracle(P))
 
 
+def ideals_poset_oracle(P):
+    """Ideal lattice by testing every ordered pair of ideals for containment."""
+    from posetforge.poset import Poset
+
+    masks = P.ideal_masks()
+    up = [
+        sum(1 << s for s, t in enumerate(masks) if s != r and m & ~t == 0)
+        for r, m in enumerate(masks)
+    ]
+    return Poset._from_up([P.subset_label(_bits(m)) for m in masks], up, validated=True)
+
+
+def test_ideals_poset_matches_pair_test(corpus6):
+    for P in [grid_poset(6, 6), *corpus6]:
+        J, oracle = P.ideals_poset(), ideals_poset_oracle(P)
+        assert J.labels == oracle.labels and J.up == oracle.up
+
+
 def test_ideal_cap():
     with pytest.raises(SizeLimitExceeded):
         discrete_poset(12).ideals_poset(cap=100)
@@ -294,6 +312,67 @@ def test_antichain_enumeration_matches_oracle(P):
 @settings(deadline=None, max_examples=60)
 def test_width_matches_enumeration(P):
     assert P.width() == width_oracle(P)
+
+
+def test_antichain_masks_in_index_lexicographic_order(corpus6):
+    from itertools import combinations
+
+    for P in corpus6:
+        for k in range(P.n + 2):
+            expected = [
+                c for c in combinations(range(P.n), k)
+                if all(not (P.up[x] | P.down[x]) >> y & 1 for x in c for y in c)
+            ]
+            assert [tuple(_bits(m)) for m in P._antichain_masks(k)] == expected
+
+
+def fence(n):
+    """Zigzag 0 < 1 > 2 < 3 > ... on n points."""
+    labels = [str(i) for i in range(n)]
+    pairs = [(labels[i], labels[i + 1]) if i % 2 == 0 else (labels[i + 1], labels[i])
+             for i in range(n - 1)]
+    return build_poset(labels, pairs)
+
+
+def width_by_recursive_matching(P):
+    """Dilworth width as n minus a maximum matching found by recursive augmenting paths."""
+    match_to = [-1] * P.n
+
+    def augment(u, seen):
+        for v in _bits(P.up[u]):
+            if not seen[v]:
+                seen[v] = True
+                if match_to[v] == -1 or augment(match_to[v], seen):
+                    match_to[v] = u
+                    return True
+        return False
+
+    return P.n - sum(augment(u, [False] * P.n) for u in range(P.n))
+
+
+def test_width_matches_recursive_matching_on_random_posets():
+    import random
+
+    rng = random.Random(1950)
+    for _ in range(300):
+        n = rng.randint(10, 30)
+        density = rng.choice([0.05, 0.1, 0.2])
+        labels = [f"x{i}" for i in range(n)]
+        pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        rng.shuffle(labels)
+        P = build_poset(labels, pairs)
+        assert P.width() == width_by_recursive_matching(P)
+
+
+def test_width_of_long_fence_needs_no_recursion():
+    # a recursive augmenting-path search overflowed the stack at 2,000 points
+    assert fence(2000).width() == 1000
+
+
+def test_full_size_antichain_of_large_antichain_needs_no_recursion():
+    # a recursive enumeration overflowed the stack at depth 1,100
+    assert discrete_poset(1100)._antichain_masks(1100) == [(1 << 1100) - 1]
 
 
 def test_width_is_last_nonempty_size(corpus6):
@@ -382,6 +461,27 @@ def test_iso_size_cap():
 def test_iso_empty():
     E = discrete_poset(0)
     assert find_isomorphism(E, E) is not None
+
+
+def test_refinement_is_invariant_under_relabelling(corpus6):
+    import random
+
+    from posetforge.poset import Poset, _refine
+
+    rng = random.Random(20140101)
+    for P in corpus6:
+        perm = list(range(P.n))
+        rng.shuffle(perm)  # element i of P becomes element perm[i] of Q
+        up = [0] * P.n
+        for i, u in enumerate(P.up):
+            up[perm[i]] = sum(1 << perm[j] for j in _bits(u))
+        Q = Poset._from_up([f"q{i}" for i in range(P.n)], up, validated=False)
+        keyP, colP = _refine(P)
+        keyQ, colQ = _refine(Q)
+        assert keyP == keyQ
+        assert all(colQ[perm[i]] == colP[i] for i in range(P.n))
+        iso = find_isomorphism(P, Q)
+        assert iso is not None and iso.verify(P, Q)
 
 
 def iso_exists_oracle(P, Q):
