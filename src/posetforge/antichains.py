@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SizeMismatch
-from .poset import Antichain, Poset, _bits, transitive_closure
+from .poset import Antichain, Poset, _bits, _inclusion_up, _matching_size, transitive_closure
 
 
 def ideal_leq(A: Antichain, B: Antichain) -> bool:
@@ -75,24 +75,22 @@ def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Pose
     succ = _exchange_edges(P, masks, covers_only=(edges == "covers"))
     up = transitive_closure(succ)
     labels = [P.subset_label(_bits(m)) for m in masks]
-    return Poset._from_up(labels, up, validated=False)
+    return Poset._from_up(labels, up)
 
 
 def antichain_ideal_poset(P: Poset, k: int) -> Poset:
     """The size-k antichains under the ideal (containment) order."""
     masks = P._antichain_masks(k)
-    closure = []
+    down = P.down
+    ideals = []
     for m in masks:
-        c = m
+        ideal = m
         for i in _bits(m):
-            c |= P.down[i]
-        closure.append(c)
-    up = [
-        sum(1 << j for j, d in enumerate(closure) if i != j and c & ~d == 0)
-        for i, c in enumerate(closure)
-    ]
+            ideal |= down[i]
+        ideals.append(ideal)
+    # ideal(A) lies inside ideal(B) exactly when A does
     labels = [P.subset_label(_bits(m)) for m in masks]
-    return Poset._from_up(labels, up, validated=True)
+    return Poset._from_up(labels, _inclusion_up(P.n, masks, ideals))
 
 
 @dataclass
@@ -144,21 +142,7 @@ def refinement_report(P: Poset, k: int) -> RefinementReport:
 
 def has_order_matching(P: Poset, A: Antichain, B: Antichain) -> bool:
     """Whether A and B admit a perfect matching with each a_i <= b_i."""
-    left = list(_bits(A.mask))
-    right = list(_bits(B.mask))
-    if len(left) != len(right):
-        raise SizeMismatch(f"antichain sizes differ: {len(left)} vs {len(right)}")
-    rpos = {v: p for p, v in enumerate(right)}
-    match_to = [-1] * len(right)
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in right:
-            p = rpos[v]
-            if (u == v or P.up[u] >> v & 1) and not seen[p]:
-                seen[p] = True
-                if match_to[p] == -1 or augment(match_to[p], seen):
-                    match_to[p] = u
-                    return True
-        return False
-
-    return all(augment(u, [False] * len(right)) for u in left)
+    if len(A) != len(B):
+        raise SizeMismatch(f"antichain sizes differ: {len(A)} vs {len(B)}")
+    adj = {u: (P.up[u] | 1 << u) & B.mask for u in A}
+    return _matching_size(P.n, adj) == len(A)

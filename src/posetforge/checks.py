@@ -348,7 +348,7 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
         if P._antichain_masks(w + 1):
             return False, {"counterexample": {"poset": P.covers(), "width": w}}
         for k in range(w + 1):
-            E = ac.antichain_exchange_poset(P, k)  # construction validates the order
+            E = ac.antichain_exchange_poset(P, k)  # an order: transitive_closure proves it
             E_all = ac.antichain_exchange_poset(P, k, edges="all")
             if E.up != E_all.up:
                 return False, {

@@ -20,13 +20,13 @@ def _extend(P: Poset, ideal_mask: int) -> Poset:
     n = P.n
     new = 1 << n
     up = [u | new if ideal_mask >> i & 1 else u for i, u in enumerate(P.up)] + [0]
-    return Poset._from_up([f"x{i}" for i in range(n + 1)], up, validated=True)
+    return Poset._from_up([f"x{i}" for i in range(n + 1)], up)
 
 
 @lru_cache(maxsize=None)
 def _posets_of_size(n: int) -> tuple[Poset, ...]:
     if n == 0:
-        return (Poset._from_up([], [], validated=True),)
+        return (Poset._from_up([], []),)
     # buckets hold hashes, not keys, which keeps peak memory down: a hash
     # collision only merges two buckets, and _match decides isomorphism
     buckets: dict[int, list[tuple[Poset, list[int]]]] = {}

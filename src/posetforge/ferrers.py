@@ -17,10 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Ideal, Poset, grid_points, grid_poset, point_label
+from .poset import (
+    Antichain,
+    Ideal,
+    Poset,
+    _componentwise_poset,
+    grid_points,
+    grid_poset,
+    point_label,
+)
 from .sequences import KSubset
 
 
@@ -98,15 +104,8 @@ def durfee_poset(a: int, b: int, k: int) -> Poset:
     if k < 0 or k > min(a, b):
         raise BadParameters(f"Durfee length {k} does not fit in a {a}x{b} box")
     diagrams = [d for d in diagrams_in_box(a, b) if durfee_length(d) == k]
-    padded = np.array(
-        [[d.height(j) for j in range(1, b + 1)] for d in diagrams], dtype=np.int64
-    )
-    if len(diagrams) == 0:
-        lt = np.zeros((0, 0), dtype=bool)
-    else:
-        leq = (padded[:, None, :] <= padded[None, :, :]).all(axis=2)
-        lt = leq & ~np.eye(len(diagrams), dtype=bool)
-    return Poset([d.label for d in diagrams], lt, _validated=True)
+    padded = [[d.height(j) for j in range(1, b + 1)] for d in diagrams]
+    return _componentwise_poset([d.label for d in diagrams], padded)
 
 
 def durfee_decompose(d: FerrersDiagram) -> tuple[int, Ideal, Ideal]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import BadParameters
-from .poset import DEFAULT_IDEAL_CAP, Poset, grid_poset
+from .poset import Poset, grid_poset
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,12 @@ class E7Kind:
 MinusculeKind = Union[Grid, SpinD, NaturalD, E6Kind, E7Kind]
 
 
-def iterated_ideals(P: Poset, m: int, cap: int = DEFAULT_IDEAL_CAP) -> Poset:
+def iterated_ideals(P: Poset, m: int) -> Poset:
     """Apply the ideal-lattice construction m times; m=0 returns P itself."""
     if m < 0:
         raise BadParameters(f"iteration count must be nonnegative, got {m}")
     for _ in range(m):
-        P = P.ideals_poset(cap)
+        P = P.ideals_poset()
     return P
 
 

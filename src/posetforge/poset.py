@@ -3,8 +3,11 @@
 A poset is an immutable tuple of distinct string labels together with
 ``up``, one Python-int bitset per canonical index 0..n-1: bit j of
 ``up[i]`` means "element i is strictly below element j".  The relation
-is always irreflexive, antisymmetric and transitively closed; public
-constructors either verify this or compute the closure themselves.
+is always irreflexive, antisymmetric and transitively closed.  An order
+from outside (``Poset(labels, lt)``) is checked once, on entry; an order
+the package builds itself (a transitive closure, a componentwise order
+on distinct rows, inclusion of distinct sets) is trusted, because its
+construction already proves it is an order.
 Down-sets and covers are derived from ``up`` on first use and cached,
 as are the read-only numpy views ``lt``, ``leq`` and ``cover_matrix``
 kept for callers outside the package.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,6 +97,65 @@ def transitive_closure(succ: Sequence[int]) -> tuple[int, ...]:
     return tuple(up)
 
 
+def _inclusion_up(n: int, gens: Sequence[int], sets: Sequence[int]) -> list[int]:
+    """Strict up-sets of the inclusion order among distinct subsets of 0..n-1.
+
+    Element r lies below element s when ``gens[r]`` is a subset of
+    ``sets[s]``, for r != s.  With ``gens`` equal to ``sets`` this is
+    plain inclusion; ``gens[r]`` may also be any generating set whose
+    downward closure is ``sets[r]``, when every set is downward closed.
+    """
+    # containing[i] = the sets that contain i; r lies below exactly the
+    # sets that contain all of gens[r]
+    containing = [0] * n
+    for s, m in enumerate(sets):
+        for i in _bits(m):
+            containing[i] |= 1 << s
+    every = (1 << len(sets)) - 1
+    up = []
+    for r, g in enumerate(gens):
+        row = every & ~(1 << r)
+        for i in _bits(g):
+            row &= containing[i]
+        up.append(row)
+    return up
+
+
+def _matching_size(n: int, adj: dict[int, int]) -> int:
+    """Size of a maximum matching in a bipartite graph, without recursion.
+
+    Left and right vertices are both numbered 0..n-1; left vertex u
+    (a key of ``adj``) is joined to every right vertex in the bitset
+    ``adj[u]``.  Augmenting paths are found by breadth-first search.
+    """
+    match_to = [-1] * n  # right vertex v -> left vertex u of the matched edge
+    match_of = [-1] * n  # left vertex u -> right vertex v
+    via = [-1] * n  # left vertex that reached v in the current search
+    matched = 0
+    for root in adj:
+        seen, queue, free = 0, [root], -1
+        for u in queue:  # grows while it is read
+            for v in _bits(adj[u] & ~seen):
+                seen |= 1 << v
+                via[v] = u
+                if match_to[v] == -1:
+                    free = v
+                    break
+                queue.append(match_to[v])
+            if free != -1:
+                break
+        if free == -1:
+            continue
+        matched += 1
+        v = free
+        while v != -1:  # flip the path back to root, whose match_of is -1
+            u = via[v]
+            v_next = match_of[u]
+            match_to[v], match_of[u] = u, v
+            v = v_next
+    return matched
+
+
 def _distinct(labels: Iterable) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     seen: set[str] = set()
@@ -141,24 +203,21 @@ class Poset:
     1
     """
 
-    def __init__(self, labels: Sequence[str], lt: np.ndarray, *, _validated: bool = False):
+    def __init__(self, labels: Sequence[str], lt: np.ndarray):
         self.labels = _distinct(labels)
         n = self.n
         lt = np.asarray(lt, dtype=bool)
         if lt.shape != (n, n):
             raise ValueError(f"relation matrix must be {n}x{n}, got {lt.shape}")
         self.up = _mask_rows(lt)
-        if not _validated:
-            _check_order(self.up)
+        _check_order(self.up)
 
     @classmethod
-    def _from_up(cls, labels: Iterable[str], up: Sequence[int], *, validated: bool) -> "Poset":
-        """Build from strict up-set bitsets; checks the order unless ``validated``."""
+    def _from_up(cls, labels: Iterable[str], up: Sequence[int]) -> "Poset":
+        """Build from strict up-set bitsets that the caller's construction proves an order."""
         P = cls.__new__(cls)
         P.labels = _distinct(labels)
         P.up = tuple(up)
-        if not validated:
-            _check_order(P.up)
         return P
 
     # -- basic accessors -------------------------------------------------
@@ -258,35 +317,7 @@ class Poset:
 
     def width(self) -> int:
         """Maximum antichain size, via the chain-cover matching bound."""
-        n = self.n
-        above = self.up
-        match_to = [-1] * n  # upper end v -> lower end u of the matched pair u < v
-        match_of = [-1] * n  # lower end u -> upper end v
-        via = [-1] * n  # lower end that reached v in the current search
-        matched = 0
-        for root in range(n):
-            # breadth-first search for an augmenting path from root
-            seen, queue, free = 0, [root], -1
-            for u in queue:  # grows while it is read
-                for v in _bits(above[u] & ~seen):
-                    seen |= 1 << v
-                    via[v] = u
-                    if match_to[v] == -1:
-                        free = v
-                        break
-                    queue.append(match_to[v])
-                if free != -1:
-                    break
-            if free == -1:
-                continue
-            matched += 1
-            v = free
-            while v != -1:  # flip the path back to root, whose match_of is -1
-                u = via[v]
-                v_next = match_of[u]
-                match_to[v], match_of[u] = u, v
-                v = v_next
-        return n - matched
+        return self.n - _matching_size(self.n, dict(enumerate(self.up)))
 
     # -- subsets -----------------------------------------------------------
 
@@ -365,25 +396,14 @@ class Poset:
             frontier = nxt
         return sorted(seen, key=lambda m: (m.bit_count(), tuple(_bits(m))))
 
-    def ideals(self, cap: int = DEFAULT_IDEAL_CAP) -> list["Ideal"]:
-        return [Ideal(self, tuple(_bits(m))) for m in self.ideal_masks(cap)]
+    def ideals(self) -> list["Ideal"]:
+        return [Ideal(self, tuple(_bits(m))) for m in self.ideal_masks()]
 
     def ideals_poset(self, cap: int = DEFAULT_IDEAL_CAP) -> "Poset":
         """The poset of all ideals ordered by containment."""
         masks = self.ideal_masks(cap)
-        # containing[i] = the ideals that contain i; an ideal lies below
-        # exactly the ideals that contain all of its members
-        containing = [0] * self.n
-        for r, m in enumerate(masks):
-            for i in _bits(m):
-                containing[i] |= 1 << r
-        every = (1 << len(masks)) - 1
-        up = [
-            reduce(and_, (containing[i] for i in _bits(m)), every) & ~(1 << r)
-            for r, m in enumerate(masks)
-        ]
         labels = [self.subset_label(_bits(m)) for m in masks]
-        return Poset._from_up(labels, up, validated=True)
+        return Poset._from_up(labels, _inclusion_up(self.n, masks, masks))
 
     # -- constructions -----------------------------------------------------
 
@@ -393,20 +413,20 @@ class Poset:
         n = self.n * other.n
         lt = leq & ~np.eye(n, dtype=bool)
         labels = [f"({p},{q})" for p in self.labels for q in other.labels]
-        return Poset(labels, lt, _validated=True)
+        return Poset._from_up(labels, _mask_rows(lt))
 
     def induced(self, indices: Sequence[int]) -> "Poset":
         """Sub-poset on the given indices, keeping their labels."""
         idx = list(indices)
         up = [sum(1 << q for q, j in enumerate(idx) if self.up[i] >> j & 1) for i in idx]
-        return Poset._from_up([self.labels[i] for i in idx], up, validated=True)
+        return Poset._from_up([self.labels[i] for i in idx], up)
 
     def relabeled(self, labels: Sequence[str] | None = None, prefix: str = "p") -> "Poset":
         if labels is None:
             labels = [f"{prefix}{i}" for i in range(self.n)]
         if len(labels) != self.n:
             raise ValueError("need exactly one new label per element")
-        return Poset._from_up(labels, self.up, validated=True)
+        return Poset._from_up(labels, self.up)
 
 
 class _Subset:
@@ -506,7 +526,7 @@ def build_poset(labels: Sequence[str], relations: Iterable[Sequence[str]]) -> Po
             if end not in index:
                 raise UnknownLabel(f"relation endpoint {end!r} is not an element")
         succ[index[a]] |= 1 << index[b]
-    return Poset._from_up(labels, transitive_closure(succ), validated=True)
+    return Poset._from_up(labels, transitive_closure(succ))
 
 
 def chain_poset(n: int) -> Poset:
@@ -515,14 +535,24 @@ def chain_poset(n: int) -> Poset:
         raise BadParameters(f"chain length must be nonnegative, got {n}")
     full = (1 << n) - 1
     up = [full & ~((2 << i) - 1) for i in range(n)]
-    return Poset._from_up([str(i) for i in range(1, n + 1)], up, validated=True)
+    return Poset._from_up([str(i) for i in range(1, n + 1)], up)
 
 
 def discrete_poset(labels: Sequence[str] | int) -> Poset:
     """An antichain: no two elements comparable."""
     if isinstance(labels, int):
         labels = [str(i) for i in range(1, labels + 1)]
-    return Poset._from_up(labels, [0] * len(labels), validated=True)
+    return Poset._from_up(labels, [0] * len(labels))
+
+
+def _componentwise_poset(labels: Sequence[str], rows: Sequence[Sequence[int]]) -> Poset:
+    """Distinct integer rows of equal length under componentwise <=."""
+    if not rows:
+        return Poset._from_up(labels, [])
+    arr = np.array(rows, dtype=np.int64)
+    lt = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    np.fill_diagonal(lt, False)
+    return Poset._from_up(labels, _mask_rows(lt))
 
 
 def grid_poset(a: int, b: int) -> Poset:

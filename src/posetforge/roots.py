@@ -14,10 +14,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset
+from .poset import Antichain, Poset, _componentwise_poset
 
 _ROOT_RE = re.compile(r"\[(\d+),(\d+)\]")
 
@@ -48,13 +46,8 @@ def type_a_root_poset(n: int) -> Poset:
     if n < 2:
         raise BadParameters(f"need n >= 2, got {n}")
     roots = positive_roots(n)
-    count = len(roots)
-    lt = np.zeros((count, count), dtype=bool)
-    for p, r in enumerate(roots):
-        for q, s in enumerate(roots):
-            if p != q and s.i <= r.i and r.j <= s.j:
-                lt[p, q] = True
-    return Poset([r.label for r in roots], lt, _validated=True)
+    # [i, j] lies inside [i', j'] exactly when (-i, j) <= (-i', j')
+    return _componentwise_poset([r.label for r in roots], [(-r.i, r.j) for r in roots])
 
 
 def parse_root_label(label: str) -> Root:

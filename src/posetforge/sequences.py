@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-import numpy as np
-
 from .errors import BadParameters
-from .poset import Ideal, Poset, grid_points, point_label
+from .poset import Ideal, Poset, _componentwise_poset, grid_points, point_label
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,6 @@ def gale_elements(n: int, k: int) -> list[KSubset]:
         raise BadParameters(f"need 0 <= k <= n, got k={k}, n={n}")
     combos = sorted(combinations(range(1, n + 1), k), key=lambda t: t[::-1])
     return [KSubset(t, n) for t in combos]
-
-
-def _componentwise_poset(labels: list[str], rows: list[tuple[int, ...]]) -> Poset:
-    if not rows:
-        return Poset(labels, np.zeros((0, 0), dtype=bool), _validated=True)
-    arr = np.array(rows, dtype=np.int64)
-    leq = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    lt = leq & ~np.eye(len(rows), dtype=bool)
-    return Poset(labels, lt, _validated=True)
 
 
 def gale_poset(n: int, k: int) -> Poset:

@@ -17,6 +17,7 @@ from posetforge import (
     refinement_report,
 )
 from posetforge.minuscule import SpinD, minuscule_poset
+from posetforge.poset import _bits, _check_order
 from posetforge.sequences import gale_poset
 
 from conftest import posets
@@ -124,6 +125,7 @@ def test_edge_routes_agree(corpus5):
             default = antichain_exchange_poset(P, k)
             oracle = antichain_exchange_poset(P, k, edges="all")
             assert np.array_equal(default.lt, oracle.lt)
+            _check_order(default.up)
 
 
 @given(posets())
@@ -161,6 +163,30 @@ def test_ideal_poset_at_width_is_distributive(corpus5):
     for P in corpus5:
         verdict = is_distributive(antichain_ideal_poset(P, P.width()))
         assert verdict.distributive, P.covers()
+
+
+def ideal_poset_oracle(P, k):
+    """Labels and up-sets of the ideal order by comparing the ideals of every pair."""
+    masks = P._antichain_masks(k)
+    closure = []
+    for m in masks:
+        c = m
+        for i in _bits(m):
+            c |= P.down[i]
+        closure.append(c)
+    up = tuple(
+        sum(1 << j for j, d in enumerate(closure) if i != j and c & ~d == 0)
+        for i, c in enumerate(closure)
+    )
+    return tuple(P.subset_label(_bits(m)) for m in masks), up
+
+
+def test_ideal_poset_matches_pair_loop(corpus7):
+    cases = [(P, k) for P in corpus7 for k in range(P.width() + 2)]
+    cases += [(grid_poset(6, 6), k) for k in range(7)]
+    for P, k in cases:
+        I = antichain_ideal_poset(P, k)
+        assert (I.labels, I.up) == ideal_poset_oracle(P, k), (P.covers(), k)
 
 
 def test_size_one_ideal_poset_recovers_poset(corpus5):

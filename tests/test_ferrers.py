@@ -86,6 +86,21 @@ def test_durfee_poset_matches_product():
                 assert find_isomorphism(D, prod) is not None
 
 
+def test_durfee_poset_matches_containment_oracle():
+    for a in range(6):
+        for b in range(6):
+            diagrams = diagrams_in_box(a, b)
+            for k in range(min(a, b) + 1):
+                level = [d for d in diagrams if durfee_oracle(d) == k]
+                up = tuple(
+                    sum(1 << j for j, e in enumerate(level) if j != i and e.contains(d))
+                    for i, d in enumerate(level)
+                )
+                D = durfee_poset(a, b, k)
+                assert D.labels == tuple(d.label for d in level)
+                assert D.up == up, (a, b, k)
+
+
 def test_decompose_full_square():
     k, top, side = durfee_decompose(FerrersDiagram((3, 3, 3), (3, 3)))
     assert k == 3 and len(top) == 0 and len(side) == 0

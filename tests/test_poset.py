@@ -159,6 +159,50 @@ def test_transitive_closure_rejects_two_cycle():
         transitive_closure([0b10, 0b01])
 
 
+@st.composite
+def successor_bitsets(draw, max_size: int = 12):
+    """Random digraphs, loops and cycles included, as successor bitsets."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    succ = [0] * n
+    if n:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+            succ[i] |= 1 << j
+    return succ
+
+
+def reachability_oracle(succ):
+    """Strict reachability by repeated one-step extension until nothing changes."""
+    reach = list(succ)
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(reach):
+            grown = r
+            for j in _bits(r):
+                grown |= reach[j]
+            if grown != r:
+                reach[i], changed = grown, True
+    return tuple(reach)
+
+
+@given(successor_bitsets())
+@settings(deadline=None, max_examples=200)
+def test_transitive_closure_output_is_an_order(succ):
+    # the trusted builders rest on this: a closure that does not raise is
+    # an order, so it never needs re-checking
+    from posetforge.poset import _check_order, transitive_closure
+
+    reach = reachability_oracle(succ)
+    if any(r >> i & 1 for i, r in enumerate(reach)):
+        with pytest.raises(CycleDetected):
+            transitive_closure(succ)
+        return
+    up = transitive_closure(succ)
+    assert up == reach
+    _check_order(up)
+
+
 # -- covers ------------------------------------------------------------------
 
 
@@ -254,7 +298,7 @@ def ideals_poset_oracle(P):
         sum(1 << s for s, t in enumerate(masks) if s != r and m & ~t == 0)
         for r, m in enumerate(masks)
     ]
-    return Poset._from_up([P.subset_label(_bits(m)) for m in masks], up, validated=True)
+    return Poset._from_up([P.subset_label(_bits(m)) for m in masks], up)
 
 
 def test_ideals_poset_matches_pair_test(corpus6):
@@ -475,7 +519,7 @@ def test_refinement_is_invariant_under_relabelling(corpus6):
         up = [0] * P.n
         for i, u in enumerate(P.up):
             up[perm[i]] = sum(1 << perm[j] for j in _bits(u))
-        Q = Poset._from_up([f"q{i}" for i in range(P.n)], up, validated=False)
+        Q = Poset._from_up([f"q{i}" for i in range(P.n)], up)
         keyP, colP = _refine(P)
         keyQ, colQ = _refine(Q)
         assert keyP == keyQ
@@ -518,7 +562,7 @@ def test_iso_found_on_shuffled_copy(P, perm):
     for i in range(P.n):
         for j in range(P.n):
             lt[order[i], order[j]] = P.lt[i, j]
-    Q = Poset([f"y{i}" for i in range(P.n)], lt, _validated=True)
+    Q = Poset([f"y{i}" for i in range(P.n)], lt)
     iso = find_isomorphism(P, Q)
     assert iso is not None and iso.verify(P, Q)
 
