@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotALattice, SizeLimitExceeded
-from .poset import Poset, PosetIso
+from .poset import Poset, PosetIso, _bits, _image
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,9 @@ def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
         ideal_poset = irr.ideals_poset(cap=P.n)
     except SizeLimitExceeded:
         return None
-    forward = {}
-    for x in range(P.n):
-        below_eq = P.down[x] | 1 << x
-        members = [p for p, i in enumerate(irr_idx) if below_eq >> i & 1]
-        forward[P.labels[x]] = irr.subset_label(members)
+    # irr keeps P's labels in P's order, so its subsets are labelled as in P
+    keep = _image((1 << len(irr_idx)) - 1, irr_idx)
+    forward = {P.labels[x]: P.subset_label(_bits((P.down[x] | 1 << x) & keep)) for x in range(P.n)}
     witness = PosetIso(forward, {v: k for k, v in forward.items()})
     return (witness, irr) if witness.verify(P, ideal_poset) else None
 

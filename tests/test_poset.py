@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,20 +10,34 @@ from posetforge import (
     Antichain,
     CycleDetected,
     DuplicateLabel,
+    Grid,
     Ideal,
     NotAnAntichain,
     NotAnIdeal,
     SizeLimitExceeded,
+    SpinD,
     UnknownLabel,
+    antichain_exchange_poset,
     build_poset,
     chain_poset,
     discrete_poset,
     find_isomorphism,
+    gale_poset,
     grid_poset,
+    minuscule_poset,
     poset_from_dict,
     poset_to_dict,
 )
-from posetforge.poset import _bits, parse_point
+from posetforge.poset import (
+    Poset,
+    PosetIso,
+    _bits,
+    _image,
+    _match,
+    _refine,
+    mapped_order_equal,
+    parse_point,
+)
 
 from conftest import posets
 
@@ -443,6 +458,13 @@ def test_grid_antichain_closure():
     assert I.max_elements() == A
 
 
+def test_enumerated_subsets_pass_validation(corpus6):
+    for P in corpus6:
+        assert all(Ideal(P, I.indices) == I for I in P.ideals())
+        for k in range(P.width() + 1):
+            assert all(Antichain(P, A.indices) == A for A in P.antichains_of_size(k))
+
+
 def test_roundtrip_exhaustive_up_to_8_points(corpus8):
     for P in corpus8:
         for mask in P.ideal_masks():
@@ -502,24 +524,40 @@ def test_iso_size_cap():
         find_isomorphism(chain_poset(10), chain_poset(10), max_size=5)
 
 
+def test_verify_rejects_backward_map_that_is_not_the_inverse():
+    P = chain_poset(3)
+    iso = find_isomorphism(P, P)
+    assert iso.verify(P, P)
+    assert not PosetIso(iso.forward, {**iso.backward, "zzz": "1"}).verify(P, P)
+    assert not PosetIso(iso.forward, {"1": "1", "2": "2"}).verify(P, P)
+    assert not PosetIso(iso.forward, {"1": "1", "2": "3", "3": "2"}).verify(P, P)
+
+
+def test_iso_search_needs_no_recursion():
+    P, Q = chain_poset(3000), chain_poset(3000)
+    iso = find_isomorphism(P, Q, max_size=5000)
+    assert iso is not None and iso.verify(P, Q)
+
+
 def test_iso_empty():
     E = discrete_poset(0)
     assert find_isomorphism(E, E) is not None
 
 
+def shuffled(P, rng):
+    """A copy of P with element i moved to perm[i] and new labels, and perm."""
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    up = [0] * P.n
+    for i, u in enumerate(P.up):
+        up[perm[i]] = sum(1 << perm[j] for j in _bits(u))
+    return Poset._from_up([f"q{i}" for i in range(P.n)], up), perm
+
+
 def test_refinement_is_invariant_under_relabelling(corpus6):
-    import random
-
-    from posetforge.poset import Poset, _refine
-
     rng = random.Random(20140101)
     for P in corpus6:
-        perm = list(range(P.n))
-        rng.shuffle(perm)  # element i of P becomes element perm[i] of Q
-        up = [0] * P.n
-        for i, u in enumerate(P.up):
-            up[perm[i]] = sum(1 << perm[j] for j in _bits(u))
-        Q = Poset._from_up([f"q{i}" for i in range(P.n)], up)
+        Q, perm = shuffled(P, rng)  # element i of P becomes element perm[i] of Q
         keyP, colP = _refine(P)
         keyQ, colQ = _refine(Q)
         assert keyP == keyQ
@@ -553,10 +591,6 @@ def test_iso_search_matches_bruteforce(P, Q):
 @given(posets(max_size=6), st.permutations(range(6)))
 @settings(deadline=None, max_examples=60)
 def test_iso_found_on_shuffled_copy(P, perm):
-    import numpy as np
-
-    from posetforge.poset import Poset
-
     order = [p for p in perm if p < P.n]
     lt = np.zeros((P.n, P.n), dtype=bool)
     for i in range(P.n):
@@ -565,6 +599,140 @@ def test_iso_found_on_shuffled_copy(P, perm):
     Q = Poset([f"y{i}" for i in range(P.n)], lt)
     iso = find_isomorphism(P, Q)
     assert iso is not None and iso.verify(P, Q)
+
+
+def recursive_match(P, colP, Q, colQ):
+    """The recursive backtracking search that ``_match`` replaced, kept as a
+    reference: the forward map it finds, or None."""
+    candidates = {}
+    for v in range(Q.n):
+        candidates.setdefault(colQ[v], []).append(v)
+    if any(c not in candidates for c in colP):
+        return None
+    order = sorted(range(P.n), key=lambda i: (len(candidates[colP[i]]), colP[i], i))
+    mapping = [-1] * P.n
+    used = [False] * Q.n
+    assigned = []
+
+    def backtrack(t):
+        if t == P.n:
+            return True
+        u = order[t]
+        au, bu = P.up[u], P.down[u]
+        for v in candidates[colP[u]]:
+            if used[v]:
+                continue
+            av, bv = Q.up[v], Q.down[v]
+            ok = True
+            for w in assigned:
+                mw = mapping[w]
+                if (au >> w) & 1 != (av >> mw) & 1 or (bu >> w) & 1 != (bv >> mw) & 1:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[u] = v
+            used[v] = True
+            assigned.append(u)
+            if backtrack(t + 1):
+                return True
+            assigned.pop()
+            used[v] = False
+            mapping[u] = -1
+        return False
+
+    if not backtrack(0):
+        return None
+    return {P.labels[i]: Q.labels[mapping[i]] for i in range(P.n)}
+
+
+def match_forward(P, Q):
+    """The forward maps of ``_match`` and of the reference on P's and Q's colours."""
+    (_, colP), (_, colQ) = _refine(P), _refine(Q)
+    iso = _match(P, colP, Q, colQ)
+    return (None if iso is None else iso.forward), recursive_match(P, colP, Q, colQ)
+
+
+def test_match_agrees_with_reference_on_corpus7_pairs(corpus7):
+    rng = random.Random(2014)
+    by_size = {}
+    for P in corpus7:
+        by_size.setdefault(P.n, []).append(P)
+    for _ in range(400):
+        group = by_size[rng.randint(1, 7)]
+        new, old = match_forward(rng.choice(group), rng.choice(group))
+        assert new == old
+
+
+def test_match_agrees_with_reference_on_relabelings(corpus7):
+    rng = random.Random(7)
+    for P in corpus7[::7]:
+        Q, _ = shuffled(P, rng)
+        new, old = match_forward(P, Q)
+        assert new is not None and new == old
+
+
+@pytest.mark.parametrize(
+    "host, k, target",
+    [
+        (Grid(5, 5), 2, lambda: gale_poset(5, 2).product(gale_poset(5, 2))),
+        (Grid(5, 5), 3, lambda: gale_poset(5, 3).product(gale_poset(5, 3))),
+        (SpinD(8), 1, lambda: gale_poset(10, 2)),
+    ],
+)
+def test_match_agrees_with_reference_on_exchange_orders(host, k, target):
+    E, T = antichain_exchange_poset(minuscule_poset(host), k), target()
+    new, old = match_forward(E, T)
+    assert new is not None and new == old
+    assert find_isomorphism(E, T).forward == old
+
+
+def test_image_matches_bitwise_rebuild():
+    rng = random.Random(5)
+    for n in (0, 1, 7, 64, 300):
+        to = list(range(n))
+        rng.shuffle(to)
+        for _ in range(20):
+            mask = rng.getrandbits(n) if n else 0
+            assert _image(mask, to) == sum(1 << to[j] for j in _bits(mask))
+
+
+def pair_test(P, Q, img):
+    return all(P.lt[i, j] == Q.lt[img[i], img[j]] for i in range(P.n) for j in range(P.n))
+
+
+def test_mapped_order_equal_matches_pair_test(corpus6):
+    rng = random.Random(6)
+    verdicts = []
+    for P in [antichain_exchange_poset(minuscule_poset(Grid(5, 5)), 2), *corpus6]:
+        Q, perm = shuffled(P, rng)
+        other = list(range(P.n))
+        rng.shuffle(other)
+        for img in (perm, other):
+            label_map = {P.labels[i]: Q.labels[img[i]] for i in range(P.n)}
+            verdict = mapped_order_equal(P, Q, label_map)
+            assert verdict == pair_test(P, Q, img)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_mapped_order_equal_rejects_swapped_images():
+    E = antichain_exchange_poset(minuscule_poset(Grid(5, 5)), 2)
+    identity = {lab: lab for lab in E.labels}
+    assert mapped_order_equal(E, E, identity)
+    lo, hi = E.covers()[0]
+    assert not mapped_order_equal(E, E, {**identity, lo: hi, hi: lo})
+    P = chain_poset(3)
+    assert not mapped_order_equal(P, P, {"1": "2", "2": "1", "3": "3"})
+
+
+def test_induced_matches_comprehension(corpus6):
+    rng = random.Random(66)
+    for P in corpus6:
+        idx = rng.sample(range(P.n), rng.randint(0, P.n))
+        up = tuple(sum(1 << q for q, j in enumerate(idx) if P.up[i] >> j & 1) for i in idx)
+        S = P.induced(idx)
+        assert S.labels == tuple(P.labels[i] for i in idx) and S.up == up
 
 
 # -- JSON interchange --------------------------------------------------------
