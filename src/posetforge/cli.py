@@ -81,34 +81,23 @@ def to_dot(P: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _caps_from_env() -> dict[str, int]:
-    raw = os.environ.get("POSETFORGE_CAPS", "")
-    caps: dict[str, int] = {}
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise _InputError(f"POSETFORGE_CAPS entry {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        try:
-            caps[key.strip()] = int(value)
-        except ValueError:
-            raise _InputError(f"POSETFORGE_CAPS value {value!r} is not an integer") from None
-    return caps
-
-
-def _parse_params(items: list[str]) -> dict[str, int]:
-    params: dict[str, int] = {}
+def _int_pairs(items: list[str], source: str) -> dict[str, int]:
+    """Parse "key=int" items; errors name their source and exit with code 2."""
+    pairs: dict[str, int] = {}
     for item in items:
         if "=" not in item:
-            raise _InputError(f"--param {item!r} is not key=value")
+            raise _InputError(f"{source} entry {item!r} is not key=value")
         key, value = item.split("=", 1)
         try:
-            params[key] = int(value)
+            pairs[key.strip()] = int(value)
         except ValueError:
-            raise _InputError(f"--param value {value!r} is not an integer") from None
-    return params
+            raise _InputError(f"{source} value {value!r} is not an integer") from None
+    return pairs
+
+
+def _caps_from_env() -> dict[str, int]:
+    items = os.environ.get("POSETFORGE_CAPS", "").split(",")
+    return _int_pairs([item.strip() for item in items if item.strip()], "POSETFORGE_CAPS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,7 +273,7 @@ def _cmd_verify(args) -> int:
             print(f"{cdef.check_id:28}  {cdef.summary}")
         return 0
     env = _caps_from_env()
-    explicit = _parse_params(args.param)
+    explicit = _int_pairs(args.param, "--param")
     if args.check_id == "all":
         reports = checks.run_all({**env, **explicit})
     else:

@@ -16,6 +16,7 @@ increasing tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .errors import BadParameters, NotAnAntichain
 from .poset import (
@@ -86,17 +87,11 @@ def durfee_length(d: FerrersDiagram) -> int:
 
 def diagrams_in_box(a: int, b: int) -> list[FerrersDiagram]:
     """Every diagram fitting in the box, in height-vector lexicographic order."""
-    out: list[FerrersDiagram] = []
-
-    def extend(prefix: list[int], limit: int, cols_left: int) -> None:
-        out.append(FerrersDiagram(tuple(prefix), (a, b)))
-        if cols_left == 0:
-            return
-        for h in range(1, limit + 1):
-            extend(prefix + [h], h, cols_left - 1)
-
-    extend([], a, b)
-    return sorted(out, key=lambda d: d.heights)
+    # each weakly increasing b-tuple over 0..a, reversed and stripped of zeros
+    heights = sorted(
+        tuple(h for h in reversed(c) if h) for c in combinations_with_replacement(range(a + 1), b)
+    )
+    return [FerrersDiagram(h, (a, b)) for h in heights]
 
 
 def durfee_poset(a: int, b: int, k: int) -> Poset:

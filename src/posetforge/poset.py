@@ -40,6 +40,7 @@ from .errors import (
 
 DEFAULT_IDEAL_CAP = 1_000_000
 DEFAULT_ISO_CAP = 200
+_RELABEL_PREFIX = "p"  # default labels of Poset.relabeled: p0, p1, ...
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -429,9 +430,9 @@ class Poset:
         up = [_image(self.up[i] & keep, to) for i in idx]
         return Poset._from_up([self.labels[i] for i in idx], up)
 
-    def relabeled(self, labels: Sequence[str] | None = None, prefix: str = "p") -> "Poset":
+    def relabeled(self, labels: Sequence[str] | None = None) -> "Poset":
         if labels is None:
-            labels = [f"{prefix}{i}" for i in range(self.n)]
+            labels = [f"{_RELABEL_PREFIX}{i}" for i in range(self.n)]
         if len(labels) != self.n:
             raise ValueError("need exactly one new label per element")
         return Poset._from_up(labels, self.up)

@@ -323,3 +323,11 @@ def test_verify_exit_codes_for_check_errors(capsys, raise_in_check):
     assert "error  five-element-example" in capsys.readouterr()[0]
     # usage errors keep exit code 2
     assert main(["verify", "five-element-example", "--param", "n=1"]) == 2
+
+
+def test_key_value_errors_name_their_source(monkeypatch, capsys):
+    assert main(["verify", "gale-rank-covers", "--param", "n~3"]) == 2
+    assert "--param" in capsys.readouterr().err
+    monkeypatch.setenv("POSETFORGE_CAPS", "n=zz")
+    assert main(["verify", "gale-rank-covers"]) == 2
+    assert "POSETFORGE_CAPS" in capsys.readouterr().err

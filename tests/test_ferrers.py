@@ -53,6 +53,34 @@ def test_diagram_counts_in_box():
     assert len(diagrams_in_box(0, 3)) == 1
 
 
+def recursive_diagrams_in_box(a: int, b: int) -> list[FerrersDiagram]:
+    """The recursive enumeration that diagrams_in_box replaced, kept as a reference."""
+    out: list[FerrersDiagram] = []
+
+    def extend(prefix: list[int], limit: int, cols_left: int) -> None:
+        out.append(FerrersDiagram(tuple(prefix), (a, b)))
+        if cols_left == 0:
+            return
+        for h in range(1, limit + 1):
+            extend(prefix + [h], h, cols_left - 1)
+
+    extend([], a, b)
+    return sorted(out, key=lambda d: d.heights)
+
+
+def test_diagrams_in_box_match_the_recursive_reference():
+    for a in range(7):
+        for b in range(7):
+            assert diagrams_in_box(a, b) == recursive_diagrams_in_box(a, b), (a, b)
+
+
+def test_diagrams_in_box_do_not_recurse_per_column():
+    # the recursive version raised RecursionError here
+    diagrams = diagrams_in_box(1, 1100)
+    assert len(diagrams) == 1101
+    assert diagrams[-1].heights == (1,) * 1100
+
+
 def test_diagram_validation():
     with pytest.raises(BadParameters):
         FerrersDiagram((1, 2), (3, 3))

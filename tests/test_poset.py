@@ -762,3 +762,9 @@ def test_parse_point():
     assert parse_point("(3,12)") == (3, 12)
     with pytest.raises(ValueError):
         parse_point("{3,12}")
+
+
+def test_relabeled_defaults_to_p_labels():
+    P = chain_poset(3).relabeled()
+    assert list(P.labels) == ["p0", "p1", "p2"]
+    assert P.up == chain_poset(3).up
