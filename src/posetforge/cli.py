@@ -33,7 +33,11 @@ from .roots import narayana_table, panyushev_complement, parse_root_label, type_
 def _read_poset(path: str | None) -> Poset:
     source = "stdin" if path in (None, "-") else path
     try:
-        text = sys.stdin.read() if path in (None, "-") else open(path).read()
+        if path in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
     except OSError as exc:
         raise _InputError(f"{source}: {exc}") from exc
     try:

@@ -8,9 +8,12 @@ from outside (``Poset(labels, lt)``) is checked once, on entry; an order
 the package builds itself (a transitive closure, a componentwise order
 on distinct rows, inclusion of distinct sets) is trusted, because its
 construction already proves it is an order.
-Down-sets and covers are derived from ``up`` on first use and cached,
-as are the read-only numpy views ``lt``, ``leq`` and ``cover_matrix``
-kept for callers outside the package.
+Upper covers are derived from ``up`` on first use and cached; down-sets,
+lower covers, heights and depths then come together from one pass up
+the covers, on Python ints.  numpy is kept for the read-only matrix
+views ``lt``, ``leq`` and ``cover_matrix`` (for callers outside the
+package), for products, for the componentwise builder and for the bulk
+verify of a map (``mapped_order_equal``).
 
 Labels are opaque at the API boundary.  All internal computation runs on
 indices, with subsets handled as Python int bitmasks, so every relation
@@ -75,11 +78,6 @@ def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
     out = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
     out.setflags(write=False)
     return out
-
-
-def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
-    """Column bitsets of the square bit matrix with the given row bitsets."""
-    return _mask_rows(_bit_matrix(rows).T)
 
 
 def transitive_closure(succ: Sequence[int]) -> tuple[int, ...]:
@@ -267,11 +265,6 @@ class Poset:
     # -- relation views derived from ``up`` --------------------------------
 
     @cached_property
-    def down(self) -> tuple[int, ...]:
-        """down[i] = bitmask of elements strictly below i."""
-        return _transpose(self.up)
-
-    @cached_property
     def cover_up(self) -> tuple[int, ...]:
         """cover_up[i] = bitmask of the upper covers of i."""
         up = self.up
@@ -287,8 +280,42 @@ class Poset:
         return tuple(out)
 
     @cached_property
+    def _cover_pass(self) -> tuple[tuple[int, ...], ...]:
+        """(down, cover_down, heights, depths) from one pass up the covers.
+
+        Elements are visited by decreasing up-set size.  That is a linear
+        extension, since x < y makes up[y] a proper subset of up[x], so
+        every lower cover of an element is visited before it, and every
+        element strictly below j lies below or on one of j's lower covers.
+        Depths come from the same order walked back, from the top down.
+        """
+        up, cover_up, n = self.up, self.cover_up, self.n
+        order = sorted(range(n), key=lambda i: up[i].bit_count(), reverse=True)
+        down, cover_down, heights, depths = [0] * n, [0] * n, [0] * n, [0] * n
+        for i in order:
+            bit = 1 << i
+            below, h = down[i] | bit, heights[i] + 1
+            for j in _bits(cover_up[i]):
+                down[j] |= below
+                cover_down[j] |= bit
+                if heights[j] < h:
+                    heights[j] = h
+        for i in reversed(order):
+            d = depths[i] + 1
+            for j in _bits(cover_down[i]):
+                if depths[j] < d:
+                    depths[j] = d
+        return tuple(down), tuple(cover_down), tuple(heights), tuple(depths)
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """down[i] = bitmask of elements strictly below i."""
+        return self._cover_pass[0]
+
+    @cached_property
     def cover_down(self) -> tuple[int, ...]:
-        return _transpose(self.cover_up)
+        """cover_down[i] = bitmask of the lower covers of i."""
+        return self._cover_pass[1]
 
     @cached_property
     def lt(self) -> np.ndarray:
@@ -313,19 +340,12 @@ class Poset:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain strictly below each element."""
-        order = sorted(range(self.n), key=lambda i: self.down[i].bit_count())
-        h = [0] * self.n
-        for i in order:
-            h[i] = 1 + max((h[j] for j in _bits(self.cover_down[i])), default=-1)
-        return tuple(h)
+        return self._cover_pass[2]
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        order = sorted(range(self.n), key=lambda i: self.up[i].bit_count())
-        d = [0] * self.n
-        for i in order:
-            d[i] = 1 + max((d[j] for j in _bits(self.cover_up[i])), default=-1)
-        return tuple(d)
+        """Length of the longest chain strictly above each element."""
+        return self._cover_pass[3]
 
     def width(self) -> int:
         """Maximum antichain size, via the chain-cover matching bound."""
@@ -695,10 +715,12 @@ def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> Pos
     Refines each poset on its own (:func:`_refine`), returns None when
     the refinement keys differ, and otherwise backtracks over the colour
     classes.  Deterministic for fixed inputs.  Raises SizeLimitExceeded
-    above ``max_size`` elements.  The default stays at 200: the benchmark
-    ladder's seven orders above it (up to 462 elements) take 0.13 s a
-    search round together (2-core machine, Python 3.11.7), so its 40
-    rounds would add some 5 s to a ladder pass of about 4 s.
+    above ``max_size`` elements.  The default stays at 200: with the cap
+    lifted, one search round over the benchmark ladder's seven orders
+    above it (210 to 462 elements, fresh copies of both sides) takes
+    0.15-0.17 s, the median of 15 rounds in each of three runs, on a
+    2-core Intel Xeon with Python 3.11.7 and numpy 2.4.6.  The ladder's
+    40 rounds would add some 6 s to a ladder pass of about 3 s.
     """
     if P.n != Q.n:
         return None

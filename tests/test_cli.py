@@ -1,9 +1,11 @@
+import gc
 import json
 import subprocess
 import sys
+import warnings
 
 from posetforge import SizeLimitExceeded, poset_from_dict
-from posetforge.cli import main, to_dot
+from posetforge.cli import _read_poset, main, to_dot
 
 BOWTIE = {
     "elements": ["a", "b", "c", "d", "e"],
@@ -144,6 +146,17 @@ def test_iso_command(tmp_path, capsys):
     c = tmp_path / "c.json"
     c.write_text(json.dumps({"elements": ["u", "v"], "relations": []}))
     assert main(["iso", str(a), str(c)]) == 1
+
+
+def test_read_poset_closes_the_file(tmp_path):
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps(BOWTIE))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        P = _read_poset(str(path))
+        gc.collect()
+    assert P.n == 5
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_size_cap_exits_3(tmp_path, capsys):

@@ -65,6 +65,25 @@ def covers_oracle(P):
     return out
 
 
+def transpose_oracle(rows):
+    """Column bitsets of the square bit matrix with the given row bitsets, pair by pair."""
+    n = len(rows)
+    return tuple(sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n))
+
+
+def chain_lengths_oracle(lt):
+    """Longest chains strictly below and above each element, read off the
+    relation matrix alone: the fixed point of h[j] = max(h[i] + 1 for i < j)
+    and its mirror, iterated from zero."""
+    h = d = np.zeros(len(lt), dtype=np.int64)
+    while True:
+        h2 = np.where(lt, h[:, None] + 1, 0).max(axis=0, initial=0)
+        d2 = np.where(lt, d[None, :] + 1, 0).max(axis=1, initial=0)
+        if (h2 == h).all() and (d2 == d).all():
+            return tuple(h.tolist()), tuple(d.tolist())
+        h, d = h2, d2
+
+
 def ideal_masks_oracle(P):
     """All down-closed subsets by scanning the full powerset."""
     out = []
@@ -231,6 +250,33 @@ def test_long_chain_cover_count():
     assert len(P.covers()) == 257
     assert int(P.cover_matrix.sum()) == 257
     assert not P.cover_matrix[0, 257]
+
+
+def assert_views_match_definitions(P):
+    assert P.down == transpose_oracle(P.up)
+    assert P.cover_down == transpose_oracle(P.cover_up)
+    assert (P.heights, P.depths) == chain_lengths_oracle(P.lt)
+
+
+def test_cover_pass_matches_definitions_on_corpus(corpus6):
+    for P in corpus6:
+        assert_views_match_definitions(P)
+
+
+@pytest.mark.parametrize("host, k, size", [(SpinD(9), 3, 462), (Grid(6, 6), 3, 400)])
+def test_cover_pass_matches_definitions_on_exchange_orders(host, k, size):
+    E = antichain_exchange_poset(minuscule_poset(host), k)
+    assert E.n == size
+    assert_views_match_definitions(E)
+
+
+def test_cover_pass_on_long_chain_needs_no_recursion():
+    n = 3000
+    P = chain_poset(n)
+    assert P.heights == tuple(range(n))
+    assert P.depths == tuple(reversed(range(n)))
+    assert P.down == tuple((1 << i) - 1 for i in range(n))
+    assert P.cover_down == (0, *(1 << i for i in range(n - 1)))
 
 
 def test_grid_cover_count():
