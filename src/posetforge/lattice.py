@@ -8,17 +8,22 @@ sub-poset.  Ideal lattices are distributive (Birkhoff), so a verified
 map proves the claim outright.  Only when the map fails are the meet/join
 table and the triple scan of x ^ (y v z) = (x ^ y) v (x ^ z) computed,
 to name the missing bound or the failing triple.
+
+The certificate runs on Python-int bitsets.  numpy is imported only by
+the meet/join table, which is a pair of matrices, and the triple scan
+that reads it, so a distributive lattice is certified without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import NotALattice, SizeLimitExceeded
 from .poset import Poset, PosetIso, _bits, _image
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,8 @@ class MeetJoinTable:
     complete: bool
 
     def undefined_pair(self) -> tuple[int, int] | None:
+        import numpy as np
+
         for table in (self.meet, self.join):
             holes = np.argwhere(table < 0)
             if len(holes):
@@ -57,6 +64,8 @@ def _unique_extreme(members: int, toward: Sequence[int], closed: Sequence[int]) 
 
 def meet_join_table(P: Poset) -> MeetJoinTable:
     """Greatest lower / least upper bounds for every pair, where unique."""
+    import numpy as np
+
     n = P.n
     meet = np.full((n, n), -1, dtype=np.int64)
     join = np.full((n, n), -1, dtype=np.int64)
@@ -158,6 +167,8 @@ def is_distributive(P: Poset) -> DistributivityResult:
                 "pair": [P.labels[x], P.labels[y]],
             }
         return DistributivityResult(False, False, failure=failure)
+    import numpy as np
+
     meet, join = table.meet, table.join
     for x in range(n):
         mx = meet[x]

@@ -10,10 +10,13 @@ on distinct rows, inclusion of distinct sets) is trusted, because its
 construction already proves it is an order.
 Upper covers are derived from ``up`` on first use and cached; down-sets,
 lower covers, heights and depths then come together from one pass up
-the covers, on Python ints.  numpy is kept for the read-only matrix
-views ``lt``, ``leq`` and ``cover_matrix`` (for callers outside the
-package), for products, for the componentwise builder and for the bulk
-verify of a map (``mapped_order_equal``).
+the covers, on Python ints.  Products, the componentwise builder and the
+check of a map (``mapped_order_equal``, which compares mapped cover rows)
+run on Python ints too.  numpy is imported only where a matrix goes in
+or out: the read-only views ``lt``, ``leq`` and ``cover_matrix`` (for
+callers outside the package) and the public constructor
+``Poset(labels, lt)``, so building posets and enumerating antichains
+never loads it.
 
 Labels are opaque at the API boundary.  All internal computation runs on
 indices, with subsets handled as Python int bitmasks, so every relation
@@ -27,9 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     BadParameters,
@@ -40,6 +41,9 @@ from .errors import (
     SizeLimitExceeded,
     UnknownLabel,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_IDEAL_CAP = 1_000_000
 DEFAULT_ISO_CAP = 200
@@ -66,12 +70,16 @@ def _image(mask: int, to: Sequence[int] | dict[int, int]) -> int:
 
 def _mask_rows(matrix: np.ndarray) -> tuple[int, ...]:
     """Row i of a boolean matrix as a bitset: bit j is ``matrix[i, j]``."""
+    import numpy as np
+
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
     """Read-only square boolean matrix with the given row bitsets."""
+    import numpy as np
+
     n = len(rows)
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
@@ -214,6 +222,8 @@ class Poset:
     """
 
     def __init__(self, labels: Sequence[str], lt: np.ndarray):
+        import numpy as np
+
         self.labels = _distinct(labels)
         n = self.n
         lt = np.asarray(lt, dtype=bool)
@@ -436,12 +446,22 @@ class Poset:
     # -- constructions -----------------------------------------------------
 
     def product(self, other: "Poset") -> "Poset":
-        """Componentwise order on pairs; labels are "(p,q)"."""
-        leq = np.kron(self.leq.astype(np.uint8), other.leq.astype(np.uint8)).astype(bool)
-        n = self.n * other.n
-        lt = leq & ~np.eye(n, dtype=bool)
+        """Componentwise order on pairs; labels are "(p,q)".
+
+        Pair (p,q) has index p*m + q, with m = other.n, so the pairs with
+        first entry p' form the block of bits p'*m .. p'*m + m-1.  Row
+        (p,q) is the union, over every p' >= p, of the closed up-set of q
+        placed in block p'.  Multiplying the closed up-set of q (below
+        2**m) by the sum of 2**(p'*m) places it in every block at once,
+        without carries, since the blocks do not overlap.
+        """
+        m = other.n
+        spots = [m * p for p in range(self.n)]
+        blocks = [_image(u | 1 << p, spots) for p, u in enumerate(self.up)]
+        closed = [u | 1 << q for q, u in enumerate(other.up)]
+        up = [(b * c) ^ 1 << (m * p + q) for p, b in enumerate(blocks) for q, c in enumerate(closed)]
         labels = [f"({p},{q})" for p in self.labels for q in other.labels]
-        return Poset._from_up(labels, _mask_rows(lt))
+        return Poset._from_up(labels, up)
 
     def induced(self, indices: Sequence[int]) -> "Poset":
         """Sub-poset on the given indices, keeping their labels."""
@@ -575,13 +595,28 @@ def discrete_poset(labels: Sequence[str] | int) -> Poset:
 
 
 def _componentwise_poset(labels: Sequence[str], rows: Sequence[Sequence[int]]) -> Poset:
-    """Distinct integer rows of equal length under componentwise <=."""
-    if not rows:
-        return Poset._from_up(labels, [])
-    arr = np.array(rows, dtype=np.int64)
-    lt = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    np.fill_diagonal(lt, False)
-    return Poset._from_up(labels, _mask_rows(lt))
+    """Distinct integer rows of equal length under componentwise <=.
+
+    ``at_least[c][v]`` is the bitset of rows whose entry c is at least v,
+    so the rows above or equal to a row are the AND of these over its
+    entries; the row itself is the only equal one, since rows are distinct.
+    """
+    n = len(rows)
+    every = (1 << n) - 1
+    at_least = []
+    for column in zip(*rows):
+        sets, acc = {}, 0
+        for v, r in sorted(zip(column, range(n)), reverse=True):
+            acc |= 1 << r
+            sets[v] = acc  # rows of equal v come in one run, so the last write holds them all
+        at_least.append(sets)
+    up = []
+    for r, row in enumerate(rows):
+        above = every
+        for sets, v in zip(at_least, row):
+            above &= sets[v]
+        up.append(above ^ 1 << r)
+    return Poset._from_up(labels, up)
 
 
 def grid_poset(a: int, b: int) -> Poset:
@@ -598,11 +633,17 @@ def grid_points(subset: _Subset) -> list[tuple[int, int]]:
 
 
 def mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
-    """Whether ``label_map`` is a bijection carrying the order of P exactly onto Q's."""
+    """Whether ``label_map`` is a bijection carrying the order of P exactly onto Q's.
+
+    A bijection that maps the upper covers of every element of P exactly
+    onto the upper covers of its image carries the cover relation onto
+    Q's, both ways, and so the order, its transitive closure, as well.
+    """
     if P.n != Q.n or set(label_map) != set(P.labels) or set(label_map.values()) != set(Q.labels):
         return False
     img = [Q.index(label_map[lab]) for lab in P.labels]
-    return _mask_rows(_bit_matrix(Q.up)[np.ix_(img, img)]) == P.up
+    coverQ = Q.cover_up
+    return all(_image(c, img) == coverQ[img[i]] for i, c in enumerate(P.cover_up))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,11 @@ def posets(draw, max_size: int = 7):
 
 
 @pytest.fixture(scope="session")
+def corpus4():
+    return small_posets(4)
+
+
+@pytest.fixture(scope="session")
 def corpus5():
     return small_posets(5)
 

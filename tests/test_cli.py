@@ -312,6 +312,42 @@ def test_pipeline_through_real_processes():
     assert "yes" in p3.stdout
 
 
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, pathlib, sys
+from posetforge.cli import main
+
+tmp = pathlib.Path(sys.argv[1])
+
+
+def run(*argv, stdin=""):
+    sys.stdin, out = io.StringIO(stdin), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+
+grid = run("minuscule", "grid", "5", "5")
+e7 = run("minuscule", "e7")
+exchange = run("ak", "2", stdin=grid)
+assert run("check", "distributive", stdin=exchange).split() == ["distributive:", "yes"]
+(tmp / "e7.json").write_text(e7)
+(tmp / "e7k2.json").write_text(run("ak", "2", stdin=e7))
+assert run("iso", str(tmp / "e7.json"), str(tmp / "e7k2.json"))
+assert run("build", str(tmp / "e7.json")) == e7
+assert run("export-dot", str(tmp / "e7.json")).startswith("digraph")
+print("numpy" in sys.modules)
+"""
+
+
+def test_pipeline_commands_never_import_numpy(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_verify_all_reports_every_check_when_one_hits_a_cap(monkeypatch, capsys, raise_in_check):
     monkeypatch.setenv("POSETFORGE_CAPS", "a=1,b=1,n=1,m=0,max_size=2")
     raise_in_check("durfee-product", SizeLimitExceeded("capped at 200"))

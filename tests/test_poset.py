@@ -20,24 +20,33 @@ from posetforge import (
     antichain_exchange_poset,
     build_poset,
     chain_poset,
+    diagrams_in_box,
     discrete_poset,
+    durfee_length,
+    durfee_poset,
     find_isomorphism,
+    gale_elements,
     gale_poset,
     grid_poset,
     minuscule_poset,
     poset_from_dict,
     poset_to_dict,
+    type_a_root_poset,
+    weak_chain_elements,
+    weak_chain_poset,
 )
 from posetforge.poset import (
     Poset,
     PosetIso,
     _bits,
     _image,
+    _mask_rows,
     _match,
     _refine,
     mapped_order_equal,
     parse_point,
 )
+from posetforge.roots import positive_roots
 
 from conftest import posets
 
@@ -325,6 +334,67 @@ def test_product_associative_up_to_iso(corpus5):
                 lhs = P.product(Q).product(R)
                 rhs = P.product(Q.product(R))
                 assert find_isomorphism(lhs, rhs) is not None
+
+
+def kron_product_reference(P, Q):
+    """The product as the Kronecker product of the two closed order matrices."""
+    leq = np.kron(P.leq.astype(np.uint8), Q.leq.astype(np.uint8)).astype(bool)
+    lt = leq & ~np.eye(P.n * Q.n, dtype=bool)
+    labels = [f"({p},{q})" for p in P.labels for q in Q.labels]
+    return tuple(labels), _mask_rows(lt)
+
+
+def broadcast_componentwise_reference(labels, rows):
+    """Componentwise <= on distinct rows by an n x n x k comparison."""
+    if not rows:
+        return tuple(labels), ()
+    arr = np.array(rows, dtype=np.int64)
+    lt = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    np.fill_diagonal(lt, False)
+    return tuple(labels), _mask_rows(lt)
+
+
+def test_product_matches_kron_reference(corpus4):
+    for P in corpus4:
+        for Q in corpus4:
+            R = P.product(Q)
+            assert (R.labels, R.up) == kron_product_reference(P, Q)
+
+
+def test_grid_matches_kron_reference():
+    for a in range(6):
+        for b in range(6):
+            G = grid_poset(a, b)
+            assert (G.labels, G.up) == kron_product_reference(chain_poset(a), chain_poset(b))
+
+
+def componentwise_cases():
+    """(poset, its element labels, its rows) for every componentwise family."""
+    for n in range(10):
+        for k in range(n + 1):
+            elems = gale_elements(n, k)
+            yield gale_poset(n, k), [e.label for e in elems], [e.entries for e in elems]
+    for a in range(6):
+        for b in range(6):
+            elems = weak_chain_elements(a, b)
+            yield weak_chain_poset(a, b), [e.label for e in elems], [e.entries for e in elems]
+    for a in range(6):
+        for b in range(6):
+            for k in range(min(a, b) + 1):
+                ds = [d for d in diagrams_in_box(a, b) if durfee_length(d) == k]
+                rows = [[d.height(j) for j in range(1, b + 1)] for d in ds]
+                yield durfee_poset(a, b, k), [d.label for d in ds], rows
+    for n in range(2, 9):
+        roots = positive_roots(n)
+        yield type_a_root_poset(n), [r.label for r in roots], [(-r.i, r.j) for r in roots]
+
+
+def test_componentwise_builder_matches_broadcast_reference():
+    cases = 0
+    for P, labels, rows in componentwise_cases():
+        assert (P.labels, P.up) == broadcast_componentwise_reference(labels, rows)
+        cases += 1
+    assert cases == 55 + 36 + 91 + 7
 
 
 # -- ideals ------------------------------------------------------------------
@@ -758,6 +828,37 @@ def test_mapped_order_equal_matches_pair_test(corpus6):
             label_map = {P.labels[i]: Q.labels[img[i]] for i in range(P.n)}
             verdict = mapped_order_equal(P, Q, label_map)
             assert verdict == pair_test(P, Q, img)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def bulk_map_reference(P, Q, label_map):
+    """The bijection tests, then Q's relation matrix permuted onto P's rows and columns."""
+    if P.n != Q.n or set(label_map) != set(P.labels) or set(label_map.values()) != set(Q.labels):
+        return False
+    img = [Q.index(label_map[lab]) for lab in P.labels]
+    return _mask_rows(Q.lt[np.ix_(img, img)]) == P.up
+
+
+def test_mapped_order_equal_matches_bulk_reference(corpus6):
+    rng = random.Random(37)
+    orders = [
+        antichain_exchange_poset(minuscule_poset(Grid(5, 5)), 2),
+        antichain_exchange_poset(minuscule_poset(SpinD(8)), 2),
+        *corpus6,
+    ]
+    verdicts = []
+    for P in orders:
+        Q, perm = shuffled(P, rng)  # perm is a true map P -> Q
+        swapped = list(perm)
+        if P.n >= 2:
+            i, j = rng.sample(range(P.n), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+        other = rng.sample(range(P.n), P.n)
+        for img in (perm, swapped, other):
+            label_map = {P.labels[i]: Q.labels[img[i]] for i in range(P.n)}
+            verdict = mapped_order_equal(P, Q, label_map)
+            assert verdict == bulk_map_reference(P, Q, label_map)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
