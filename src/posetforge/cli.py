@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 failed verification, 2 malformed input or usage,
 3 a size cap was hit.  `verify` reports every check before exiting: a
 check that hits a cap gets an "error" verdict and the run exits 3.
 The POSETFORGE_CAPS environment variable ("a=4,b=4,n=6,...") overrides
-default verification caps; explicit --param values win over it.
+default verification caps; explicit --param values win over it.  A
+POSETFORGE_CAPS key reaches only the checks that take it, while a --param
+key that no check in the run takes is a usage error, so a misspelt cap
+never runs the defaults silently.
 """
 
 from __future__ import annotations
@@ -279,6 +282,10 @@ def _cmd_verify(args) -> int:
     env = _caps_from_env()
     explicit = _int_pairs(args.param, "--param")
     if args.check_id == "all":
+        known = {key for cdef in checks.registered_checks() for key in cdef.defaults}
+        unknown = sorted(explicit.keys() - known)
+        if unknown:
+            raise _InputError(f"--param: no check takes {', '.join(map(repr, unknown))}")
         reports = checks.run_all({**env, **explicit})
     else:
         # env caps apply where the check understands them; explicit params are strict

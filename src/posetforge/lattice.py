@@ -9,39 +9,33 @@ map proves the claim outright.  Only when the map fails are the meet/join
 table and the triple scan of x ^ (y v z) = (x ^ y) v (x ^ z) computed,
 to name the missing bound or the failing triple.
 
-The certificate runs on Python-int bitsets.  numpy is imported only by
-the meet/join table, which is a pair of matrices, and the triple scan
-that reads it, so a distributive lattice is certified without it.
+Everything here runs on Python ints: the certificate on bitsets, the
+meet/join table as tuples of int rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import NotALattice, SizeLimitExceeded
 from .poset import Poset, PosetIso, _bits, _image
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
 class MeetJoinTable:
     """Pairwise glb/lub tables over canonical indices; -1 marks undefined."""
 
-    meet: np.ndarray
-    join: np.ndarray
+    meet: tuple[tuple[int, ...], ...]
+    join: tuple[tuple[int, ...], ...]
     complete: bool
 
     def undefined_pair(self) -> tuple[int, int] | None:
-        import numpy as np
-
+        """The first hole, row-major, in the meet table and then the join table."""
         for table in (self.meet, self.join):
-            holes = np.argwhere(table < 0)
-            if len(holes):
-                i, j = holes[0]
-                return int(i), int(j)
+            for i, row in enumerate(table):
+                if -1 in row:
+                    return i, row.index(-1)
         return None
 
 
@@ -64,24 +58,18 @@ def _unique_extreme(members: int, toward: Sequence[int], closed: Sequence[int]) 
 
 def meet_join_table(P: Poset) -> MeetJoinTable:
     """Greatest lower / least upper bounds for every pair, where unique."""
-    import numpy as np
-
     n = P.n
-    meet = np.full((n, n), -1, dtype=np.int64)
-    join = np.full((n, n), -1, dtype=np.int64)
+    meet = [[-1] * n for _ in range(n)]
+    join = [[-1] * n for _ in range(n)]
     above, below = P.up, P.down
     be = [d | 1 << i for i, d in enumerate(below)]
     ae = [u | 1 << i for i, u in enumerate(above)]
     for x in range(n):
         for y in range(x, n):
-            m = _unique_extreme(be[x] & be[y], above, be)
-            j = _unique_extreme(ae[x] & ae[y], below, ae)
-            meet[x, y] = meet[y, x] = m
-            join[x, y] = join[y, x] = j
-    complete = n > 0 and (meet >= 0).all() and (join >= 0).all()
-    meet.setflags(write=False)
-    join.setflags(write=False)
-    return MeetJoinTable(meet, join, bool(complete))
+            meet[x][y] = meet[y][x] = _unique_extreme(be[x] & be[y], above, be)
+            join[x][y] = join[y][x] = _unique_extreme(ae[x] & ae[y], below, ae)
+    complete = n > 0 and not any(-1 in row for row in meet + join)
+    return MeetJoinTable(tuple(map(tuple, meet)), tuple(map(tuple, join)), complete)
 
 
 def _join_irreducible_indices(P: Poset) -> list[int]:
@@ -161,25 +149,27 @@ def is_distributive(P: Poset) -> DistributivityResult:
             failure = {"reason": "empty poset"}
         else:
             x, y = table.undefined_pair()  # type: ignore[misc]
-            which = "meet" if table.meet[x, y] < 0 else "join"
+            which = "meet" if table.meet[x][y] < 0 else "join"
             failure = {
                 "reason": f"no {which}",
                 "pair": [P.labels[x], P.labels[y]],
             }
         return DistributivityResult(False, False, failure=failure)
-    import numpy as np
-
-    meet, join = table.meet, table.join
+    # The law holds when x <= y, when x <= z and when y, z are comparable.
+    # It is symmetric in y and z, so the first failing triple in row-major
+    # order has index y < index z, y and z incomparable, and neither >= x.
+    meet, join, up, down = table.meet, table.join, P.up, P.down
+    everything = (1 << n) - 1
     for x in range(n):
-        mx = meet[x]
-        lhs = mx[join]
-        rhs = join[mx[:, None], mx[None, :]]
-        if not np.array_equal(lhs, rhs):
-            y, z = map(int, np.argwhere(lhs != rhs)[0])
-            failure = {
-                "reason": "distributivity fails",
-                "triple": [P.labels[x], P.labels[y], P.labels[z]],
-            }
-            return DistributivityResult(False, True, failure=failure)
+        mx, free = meet[x], everything & ~(up[x] | 1 << x)
+        for y in _bits(free):
+            jy, jmy = join[y], join[mx[y]]
+            for z in _bits(free & ~(up[y] | down[y]) & -(2 << y)):
+                if mx[jy[z]] != jmy[mx[z]]:
+                    failure = {
+                        "reason": "distributivity fails",
+                        "triple": [P.labels[x], P.labels[y], P.labels[z]],
+                    }
+                    return DistributivityResult(False, True, failure=failure)
     failure = {"reason": "ideal-representation witness failed verification"}
     return DistributivityResult(False, True, failure=failure)

@@ -757,11 +757,9 @@ def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> Pos
     the refinement keys differ, and otherwise backtracks over the colour
     classes.  Deterministic for fixed inputs.  Raises SizeLimitExceeded
     above ``max_size`` elements.  The default stays at 200: with the cap
-    lifted, one search round over the benchmark ladder's seven orders
-    above it (210 to 462 elements, fresh copies of both sides) takes
-    0.15-0.17 s, the median of 15 rounds in each of three runs, on a
-    2-core Intel Xeon with Python 3.11.7 and numpy 2.4.6.  The ladder's
-    40 rounds would add some 6 s to a ladder pass of about 3 s.
+    lifted, the searches over the benchmark ladder's seven orders above it
+    (210 to 462 elements, fresh copies of both sides) would take longer
+    than all the other work of a ladder pass together.
     """
     if P.n != Q.n:
         return None

@@ -240,6 +240,16 @@ def test_verify_bad_param(capsys):
     assert main(["verify", "gale-rank-covers", "--param", "n=zz"]) == 2
 
 
+def test_verify_all_rejects_param_no_check_takes(monkeypatch, capsys):
+    assert main(["verify", "all", "--param", "max_sise=8", "--param", "n=1"]) == 2
+    err = capsys.readouterr().err
+    assert "'max_sise'" in err and "'n'" not in err
+    # a cap from the environment stays lenient: it reaches the checks that take it
+    monkeypatch.setenv("POSETFORGE_CAPS", "a=1,b=1,n=1,m=0,max_sise=8")
+    assert main(["verify", "all", "--param", "max_size=2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "20/20 checks passed"
+
+
 def test_verify_json_reports_parameters(capsys):
     code = main(["verify", "gale-rank-covers", "--param", "n=3", "--json"])
     out, _ = capsys.readouterr()
@@ -313,18 +323,23 @@ def test_pipeline_through_real_processes():
 
 
 NUMPY_FREE_SCRIPT = """
-import contextlib, io, pathlib, sys
+import contextlib, io, json, pathlib, sys
 from posetforge.cli import main
 
 tmp = pathlib.Path(sys.argv[1])
 
 
-def run(*argv, stdin=""):
+def run(*argv, stdin="", expect=0):
     sys.stdin, out = io.StringIO(stdin), io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
-    assert code == 0, (argv, code)
+    assert code == expect, (argv, code)
     return out.getvalue()
+
+
+pentagon = '{"elements": ["0", "a", "c", "b", "1"], '
+pentagon += '"relations": [["0", "a"], ["a", "c"], ["c", "1"], ["0", "b"], ["b", "1"]]}'
+two_tops = '{"elements": ["0", "a", "b"], "relations": [["0", "a"], ["0", "b"]]}'
 
 
 grid = run("minuscule", "grid", "5", "5")
@@ -336,6 +351,9 @@ assert run("check", "distributive", stdin=exchange).split() == ["distributive:",
 assert run("iso", str(tmp / "e7.json"), str(tmp / "e7k2.json"))
 assert run("build", str(tmp / "e7.json")) == e7
 assert run("export-dot", str(tmp / "e7.json")).startswith("digraph")
+assert len(json.loads(run("verify", "all", "--json"))) == 20
+assert json.loads(run("check", "lattice", "--json", stdin=two_tops, expect=1))["missing_bound_for"]
+assert run("check", "distributive", stdin=pentagon, expect=1).split() == ["distributive:", "no"]
 print("numpy" in sys.modules)
 """
 

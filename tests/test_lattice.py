@@ -41,8 +41,8 @@ def test_chain_table_is_min_max():
     assert table.complete
     for x in range(3):
         for y in range(3):
-            assert table.meet[x, y] == min(x, y)
-            assert table.join[x, y] == max(x, y)
+            assert table.meet[x][y] == min(x, y)
+            assert table.join[x][y] == max(x, y)
 
 
 def test_two_antichain_is_not_a_lattice():
@@ -137,8 +137,8 @@ def test_meet_join_tables_match_definition(corpus5):
         table = meet_join_table(P)
         for x in range(P.n):
             for y in range(P.n):
-                assert table.meet[x, y] == bounds_oracle(P, x, y, "meet")
-                assert table.join[x, y] == bounds_oracle(P, x, y, "join")
+                assert table.meet[x][y] == bounds_oracle(P, x, y, "meet")
+                assert table.join[x][y] == bounds_oracle(P, x, y, "join")
 
 
 def scan_extreme(members, blockers):
@@ -184,14 +184,14 @@ def table_first_verdict(P):
         if P.n == 0:
             return {"distributive": False, "is_lattice": False, "failure": {"reason": "empty poset"}}
         x, y = table.undefined_pair()
-        which = "meet" if table.meet[x, y] < 0 else "join"
+        which = "meet" if table.meet[x][y] < 0 else "join"
         failure = {"reason": f"no {which}", "pair": [P.labels[x], P.labels[y]]}
         return {"distributive": False, "is_lattice": False, "failure": failure}
     meet, join = table.meet, table.join
     for x in range(P.n):
         for y in range(P.n):
             for z in range(P.n):
-                if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
+                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
                     failure = {"reason": "distributivity fails", "triple": [P.labels[v] for v in (x, y, z)]}
                     return {"distributive": False, "is_lattice": True, "failure": failure}
     irr = join_irreducibles(P)
@@ -212,6 +212,33 @@ def test_witness_first_agrees_with_table_route(corpus5):
                 assert is_distributive(E).to_json_dict() == table_first_verdict(E), (Q.covers(), k)
                 orders += 1
     assert orders == 622
+
+
+def ordinal_sum(P, Q):
+    """Q placed on top of P, labels prefixed "p" and "q"; indices follow that order."""
+    labels = [f"p{x}" for x in P.labels] + [f"q{y}" for y in Q.labels]
+    relations = [(f"p{a}", f"p{b}") for a, b in P.covers()]
+    relations += [(f"q{a}", f"q{b}") for a, b in Q.covers()]
+    tops = [P.labels[i] for i in range(P.n) if not P.up[i]]
+    bottoms = [Q.labels[i] for i in range(Q.n) if not Q.down[i]]
+    relations += [(f"p{a}", f"q{b}") for a in tops for b in bottoms]
+    return build_poset(labels, relations)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(gale_poset(8, 4), diamond()), (gale_poset(8, 4), pentagon()), (chain_poset(40), diamond())],
+    ids=["gale84-under-M3", "gale84-under-N5", "chain40-under-M3"],
+)
+def test_late_first_failure_matches_references(lower, upper):
+    P = ordinal_sum(lower, upper)
+    verdict = is_distributive(P).to_json_dict()
+    assert verdict == table_first_verdict(P)
+    # every triple with x in the lower part holds, so the scan passes all of them first
+    assert verdict["is_lattice"] and verdict["failure"]["triple"][0].startswith("q")
+    meet, join = scan_table(P)
+    table = meet_join_table(P)
+    assert np.array_equal(table.meet, meet) and np.array_equal(table.join, join)
 
 
 def test_ideal_cap_stops_non_lattice_with_many_irreducibles():
