@@ -2,9 +2,14 @@
 
 Every n-element poset arises from an (n-1)-element poset by inserting a
 new maximal element above one of its ideals, so the corpus is grown level
-by level.  Each extension is refined once with the poset module's colour
-refinement, bucketed by the hash of its refinement key, and kept unless a
-backtracking search finds it isomorphic to a poset already in its bucket.
+by level.  Each extension is coloured once by the poset module's initial
+colouring (height, depth, cover degrees, down- and up-set sizes), bucketed
+by the hash of that colouring's key, and kept unless a backtracking search
+finds it isomorphic to a poset already in its bucket.  No refinement
+rounds run: the initial colours are isomorphism-invariant, so every
+isomorphism respects them and the search, which misses none that does,
+decides alone.  On posets this small a failed search is cheaper than the
+rounds that would have avoided it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .poset import Poset, _match, _refine
+from .poset import Poset, _initial_colours, _match
 
 
 def _extend(P: Poset, ideal_mask: int) -> Poset:
@@ -34,7 +39,7 @@ def _posets_of_size(n: int) -> tuple[Poset, ...]:
     for P in _posets_of_size(n - 1):
         for mask in P.ideal_masks():
             Q = _extend(P, mask)
-            key, colQ = _refine(Q)
+            key, colQ = _initial_colours(Q)
             bucket = buckets.setdefault(hash(key), [])
             if any(_match(Q, colQ, R, colR) is not None for R, colR in bucket):
                 continue

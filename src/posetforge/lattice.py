@@ -16,7 +16,7 @@ meet/join table as tuples of int rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NotALattice, SizeLimitExceeded
 from .poset import Poset, PosetIso, _bits, _image
@@ -39,20 +39,33 @@ class MeetJoinTable:
         return None
 
 
-def _unique_extreme(members: int, toward: Sequence[int], closed: Sequence[int]) -> int:
+def _highest(mask: int) -> int:
+    return mask.bit_length() - 1
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _unique_extreme(
+    members: int, toward: Sequence[int], closed: Sequence[int], pick: Callable[[int], int]
+) -> int:
     """The unique maximal element of a down-closed ``members``, else -1.
 
-    Walks from any member along ``toward`` (strict up-sets) while some
-    member lies further on; the walk ends at a maximal member m, which is
-    the only one exactly when ``members`` is m's closed down-set.  With
-    the roles of up- and down-sets swapped this finds the unique minimal
-    element of an up-closed set.
+    Walks from the member ``pick`` names along ``toward`` (strict
+    up-sets), to the member ``pick`` names among those further on, until
+    none is; the walk ends at a maximal member m, which is the only one
+    exactly when ``members`` is m's closed down-set.  With the roles of
+    up- and down-sets swapped this finds the unique minimal element of an
+    up-closed set.  ``pick`` only sets the walk's length: meets pick the
+    highest index and joins the lowest, so that on an order whose indices
+    follow a linear extension both walks end at once.
     """
     if not members:
         return -1
-    m = members.bit_length() - 1
+    m = pick(members)
     while step := toward[m] & members:
-        m = step.bit_length() - 1
+        m = pick(step)
     return m if members == closed[m] else -1
 
 
@@ -66,8 +79,8 @@ def meet_join_table(P: Poset) -> MeetJoinTable:
     ae = [u | 1 << i for i, u in enumerate(above)]
     for x in range(n):
         for y in range(x, n):
-            meet[x][y] = meet[y][x] = _unique_extreme(be[x] & be[y], above, be)
-            join[x][y] = join[y][x] = _unique_extreme(ae[x] & ae[y], below, ae)
+            meet[x][y] = meet[y][x] = _unique_extreme(be[x] & be[y], above, be, _highest)
+            join[x][y] = join[y][x] = _unique_extreme(ae[x] & ae[y], below, ae, _lowest)
     complete = n > 0 and not any(-1 in row for row in meet + join)
     return MeetJoinTable(tuple(map(tuple, meet)), tuple(map(tuple, join)), complete)
 

@@ -666,43 +666,63 @@ class PosetIso:
         return {"forward": dict(self.forward), "backward": dict(self.backward)}
 
 
-def _refine(P: Poset) -> tuple[tuple, list[int]]:
-    """Colour refinement of P on its own: (isomorphism-invariant key, colours).
+def _rank(sig: list) -> tuple[tuple, list[int]]:
+    """The sorted palette of the signatures and the rank of each in it."""
+    palette = tuple(sorted(set(sig)))
+    rank = {s: c for c, s in enumerate(palette)}
+    return palette, [rank[s] for s in sig]
 
-    Elements start from (height, depth, cover degrees, down- and up-set
-    sizes) and are refined by the sorted colours of their upper and
-    lower covers until the number of colours stops growing.  A colour is
-    the rank of its signature in P's own sorted palette, so isomorphic
-    posets get equal keys and colours that correspond under every
-    isomorphism (McKay & Piperno, "Practical graph isomorphism II", 2014).
+
+def _initial_colours(P: Poset) -> tuple[tuple, list[int]]:
+    """Colours of P's elements by (height, depth, cover degrees, down- and
+    up-set sizes): (isomorphism-invariant key, colours).
+
+    A colour is the rank of its signature in P's own sorted palette, so
+    isomorphic posets get equal keys ``(n, palette, sorted colours)`` and
+    colours that correspond under every isomorphism.
     """
-    sig = [
-        (
-            P.heights[i],
-            P.depths[i],
-            P.cover_up[i].bit_count(),
-            P.cover_down[i].bit_count(),
-            P.down[i].bit_count(),
-            P.up[i].bit_count(),
-        )
-        for i in range(P.n)
-    ]
-    palettes = []
-    while True:
-        palette = sorted(set(sig))
-        rank = {s: c for c, s in enumerate(palette)}
-        col = [rank[s] for s in sig]
-        palettes.append(tuple(palette))
-        if len(palettes) > 1 and len(palette) == len(palettes[-2]):
-            return (P.n, tuple(palettes), tuple(sorted(col))), col
-        sig = [
+    palette, col = _rank(
+        [
             (
-                col[i],
-                tuple(sorted(col[j] for j in _bits(P.cover_up[i]))),
-                tuple(sorted(col[j] for j in _bits(P.cover_down[i]))),
+                P.heights[i],
+                P.depths[i],
+                P.cover_up[i].bit_count(),
+                P.cover_down[i].bit_count(),
+                P.down[i].bit_count(),
+                P.up[i].bit_count(),
             )
             for i in range(P.n)
         ]
+    )
+    return (P.n, palette, tuple(sorted(col))), col
+
+
+def _refine(P: Poset) -> tuple[tuple, list[int]]:
+    """Colour refinement of P on its own: (isomorphism-invariant key, colours).
+
+    Starts from :func:`_initial_colours` and refines each element by the
+    sorted colours of its upper and lower covers until the number of
+    colours stops growing.  Every round ranks in P's own sorted palette,
+    so isomorphic posets get equal keys and colours that correspond under
+    every isomorphism (McKay & Piperno, "Practical graph isomorphism II",
+    2014).
+    """
+    (n, palette, _), col = _initial_colours(P)
+    palettes = [palette]
+    while True:
+        palette, col = _rank(
+            [
+                (
+                    col[i],
+                    tuple(sorted(col[j] for j in _bits(P.cover_up[i]))),
+                    tuple(sorted(col[j] for j in _bits(P.cover_down[i]))),
+                )
+                for i in range(n)
+            ]
+        )
+        palettes.append(palette)
+        if len(palette) == len(palettes[-2]):
+            return (n, tuple(palettes), tuple(sorted(col))), col
 
 
 def _match(P: Poset, colP: list[int], Q: Poset, colQ: list[int]) -> PosetIso | None:

@@ -1,7 +1,8 @@
 import itertools
 
 from posetforge import find_isomorphism
-from posetforge.corpus import corpus_census, small_posets
+from posetforge.corpus import _extend, _posets_of_size, corpus_census, small_posets
+from posetforge.poset import Poset, _match, _refine
 
 
 def test_census_matches_known_counts():
@@ -9,6 +10,32 @@ def test_census_matches_known_counts():
     assert corpus_census(8) == {
         0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999
     }
+
+
+def refined_dedupe_reference(max_size):
+    """The corpus levels 0..max_size as deduplicated with every extension
+    refined by ``_refine`` and matched on its refined colours, kept as a
+    reference for the dedupe on initial colours."""
+    levels = [(Poset._from_up([], []),)]
+    for _ in range(max_size):
+        buckets, out = {}, []
+        for P in levels[-1]:
+            for mask in P.ideal_masks():
+                Q = _extend(P, mask)
+                key, colQ = _refine(Q)
+                bucket = buckets.setdefault(hash(key), [])
+                if any(_match(Q, colQ, R, colR) is not None for R, colR in bucket):
+                    continue
+                bucket.append((Q, colQ))
+                out.append(Q)
+        levels.append(tuple(out))
+    return levels
+
+
+def test_dedupe_on_initial_colours_matches_refined_reference():
+    for n, reference in enumerate(refined_dedupe_reference(7)):
+        got = _posets_of_size(n)
+        assert [(P.labels, P.up) for P in got] == [(P.labels, P.up) for P in reference]
 
 
 def test_representatives_pairwise_nonisomorphic():

@@ -166,8 +166,9 @@ def scan_table(P):
     [
         antichain_exchange_poset(grid_poset(5, 5), 2),
         antichain_exchange_poset(discrete_poset(3).ideals_poset(), 2).product(gale_poset(5, 2)),
+        chain_poset(120),
     ],
-    ids=["grid5x5-k2", "cube-k2-x-gale52"],
+    ids=["grid5x5-k2", "cube-k2-x-gale52", "chain120"],
 )
 def test_meet_join_walk_matches_scan(P):
     meet, join = scan_table(P)
@@ -239,6 +240,30 @@ def test_late_first_failure_matches_references(lower, upper):
     meet, join = scan_table(P)
     table = meet_join_table(P)
     assert np.array_equal(table.meet, meet) and np.array_equal(table.join, join)
+
+
+class CountingRows(list):
+    """Rows that count how many times a walk reads one."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_walks_on_a_long_chain_read_one_row_each():
+    n = 400
+    P = chain_poset(n)
+    # chain indices follow the order, so the meet walk starts at the highest
+    # common lower bound and the join walk at the lowest common upper bound
+    vars(P)["down"] = CountingRows(P.down)  # computed from P.up, so before counting it
+    P.up = CountingRows(P.up)
+    table = meet_join_table(P)
+    assert P.up.reads == P.down.reads == n * (n + 1) // 2
+    # scan_table takes seconds on 400 points; on a chain it gives min and max
+    assert all(table.meet[x][y] == min(x, y) for x in range(n) for y in range(n))
+    assert all(table.join[x][y] == max(x, y) for x in range(n) for y in range(n))
 
 
 def test_ideal_cap_stops_non_lattice_with_many_irreducibles():

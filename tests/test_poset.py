@@ -40,6 +40,7 @@ from posetforge.poset import (
     PosetIso,
     _bits,
     _image,
+    _initial_colours,
     _mask_rows,
     _match,
     _refine,
@@ -680,6 +681,39 @@ def test_refinement_is_invariant_under_relabelling(corpus6):
         assert all(colQ[perm[i]] == colP[i] for i in range(P.n))
         iso = find_isomorphism(P, Q)
         assert iso is not None and iso.verify(P, Q)
+
+
+def test_initial_colours_are_invariant_under_relabelling(corpus6):
+    rng = random.Random(20140101)
+    for P in corpus6:
+        Q, perm = shuffled(P, rng)
+        keyP, colP = _initial_colours(P)
+        keyQ, colQ = _initial_colours(Q)
+        assert keyP == keyQ
+        assert all(colQ[perm[i]] == colP[i] for i in range(P.n))
+        # the refinement's first palette is the initial one
+        assert _refine(P)[0][1][0] == keyP[1]
+
+
+def test_match_on_initial_colours_agrees_with_find_isomorphism(corpus5):
+    rng = random.Random(1998)
+    by_size = {}
+    for P in corpus5:
+        for R in (P, shuffled(P, rng)[0]):
+            by_size.setdefault(R.n, []).append((R, _initial_colours(R)[1]))
+    pairs = found = 0
+    for group in by_size.values():
+        for P, colP in group:
+            for Q, colQ in group:
+                iso = _match(P, colP, Q, colQ)
+                assert (iso is None) == (find_isomorphism(P, Q) is None)
+                assert iso is None or iso.verify(P, Q)
+                pairs += 1
+                found += iso is not None
+    # 1, 1, 2, 5, 16 and 63 classes on 0..5 points, each with a shuffled copy;
+    # a pair is isomorphic exactly when both come from the same class
+    assert pairs == 2**2 + 2**2 + 4**2 + 10**2 + 32**2 + 126**2
+    assert found == 4 * len(corpus5)
 
 
 def iso_exists_oracle(P, Q):
