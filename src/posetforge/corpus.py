@@ -2,14 +2,16 @@
 
 Every n-element poset arises from an (n-1)-element poset by inserting a
 new maximal element above one of its ideals, so the corpus is grown level
-by level.  Each extension is coloured once by the poset module's initial
-colouring (height, depth, cover degrees, down- and up-set sizes), bucketed
-by the hash of that colouring's key, and kept unless a backtracking search
-finds it isomorphic to a poset already in its bucket.  No refinement
-rounds run: the initial colours are isomorphism-invariant, so every
-isomorphism respects them and the search, which misses none that does,
-decides alone.  On posets this small a failed search is cheaper than the
-rounds that would have avoided it.
+by level.  Each extension comes from ``Poset._add_maximal``, which hands
+its parent's covers, down-sets, heights and depths down to it, so no
+extension derives its views from scratch.  Each extension is coloured once
+by the poset module's initial colouring (height, depth, cover degrees,
+down- and up-set sizes), bucketed by the hash of that colouring's key,
+and kept unless a backtracking search finds it isomorphic to a poset
+already in its bucket.  No refinement rounds run: the initial colours are
+isomorphism-invariant, so every isomorphism respects them and the search,
+which misses none that does, decides alone.  On posets this small a failed
+search is cheaper than the rounds that would have avoided it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,7 @@ from .poset import Poset, _initial_colours, _match
 
 def _extend(P: Poset, ideal_mask: int) -> Poset:
     """Add one new maximal element whose strict down-set is the given ideal."""
-    n = P.n
-    new = 1 << n
-    up = [u | new if ideal_mask >> i & 1 else u for i, u in enumerate(P.up)] + [0]
-    return Poset._from_up([f"x{i}" for i in range(n + 1)], up)
+    return P._add_maximal(ideal_mask, f"x{P.n}")
 
 
 @lru_cache(maxsize=None)

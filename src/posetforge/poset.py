@@ -9,14 +9,17 @@ the package builds itself (a transitive closure, a componentwise order
 on distinct rows, inclusion of distinct sets) is trusted, because its
 construction already proves it is an order.
 Upper covers are derived from ``up`` on first use and cached; down-sets,
-lower covers, heights and depths then come together from one pass up
-the covers, on Python ints.  Products, the componentwise builder and the
-check of a map (``mapped_order_equal``, which compares mapped cover rows)
-run on Python ints too.  numpy is imported only where a matrix goes in
-or out: the read-only views ``lt``, ``leq`` and ``cover_matrix`` (for
-callers outside the package) and the public constructor
-``Poset(labels, lt)``, so building posets and enumerating antichains
-never loads it.
+lower covers, heights and depths then come together from one pass up the
+covers, on Python ints.  A poset grown by one new maximal element
+(``_add_maximal``, how the corpus is built) instead gets these views
+handed down from its parent, changed only where the new element reaches.
+The views are cached in the instance ``__dict__`` without a lock.
+Products, the componentwise builder and the check of a map
+(``mapped_order_equal``, which compares mapped cover rows) run on Python
+ints too.  numpy is imported only where a matrix goes in or out: the
+read-only views ``lt``, ``leq`` and ``cover_matrix`` (for callers
+outside the package) and the public constructor ``Poset(labels, lt)``,
+so building posets and enumerating antichains never loads it.
 
 Labels are opaque at the API boundary.  All internal computation runs on
 indices, with subsets handled as Python int bitmasks, so every relation
@@ -175,12 +178,13 @@ def _matching_size(n: int, adj: dict[int, int]) -> int:
 
 
 def _distinct(labels: Iterable) -> tuple[str, ...]:
-    labels = tuple(str(x) for x in labels)
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabel(f"duplicate element label {lab!r}")
-        seen.add(lab)
+    labels = tuple(map(str, labels))
+    if len(set(labels)) < len(labels):
+        seen: set[str] = set()
+        for lab in labels:
+            if lab in seen:
+                raise DuplicateLabel(f"duplicate element label {lab!r}")
+            seen.add(lab)
     return labels
 
 
@@ -209,6 +213,23 @@ def parse_point(label: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"not a point label: {label!r}")
     return int(parts[0]), int(parts[1])
+
+
+class _view(cached_property):
+    """A view computed on first use and kept in the instance ``__dict__``.
+
+    The ``cached_property`` of Python 3.12, without the lock that 3.11
+    takes on every first access: threads that race on a first access
+    compute equal values, so the lock buys nothing.  Staying a
+    ``cached_property`` subclass keeps ``isinstance`` checks on the class
+    attribute true.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 class Poset:
@@ -262,7 +283,7 @@ class Poset:
 
     __hash__ = None  # type: ignore[assignment]
 
-    @cached_property
+    @_view
     def _index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -274,7 +295,7 @@ class Poset:
 
     # -- relation views derived from ``up`` --------------------------------
 
-    @cached_property
+    @_view
     def cover_up(self) -> tuple[int, ...]:
         """cover_up[i] = bitmask of the upper covers of i."""
         up = self.up
@@ -289,7 +310,7 @@ class Poset:
             out.append(u & ~reach)
         return tuple(out)
 
-    @cached_property
+    @_view
     def _cover_pass(self) -> tuple[tuple[int, ...], ...]:
         """(down, cover_down, heights, depths) from one pass up the covers.
 
@@ -317,26 +338,26 @@ class Poset:
                     depths[j] = d
         return tuple(down), tuple(cover_down), tuple(heights), tuple(depths)
 
-    @cached_property
+    @_view
     def down(self) -> tuple[int, ...]:
         """down[i] = bitmask of elements strictly below i."""
         return self._cover_pass[0]
 
-    @cached_property
+    @_view
     def cover_down(self) -> tuple[int, ...]:
         """cover_down[i] = bitmask of the lower covers of i."""
         return self._cover_pass[1]
 
-    @cached_property
+    @_view
     def lt(self) -> np.ndarray:
         """Read-only matrix view: ``lt[i, j]`` when i is strictly below j."""
         return _bit_matrix(self.up)
 
-    @cached_property
+    @_view
     def leq(self) -> np.ndarray:
         return _bit_matrix([u | 1 << i for i, u in enumerate(self.up)])
 
-    @cached_property
+    @_view
     def cover_matrix(self) -> np.ndarray:
         return _bit_matrix(self.cover_up)
 
@@ -347,12 +368,12 @@ class Poset:
 
     # -- derived statistics ----------------------------------------------
 
-    @cached_property
+    @_view
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain strictly below each element."""
         return self._cover_pass[2]
 
-    @cached_property
+    @_view
     def depths(self) -> tuple[int, ...]:
         """Length of the longest chain strictly above each element."""
         return self._cover_pass[3]
@@ -444,6 +465,48 @@ class Poset:
         return Poset._from_up(labels, _inclusion_up(self.n, masks, masks))
 
     # -- constructions -----------------------------------------------------
+
+    def _add_maximal(self, ideal_mask: int, label: str) -> "Poset":
+        """P plus one new maximal element, labelled ``label``, whose strict
+        down-set is the ideal ``ideal_mask``, with its views handed down.
+
+        The new element z sits above nothing but the ideal, so only four
+        things change.  z covers exactly the maximal members of the ideal
+        (``tops``): a member below another member is not covered by z, and
+        no cover of P is split, since nothing lies above z.  The down-set
+        and lower covers of every old element stay, and z gets the ideal
+        and ``tops``.  Heights stay, and z's is one more than the highest
+        of ``tops``.  Only the ideal's members can gain depth; they are
+        recomputed from their upper covers by decreasing height, which
+        visits every upper cover in the ideal first, whatever the index
+        order.
+        """
+        if label in self._index:
+            raise DuplicateLabel(f"duplicate element label {label!r}")
+        new = 1 << self.n
+        down, cover_down, heights, depths = self._cover_pass
+        members = sorted(_bits(ideal_mask), key=heights.__getitem__, reverse=True)
+        below = 0
+        for i in members:
+            below |= down[i]
+        tops = ideal_mask & ~below
+        Q = Poset.__new__(Poset)
+        Q.labels = (*self.labels, label)
+        Q.up = (*[u | new if ideal_mask >> i & 1 else u for i, u in enumerate(self.up)], 0)
+        Q.cover_up = cover_up = (
+            *[c | new if tops >> i & 1 else c for i, c in enumerate(self.cover_up)],
+            0,
+        )
+        depths = [*depths, 0]
+        for i in members:
+            d = 0
+            for j in _bits(cover_up[i]):
+                if depths[j] >= d:
+                    d = depths[j] + 1
+            depths[i] = d
+        height = max((heights[i] + 1 for i in _bits(tops)), default=0)
+        Q._cover_pass = ((*down, ideal_mask), (*cover_down, tops), (*heights, height), tuple(depths))
+        return Q
 
     def product(self, other: "Poset") -> "Poset":
         """Componentwise order on pairs; labels are "(p,q)".
@@ -681,18 +744,18 @@ def _initial_colours(P: Poset) -> tuple[tuple, list[int]]:
     isomorphic posets get equal keys ``(n, palette, sorted colours)`` and
     colours that correspond under every isomorphism.
     """
+    count = int.bit_count
     palette, col = _rank(
-        [
-            (
-                P.heights[i],
-                P.depths[i],
-                P.cover_up[i].bit_count(),
-                P.cover_down[i].bit_count(),
-                P.down[i].bit_count(),
-                P.up[i].bit_count(),
+        list(
+            zip(
+                P.heights,
+                P.depths,
+                map(count, P.cover_up),
+                map(count, P.cover_down),
+                map(count, P.down),
+                map(count, P.up),
             )
-            for i in range(P.n)
-        ]
+        )
     )
     return (P.n, palette, tuple(sorted(col))), col
 

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 
-from posetforge import find_isomorphism
+import pytest
+
+from posetforge import DuplicateLabel, build_poset, find_isomorphism
 from posetforge.corpus import _extend, _posets_of_size, corpus_census, small_posets
 from posetforge.poset import Poset, _match, _refine
 
@@ -10,6 +13,51 @@ def test_census_matches_known_counts():
     assert corpus_census(8) == {
         0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999
     }
+
+
+def test_corpus8_is_pinned(corpus8):
+    # the same posets, in the same order, with the same labels and up-set rows
+    digest = hashlib.sha256(repr([(P.labels, P.up) for P in corpus8]).encode()).hexdigest()
+    assert digest == "64d3dda6fb091fd5c20450293de93ad9e7dc35986bd5bbc174fbd7b9a4effdd7"
+
+
+def assert_views_match_rebuild(Q):
+    R = Poset._from_up(Q.labels, Q.up)
+    assert Q.cover_up == R.cover_up
+    assert Q.down == R.down
+    assert Q.cover_down == R.cover_down
+    assert Q.heights == R.heights
+    assert Q.depths == R.depths
+    assert Q.ideal_masks() == R.ideal_masks()
+
+
+def test_handed_down_views_match_rebuild_on_every_extension():
+    # every extension the corpus tries up to 7 points, the discarded duplicates included
+    tried = 0
+    for n in range(7):
+        for P in _posets_of_size(n):
+            for mask in P.ideal_masks():
+                assert_views_match_rebuild(_extend(P, mask))
+                tried += 1
+    assert tried == 1 + 2 + 7 + 28 + 135 + 766 + 5439
+
+
+def test_add_maximal_when_index_order_is_not_a_linear_extension():
+    # a (index 0) lies above c and b: the top comes first
+    P = build_poset(["a", "b", "c"], [("c", "a"), ("b", "a")])
+    ideals = P.ideal_masks()
+    assert len(ideals) == 5
+    for mask in ideals:
+        Q = P._add_maximal(mask, "z")
+        assert Q.labels == ("a", "b", "c", "z")
+        assert Q.up == tuple(u | 8 if mask >> i & 1 else u for i, u in enumerate(P.up)) + (0,)
+        assert_views_match_rebuild(Q)
+    assert P._add_maximal(0b111, "z").depths == (1, 2, 2, 0)
+
+
+def test_add_maximal_rejects_a_label_in_use():
+    with pytest.raises(DuplicateLabel, match="label 'b'"):
+        build_poset(["a", "b"], [])._add_maximal(0, "b")
 
 
 def refined_dedupe_reference(max_size):

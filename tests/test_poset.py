@@ -1,5 +1,6 @@
 import json
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -153,6 +154,31 @@ def test_build_cycle_detected():
 def test_build_duplicate_label():
     with pytest.raises(DuplicateLabel):
         build_poset(["a", "a"], [])
+
+
+@pytest.mark.parametrize(
+    "labels, repeated",
+    [(["a", "b", "a"], "a"), (["a", "b", "b", "a"], "b"), ([1, "1"], "1"), ([2, 1, "2"], "2")],
+)
+def test_duplicate_label_is_named(labels, repeated):
+    builders = [
+        lambda: build_poset(labels, []),
+        lambda: Poset._from_up(labels, [0] * len(labels)),
+        lambda: discrete_poset(len(labels)).relabeled(labels),
+    ]
+    for build in builders:
+        with pytest.raises(DuplicateLabel, match=f"label {repeated!r}"):
+            build()
+
+
+def test_views_are_cached_in_the_instance_dict():
+    # tools that wrap the views find them as cached_property class attributes
+    assert isinstance(vars(Poset)["cover_matrix"], cached_property)
+    P = chain_poset(4)
+    assert "cover_up" not in vars(P)
+    assert P.cover_up is P.cover_up
+    assert vars(P)["cover_up"] == (2, 4, 8, 0)
+    assert P.depths == (3, 2, 1, 0) and "_cover_pass" in vars(P)
 
 
 def test_build_unknown_label():
