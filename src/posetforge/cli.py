@@ -173,6 +173,8 @@ def _cmd_minuscule(args) -> int:
 
 
 def _cmd_ak(args) -> int:
+    if args.k < 0:
+        raise _InputError(f"ak: antichain size k must be nonnegative, got {args.k}")
     P = _read_poset(args.file)
     if args.order == "k":
         result = antichain_exchange_poset(P, args.k)

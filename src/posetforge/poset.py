@@ -466,6 +466,13 @@ class Poset:
 
     # -- constructions -----------------------------------------------------
 
+    def _ideal_tops(self, ideal_mask: int) -> int:
+        """The maximal members of an ideal: those below no other member."""
+        down, below = self.down, 0
+        for i in _bits(ideal_mask):
+            below |= down[i]
+        return ideal_mask & ~below
+
     def _add_maximal(self, ideal_mask: int, label: str) -> "Poset":
         """P plus one new maximal element, labelled ``label``, whose strict
         down-set is the ideal ``ideal_mask``, with its views handed down.
@@ -486,10 +493,7 @@ class Poset:
         new = 1 << self.n
         down, cover_down, heights, depths = self._cover_pass
         members = sorted(_bits(ideal_mask), key=heights.__getitem__, reverse=True)
-        below = 0
-        for i in members:
-            below |= down[i]
-        tops = ideal_mask & ~below
+        tops = self._ideal_tops(ideal_mask)
         Q = Poset.__new__(Poset)
         Q.labels = (*self.labels, label)
         Q.up = (*[u | new if ideal_mask >> i & 1 else u for i, u in enumerate(self.up)], 0)

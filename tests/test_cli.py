@@ -82,6 +82,21 @@ def test_ak_orders_differ_on_bowtie(monkeypatch, capsys):
     assert json.loads(out)["relations"] == [["{a,b}", "{d,e}"]]
 
 
+def test_ak_negative_size_is_a_usage_error(monkeypatch, capsys):
+    for order in ("k", "j"):
+        code, out, err = run_main(
+            ["ak", "-1", "--order", order], json.dumps(BOWTIE), monkeypatch, capsys
+        )
+        assert code == 2 and out == ""
+        assert "-1" in err
+        # the empty antichain is the one antichain of size 0
+        code, out, _ = run_main(
+            ["ak", "0", "--order", order], json.dumps(BOWTIE), monkeypatch, capsys
+        )
+        assert code == 0
+        assert json.loads(out) == {"elements": ["{}"], "relations": []}
+
+
 def test_check_lattice_verdicts(monkeypatch, capsys):
     chain = {"elements": ["1", "2"], "relations": [["1", "2"]]}
     code, out, _ = run_main(["check", "lattice"], json.dumps(chain), monkeypatch, capsys)
