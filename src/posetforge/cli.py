@@ -25,11 +25,11 @@ import sys
 
 from . import checks
 from .errors import PosetForgeError, SizeLimitExceeded
-from .ferrers import FerrersDiagram, durfee_decompose, durfee_length
+from .ferrers import FerrersDiagram, durfee_decompose
 from .lattice import is_distributive, meet_join_table
 from .minuscule import kind_from_args, minuscule_poset
 from .antichains import antichain_exchange_poset, antichain_ideal_poset
-from .poset import Poset, find_isomorphism, poset_from_dict, poset_to_dict
+from .poset import Poset, find_isomorphism, point_label, poset_from_dict, poset_to_dict
 from .roots import narayana_table, panyushev_complement, parse_root_label, type_a_root_poset
 
 
@@ -240,18 +240,15 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 def _cmd_durfee(args) -> int:
     heights = _parse_partition(args.partition)
-    a = heights[0] if heights else 0
-    b = len(heights)
-    d = FerrersDiagram(heights, (a, b))
-    k = durfee_length(d)
+    d = FerrersDiagram(heights, (heights[0] if heights else 0, len(heights)))
+    k, top, side = durfee_decompose(d)
     if args.as_json:
-        _, top, side = durfee_decompose(d)
         _emit_json(
             {
                 "heights": list(d.heights),
                 "durfee": k,
-                "above_square": sorted(top.member_labels),
-                "right_of_square": sorted(side.member_labels),
+                "above_square": sorted(point_label(*c) for c in top.cells()),
+                "right_of_square": sorted(point_label(*c) for c in side.cells()),
             }
         )
     else:

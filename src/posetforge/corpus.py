@@ -29,7 +29,8 @@ automorphic images of one ideal, so each extension that passes it is
 still checked against the classes already kept.  Each comes from
 ``Poset._add_maximal``, which hands its parent's covers, down-sets,
 heights and depths down to it, so no extension derives its views from
-scratch.  Each is coloured once by the poset module's initial colouring
+scratch; the ideal's maximal members, read once for the rule, are handed
+down too.  Each is coloured once by the poset module's initial colouring
 (height, depth, cover degrees, down- and up-set sizes), bucketed by the
 hash of that colouring's key, and kept unless a backtracking search finds
 it isomorphic to a poset already in its bucket.  No refinement rounds
@@ -47,9 +48,10 @@ from functools import lru_cache
 from .poset import Poset, _bits, _initial_colours, _match
 
 
-def _extend(P: Poset, ideal_mask: int) -> Poset:
-    """Add one new maximal element whose strict down-set is the given ideal."""
-    return P._add_maximal(ideal_mask, f"x{P.n}")
+def _extend(P: Poset, ideal_mask: int, tops: int) -> Poset:
+    """Add one new maximal element whose strict down-set is the given ideal,
+    whose maximal members are ``tops``."""
+    return P._add_maximal(ideal_mask, tops, f"x{P.n}")
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +79,7 @@ def _posets_of_size(n: int) -> tuple[Poset, ...]:
             )
             if best > z:
                 continue
-            Q = _extend(P, mask)
+            Q = _extend(P, mask, tops)
             key, colQ = _initial_colours(Q)
             bucket = buckets.setdefault(hash(key), [])
             if any(_match(Q, colQ, R, colR) is not None for R, colR in bucket):

@@ -1,11 +1,14 @@
 """Ferrers diagrams in a box, Durfee machinery, and the explicit antichain maps.
 
-A diagram is stored as its weakly decreasing column-height vector; the
-ideal-of-the-grid view is derived from it, so containment and Durfee
-tests are coordinate arithmetic.  The Durfee length is the side of the
-largest square fitting inside the diagram, and cutting along the Durfee
-square splits a diagram into two smaller grid ideals, exactly inverted
-by stacking them back.
+A diagram is stored as its weakly decreasing column-height vector; its
+cells, the ideal-of-the-grid view, are derived from it, so containment
+and Durfee tests are coordinate arithmetic.  The Durfee length k is the
+side of the largest square fitting inside the diagram (Andrews, *The
+Theory of Partitions*, 1976, ch. 2).  Cutting along the Durfee square
+splits a diagram into two smaller diagrams, the heights past the k-th
+and the first k heights less k, and stacking them back around a k x k
+square inverts the cut exactly; both directions are arithmetic on
+height vectors and build no poset.
 
 Two explicit maps on grid-like antichains live here as well: splitting
 an antichain of an a x b grid into its sorted x- and y-coordinate
@@ -19,15 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import BadParameters, NotAnAntichain
-from .poset import (
-    Antichain,
-    Ideal,
-    Poset,
-    _componentwise_poset,
-    grid_points,
-    grid_poset,
-    point_label,
-)
+from .poset import Antichain, Poset, _componentwise_poset, grid_points
 from .sequences import KSubset
 
 
@@ -44,17 +39,15 @@ class FerrersDiagram:
 
     def __post_init__(self):
         a, b = self.box
-        hs = self.heights
+        hs = tuple(self.heights)
         if any(h < 0 for h in hs):
             raise BadParameters(f"heights must be nonnegative: {hs}")
         if any(x < y for x, y in zip(hs, hs[1:])):
             raise BadParameters(f"heights must be weakly decreasing: {hs}")
-        if hs and hs[-1] == 0:
-            trimmed = hs
-            while trimmed and trimmed[-1] == 0:
-                trimmed = trimmed[:-1]
-            object.__setattr__(self, "heights", trimmed)
-            hs = trimmed
+        while hs and hs[-1] == 0:
+            hs = hs[:-1]
+        object.__setattr__(self, "heights", hs)
+        object.__setattr__(self, "box", (a, b))
         if len(hs) > b or (hs and hs[0] > a):
             raise BadParameters(f"diagram {hs} does not fit in a {a}x{b} box")
 
@@ -103,44 +96,32 @@ def durfee_poset(a: int, b: int, k: int) -> Poset:
     return _componentwise_poset([d.label for d in diagrams], padded)
 
 
-def durfee_decompose(d: FerrersDiagram) -> tuple[int, Ideal, Ideal]:
+def durfee_decompose(d: FerrersDiagram) -> tuple[int, FerrersDiagram, FerrersDiagram]:
     """Cut along the Durfee square.
 
-    Returns (k, top, side): the part above the square shifted down into
-    a [k] x [b-k] grid and the part to its right shifted left into an
-    [a-k] x [k] grid, each as an ideal of that grid.
+    Returns (k, top, side) as diagrams.  ``top`` is the part above the
+    square shifted down: the heights past the k-th, ``d.heights[k:]``,
+    none above k, in a k x (b-k) box.  ``side`` is the part to its right
+    shifted left: each of the first k heights less k, in an (a-k) x k
+    box.  Both are slices of the height vector; no grid is built.
     """
     a, b = d.box
     k = durfee_length(d)
-    top_grid = grid_poset(k, b - k)
-    side_grid = grid_poset(a - k, k)
-    top_members = [
-        point_label(i, j - k)
-        for (i, j) in d.cells()
-        if j > k
-    ]
-    side_members = [
-        point_label(i - k, j)
-        for (i, j) in d.cells()
-        if i > k
-    ]
-    return k, top_grid.ideal(top_members), side_grid.ideal(side_members)
+    top = FerrersDiagram(d.heights[k:], (k, b - k))
+    side = FerrersDiagram(tuple(h - k for h in d.heights[:k]), (a - k, k))
+    return k, top, side
 
 
-def durfee_compose(a: int, b: int, k: int, top: Ideal, side: Ideal) -> FerrersDiagram:
+def durfee_compose(
+    a: int, b: int, k: int, top: FerrersDiagram, side: FerrersDiagram
+) -> FerrersDiagram:
     """Inverse of :func:`durfee_decompose`: stack the parts around a k x k square."""
-    if k > min(a, b):
+    if not 0 <= k <= min(a, b):
         raise BadParameters(f"Durfee length {k} cannot fit in a {a}x{b} box")
-    if top.poset.n != k * (b - k) or side.poset.n != (a - k) * k:
-        raise BadParameters("part hosts do not match the stated box and Durfee length")
-    heights = [0] * (b + 1)
-    for j in range(1, k + 1):
-        heights[j] = k
-    for i, j in grid_points(top):
-        heights[j + k] = max(heights[j + k], i)
-    for i, j in grid_points(side):
-        heights[j] = max(heights[j], i + k)
-    return FerrersDiagram(tuple(heights[1 : b + 1]), (a, b))
+    if top.box != (k, b - k) or side.box != (a - k, k):
+        raise BadParameters("part boxes do not match the stated box and Durfee length")
+    heights = tuple(k + side.height(j) for j in range(1, k + 1)) + top.heights
+    return FerrersDiagram(heights, (a, b))
 
 
 def _sorted_antichain_points(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -404,8 +404,10 @@ class Poset:
 
     def _antichain_masks(self, k: int) -> list[int]:
         """All size-k antichains as bitmasks, in index-lexicographic order."""
-        if k <= 0:
-            return [0] if k == 0 else []
+        if k < 0:
+            raise BadParameters(f"antichain size must be nonnegative, not {k}")
+        if k == 0:
+            return [0]
         comp = [u | d for u, d in zip(self.up, self.down)]
         out: list[int] = []
         # depth-first with an explicit stack: masks[-1] is the antichain so
@@ -473,9 +475,11 @@ class Poset:
             below |= down[i]
         return ideal_mask & ~below
 
-    def _add_maximal(self, ideal_mask: int, label: str) -> "Poset":
+    def _add_maximal(self, ideal_mask: int, tops: int, label: str) -> "Poset":
         """P plus one new maximal element, labelled ``label``, whose strict
         down-set is the ideal ``ideal_mask``, with its views handed down.
+        ``tops`` must be ``self._ideal_tops(ideal_mask)``; the caller has
+        it already.
 
         The new element z sits above nothing but the ideal, so only four
         things change.  z covers exactly the maximal members of the ideal
@@ -493,7 +497,6 @@ class Poset:
         new = 1 << self.n
         down, cover_down, heights, depths = self._cover_pass
         members = sorted(_bits(ideal_mask), key=heights.__getitem__, reverse=True)
-        tops = self._ideal_tops(ideal_mask)
         Q = Poset.__new__(Poset)
         Q.labels = (*self.labels, label)
         Q.up = (*[u | new if ideal_mask >> i & 1 else u for i, u in enumerate(self.up)], 0)

@@ -25,6 +25,7 @@ class KSubset:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if any(x >= y for x, y in zip(self.entries, self.entries[1:])):
             raise BadParameters(f"entries must be strictly increasing: {self.entries}")
         if self.entries and not (1 <= self.entries[0] and self.entries[-1] <= self.n):
@@ -50,6 +51,7 @@ class WeakChain:
     bound: int
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if any(x > y for x, y in zip(self.entries, self.entries[1:])):
             raise BadParameters(f"entries must be weakly increasing: {self.entries}")
         if self.entries and not (0 <= self.entries[0] and self.entries[-1] <= self.bound):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from posetforge import (
+    BadParameters,
     SizeMismatch,
     antichain_exchange_poset,
     antichain_ideal_poset,
@@ -271,3 +272,19 @@ def test_spin9_exchange_covers_match_gale():
     G = gale_poset(11, 4)
     assert E.n == G.n == 330
     assert len(E.covers()) == len(G.covers()) == 840
+
+
+def test_negative_antichain_size_is_rejected():
+    # an empty result here would let a check given a negative k pass vacuously
+    P = build_poset(["a", "b"], [])
+    calls = (
+        P.antichains_of_size,
+        lambda k: antichain_exchange_poset(P, k),
+        lambda k: antichain_exchange_poset(P, k, edges="all"),
+        lambda k: antichain_ideal_poset(P, k),
+        lambda k: refinement_report(P, k),
+    )
+    for call in calls:
+        with pytest.raises(BadParameters, match="-1"):
+            call(-1)
+        assert call(0) is not None

@@ -193,6 +193,24 @@ def test_durfee_command(capsys):
     assert data["right_of_square"] == ["(1,1)"]
 
 
+def test_durfee_json_is_pinned(capsys):
+    # pinned byte for byte, point labels sorted as strings
+    pinned = {
+        "4,3,1": {
+            "heights": [4, 3, 1],
+            "durfee": 2,
+            "above_square": ["(1,1)"],
+            "right_of_square": ["(1,1)", "(1,2)", "(2,1)"],
+        },
+        "3,3,3": {"heights": [3, 3, 3], "durfee": 3, "above_square": [], "right_of_square": []},
+        "": {"heights": [], "durfee": 0, "above_square": [], "right_of_square": []},
+    }
+    for partition, expected in pinned.items():
+        assert main(["durfee", partition, "--json"]) == 0
+        out, _ = capsys.readouterr()
+        assert out == json.dumps(expected, indent=2) + "\n", partition
+
+
 def test_durfee_rejects_rubbish(capsys):
     assert main(["durfee", "3,x,1"]) == 2
 

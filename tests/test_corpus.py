@@ -37,7 +37,7 @@ def test_handed_down_views_match_rebuild_on_every_extension():
     for n in range(7):
         for P in _posets_of_size(n):
             for mask in P.ideal_masks():
-                assert_views_match_rebuild(_extend(P, mask))
+                assert_views_match_rebuild(_extend(P, mask, P._ideal_tops(mask)))
                 tried += 1
     assert tried == 1 + 2 + 7 + 28 + 135 + 766 + 5439
 
@@ -48,16 +48,16 @@ def test_add_maximal_when_index_order_is_not_a_linear_extension():
     ideals = P.ideal_masks()
     assert len(ideals) == 5
     for mask in ideals:
-        Q = P._add_maximal(mask, "z")
+        Q = P._add_maximal(mask, P._ideal_tops(mask), "z")
         assert Q.labels == ("a", "b", "c", "z")
         assert Q.up == tuple(u | 8 if mask >> i & 1 else u for i, u in enumerate(P.up)) + (0,)
         assert_views_match_rebuild(Q)
-    assert P._add_maximal(0b111, "z").depths == (1, 2, 2, 0)
+    assert P._add_maximal(0b111, 0b001, "z").depths == (1, 2, 2, 0)  # a tops the ideal
 
 
 def test_add_maximal_rejects_a_label_in_use():
     with pytest.raises(DuplicateLabel, match="label 'b'"):
-        build_poset(["a", "b"], [])._add_maximal(0, "b")
+        build_poset(["a", "b"], [])._add_maximal(0, 0, "b")
 
 
 def refined_dedupe_reference(max_size):
@@ -69,7 +69,7 @@ def refined_dedupe_reference(max_size):
         buckets, out = {}, []
         for P in levels[-1]:
             for mask in P.ideal_masks():
-                Q = _extend(P, mask)
+                Q = _extend(P, mask, P._ideal_tops(mask))
                 key, colQ = _refine(Q)
                 bucket = buckets.setdefault(hash(key), [])
                 if any(_match(Q, colQ, R, colR) is not None for R, colR in bucket):
@@ -118,7 +118,8 @@ def test_every_extension_is_isomorphic_to_exactly_one_kept_poset():
         classes = refined_buckets(_posets_of_size(n))
         for P in _posets_of_size(n - 1):
             for mask in P.ideal_masks():
-                assert len(isomorphic_indices(_extend(P, mask), classes)) == 1, (P, mask)
+                Q = _extend(P, mask, P._ideal_tops(mask))
+                assert len(isomorphic_indices(Q, classes)) == 1, (P, mask)
                 tried += 1
     assert tried == 1 + 2 + 7 + 28 + 135 + 766 + 5439
 

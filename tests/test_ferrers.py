@@ -16,6 +16,7 @@ from posetforge import (
     spin_antichain_merge,
     split_grid_antichain,
 )
+from posetforge.poset import grid_points, point_label
 
 
 def durfee_oracle(d: FerrersDiagram) -> int:
@@ -131,16 +132,65 @@ def test_durfee_poset_matches_containment_oracle():
 
 def test_decompose_full_square():
     k, top, side = durfee_decompose(FerrersDiagram((3, 3, 3), (3, 3)))
-    assert k == 3 and len(top) == 0 and len(side) == 0
+    assert k == 3
+    assert top == FerrersDiagram((), (3, 0)) and side == FerrersDiagram((), (0, 3))
 
 
 def test_decompose_staircase():
     d = FerrersDiagram((3, 2, 1), (3, 3))
     k, top, side = durfee_decompose(d)
     assert k == 2
-    assert sorted(top.member_labels) == ["(1,1)"]
-    assert sorted(side.member_labels) == ["(1,1)"]
+    assert top == FerrersDiagram((1,), (2, 1)) and top.cells() == [(1, 1)]
+    assert side == FerrersDiagram((1,), (1, 2)) and side.cells() == [(1, 1)]
     assert durfee_compose(3, 3, k, top, side) == d
+
+
+def grid_ideal_decompose(d: FerrersDiagram):
+    """The cut as it was made on grid ideals, kept as a reference: the
+    cells past column k shifted left into [k] x [b-k], and the cells
+    above row k shifted down into [a-k] x [k], each an ideal of a fresh
+    grid poset."""
+    a, b = d.box
+    k = durfee_length(d)
+    top = [point_label(i, j - k) for (i, j) in d.cells() if j > k]
+    side = [point_label(i - k, j) for (i, j) in d.cells() if i > k]
+    return k, grid_poset(k, b - k).ideal(top), grid_poset(a - k, k).ideal(side)
+
+
+def test_decompose_matches_the_grid_ideal_reference():
+    for a in range(6):
+        for b in range(6):
+            for d in diagrams_in_box(a, b):
+                k, top, side = durfee_decompose(d)
+                ref_k, ref_top, ref_side = grid_ideal_decompose(d)
+                assert k == ref_k
+                assert sorted(top.cells()) == sorted(grid_points(ref_top)), d
+                assert sorted(side.cells()) == sorted(grid_points(ref_side)), d
+                assert top.box[0] * top.box[1] == ref_top.poset.n
+                assert side.box[0] * side.box[1] == ref_side.poset.n
+
+
+def test_compose_rejects_parts_in_the_wrong_boxes():
+    k, top, side = durfee_decompose(FerrersDiagram((3, 2, 1), (3, 3)))
+    assert durfee_compose(3, 3, k, top, side).heights == (3, 2, 1)
+    bad = [
+        (3, 3, k, side, top),  # parts swapped: (1, 2) and (2, 1) boxes
+        (3, 4, k, top, side),  # top box is (2, 1), not (2, 2)
+        (4, 3, k, top, side),  # side box is (1, 2), not (2, 2)
+        (3, 3, 1, top, side),
+        (3, 3, 4, top, side),  # no 4 x 4 square fits
+        (3, 3, -1, top, side),
+    ]
+    for a, b, kk, t, s in bad:
+        with pytest.raises(BadParameters):
+            durfee_compose(a, b, kk, t, s)
+
+
+def test_diagram_given_as_a_list_is_stored_as_a_tuple():
+    d = FerrersDiagram([3, 2, 1, 0], [3, 4])
+    assert d == FerrersDiagram((3, 2, 1), (3, 4))
+    assert isinstance(d.heights, tuple) and isinstance(d.box, tuple)
+    assert hash(d) == hash(FerrersDiagram((3, 2, 1), (3, 4)))
 
 
 def test_decompose_roundtrip_exhaustive():

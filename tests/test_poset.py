@@ -697,6 +697,30 @@ def shuffled(P, rng):
     return Poset._from_up([f"q{i}" for i in range(P.n)], up), perm
 
 
+def disjoint_copies(shapes):
+    """The disjoint union of the given cover lists on x0..x6, one copy each."""
+    labels, relations = [], []
+    for c, covers in enumerate(shapes):
+        labels += [f"c{c}x{i}" for i in range(7)]
+        relations += [(f"c{c}x{i}", f"c{c}x{j}") for i, j in covers]
+    return build_poset(labels, relations)
+
+
+def test_refinement_rounds_separate_what_initial_colours_cannot():
+    # X and Y have the same signatures (minimal elements with 2, 2, 1 and
+    # 1 upper covers, maximal ones with 1, 2 and 3 lower covers), wired
+    # differently.  Matching on the initial colours alone has to refute
+    # 3X+3Y ~ 4X+2Y by search, which did not finish in 10 minutes; the
+    # rounds tell the two apart before any search.
+    X = [(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (3, 6)]
+    Y = [(0, 4), (0, 6), (1, 5), (1, 6), (2, 5), (3, 6)]
+    P = disjoint_copies([X, X, X, Y, Y, Y])
+    Q = disjoint_copies([X, X, X, X, Y, Y])
+    assert _initial_colours(P)[0] == _initial_colours(Q)[0]
+    assert _refine(P)[0] != _refine(Q)[0]
+    assert find_isomorphism(P, Q) is None
+
+
 def test_refinement_is_invariant_under_relabelling(corpus6):
     rng = random.Random(20140101)
     for P in corpus6:

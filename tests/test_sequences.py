@@ -140,3 +140,13 @@ def test_ksubset_validation():
         KSubset((0, 1), 4)
     with pytest.raises(BadParameters):
         WeakChain((2, 1), 3)
+
+
+def test_entries_given_as_a_list_are_stored_as_a_tuple():
+    for value, same in [
+        (KSubset([1, 3], 4), KSubset((1, 3), 4)),
+        (WeakChain([0, 2, 2], 3), WeakChain((0, 2, 2), 3)),
+    ]:
+        assert value == same
+        assert isinstance(value.entries, tuple)
+        assert hash(value) == hash(same)
