@@ -144,5 +144,7 @@ def has_order_matching(P: Poset, A: Antichain, B: Antichain) -> bool:
     """Whether A and B admit a perfect matching with each a_i <= b_i."""
     if len(A) != len(B):
         raise SizeMismatch(f"antichain sizes differ: {len(A)} vs {len(B)}")
+    if any(S.poset is not P and S.poset != P for S in (A, B)):
+        raise ValueError("antichains do not live in the given poset")
     adj = {u: (P.up[u] | 1 << u) & B.mask for u in A}
     return _matching_size(P.n, adj) == len(A)

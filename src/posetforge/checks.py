@@ -120,8 +120,16 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
 
 
 def run_all(overrides: dict | None = None) -> list[CheckReport]:
-    """Run every registered check, applying overrides where keys match."""
+    """Run every registered check, applying each override to the checks that take it.
+
+    A key that no registered check takes is an error, so a misspelt cap
+    never runs the defaults silently.
+    """
     overrides = dict(overrides or {})
+    known = {key for cdef in _REGISTRY.values() for key in cdef.defaults}
+    unknown = sorted(overrides.keys() - known)
+    if unknown:
+        raise BadParameters(f"no check takes {', '.join(map(repr, unknown))}")
     reports = []
     for cdef in registered_checks():
         params = {k: v for k, v in overrides.items() if k in cdef.defaults}

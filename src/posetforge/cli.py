@@ -1,26 +1,25 @@
 """Command-line front end.
 
 Subcommands read the JSON poset interchange format from a file or
-standard input and write JSON (or DOT) to standard output, so checks
-chain in shell pipelines:
+standard input and write JSON to standard output, so checks chain in
+shell pipelines; `export-dot` turns any poset in the stream into a DOT
+Hasse diagram:
 
     posetforge minuscule grid 3 3 | posetforge ak 2 --order k | posetforge check distributive
+    posetforge minuscule e6 | posetforge export-dot
 
 Exit codes: 0 success, 1 failed verification, 2 malformed input or usage,
 3 a size cap was hit.  `verify` reports every check before exiting: a
 check that hits a cap gets an "error" verdict and the run exits 3.
-The POSETFORGE_CAPS environment variable ("a=4,b=4,n=6,...") overrides
-default verification caps; explicit --param values win over it.  A
-POSETFORGE_CAPS key reaches only the checks that take it, while a --param
-key that no check in the run takes is a usage error, so a misspelt cap
-never runs the defaults silently.
+Verification caps are overridden only by `--param key=value`; under
+`verify all` each key reaches the checks that take it, and a key that no
+check in the run takes is a usage error (see `checks.run_all`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import checks
@@ -62,13 +61,6 @@ def _emit_json(data) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_poset(P: Poset, as_dot: bool) -> None:
-    if as_dot:
-        sys.stdout.write(to_dot(P))
-    else:
-        _emit_json(poset_to_dict(P))
-
-
 def to_dot(P: Poset) -> str:
     """Hasse diagram in DOT, covers drawn bottom-to-top with rank layers."""
 
@@ -88,23 +80,18 @@ def to_dot(P: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_pairs(items: list[str], source: str) -> dict[str, int]:
-    """Parse "key=int" items; errors name their source and exit with code 2."""
+def _int_pairs(items: list[str]) -> dict[str, int]:
+    """Parse "key=int" --param items; a malformed one exits with code 2."""
     pairs: dict[str, int] = {}
     for item in items:
         if "=" not in item:
-            raise _InputError(f"{source} entry {item!r} is not key=value")
+            raise _InputError(f"--param entry {item!r} is not key=value")
         key, value = item.split("=", 1)
         try:
             pairs[key.strip()] = int(value)
         except ValueError:
-            raise _InputError(f"{source} value {value!r} is not an integer") from None
+            raise _InputError(f"--param value {value!r} is not an integer") from None
     return pairs
-
-
-def _caps_from_env() -> dict[str, int]:
-    items = os.environ.get("POSETFORGE_CAPS", "").split(",")
-    return _int_pairs([item.strip() for item in items if item.strip()], "POSETFORGE_CAPS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,13 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minuscule", help="construct a minuscule-family poset")
     p.add_argument("kind", help="grid | spin | natural | e6 | e7")
     p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
 
     p = sub.add_parser("ak", help="poset of size-k antichains of the input poset")
     p.add_argument("k", type=int)
     p.add_argument("--order", choices=["k", "j"], default="k",
                    help="k: exchange order (default); j: ideal order")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.add_argument("file", nargs="?", default=None)
 
     p = sub.add_parser("check", help="test the input poset for a property")
@@ -168,7 +153,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_minuscule(args) -> int:
     kind = kind_from_args(args.kind, list(args.params))
-    _emit_poset(minuscule_poset(kind), args.dot)
+    _emit_json(poset_to_dict(minuscule_poset(kind)))
     return 0
 
 
@@ -180,7 +165,7 @@ def _cmd_ak(args) -> int:
         result = antichain_exchange_poset(P, args.k)
     else:
         result = antichain_ideal_poset(P, args.k)
-    _emit_poset(result, args.dot)
+    _emit_json(poset_to_dict(result))
     return 0
 
 
@@ -278,19 +263,11 @@ def _cmd_verify(args) -> int:
         for cdef in checks.registered_checks():
             print(f"{cdef.check_id:28}  {cdef.summary}")
         return 0
-    env = _caps_from_env()
-    explicit = _int_pairs(args.param, "--param")
+    params = _int_pairs(args.param)
     if args.check_id == "all":
-        known = {key for cdef in checks.registered_checks() for key in cdef.defaults}
-        unknown = sorted(explicit.keys() - known)
-        if unknown:
-            raise _InputError(f"--param: no check takes {', '.join(map(repr, unknown))}")
-        reports = checks.run_all({**env, **explicit})
+        reports = checks.run_all(params)
     else:
-        # env caps apply where the check understands them; explicit params are strict
-        defaults = checks.check_defaults(args.check_id)
-        merged = {**{k: v for k, v in env.items() if k in defaults}, **explicit}
-        reports = [checks.run_check(args.check_id, merged)]
+        reports = [checks.run_check(args.check_id, params)]
     if args.as_json:
         _emit_json([r.to_json_dict() for r in reports])
     else:

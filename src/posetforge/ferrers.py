@@ -39,6 +39,8 @@ class FerrersDiagram:
 
     def __post_init__(self):
         a, b = self.box
+        if a < 0 or b < 0:
+            raise BadParameters(f"box sides must be nonnegative: {a}x{b}")
         hs = tuple(self.heights)
         if any(h < 0 for h in hs):
             raise BadParameters(f"heights must be nonnegative: {hs}")
@@ -80,6 +82,8 @@ def durfee_length(d: FerrersDiagram) -> int:
 
 def diagrams_in_box(a: int, b: int) -> list[FerrersDiagram]:
     """Every diagram fitting in the box, in height-vector lexicographic order."""
+    if a < 0 or b < 0:  # checked here too: for a < -1 no diagram is built to reject the box
+        raise BadParameters(f"box sides must be nonnegative: {a}x{b}")
     # each weakly increasing b-tuple over 0..a, reversed and stripped of zeros
     heights = sorted(
         tuple(h for h in reversed(c) if h) for c in combinations_with_replacement(range(a + 1), b)

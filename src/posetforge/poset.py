@@ -4,7 +4,7 @@ A poset is an immutable tuple of distinct string labels together with
 ``up``, one Python-int bitset per canonical index 0..n-1: bit j of
 ``up[i]`` means "element i is strictly below element j".  The relation
 is always irreflexive, antisymmetric and transitively closed.  An order
-from outside (``Poset(labels, lt)``) is checked once, on entry; an order
+from outside (``Poset(labels, up)``) is checked once, on entry; an order
 the package builds itself (a transitive closure, a componentwise order
 on distinct rows, inclusion of distinct sets) is trusted, because its
 construction already proves it is an order.
@@ -16,10 +16,8 @@ handed down from its parent, changed only where the new element reaches.
 The views are cached in the instance ``__dict__`` without a lock.
 Products, the componentwise builder and the check of a map
 (``mapped_order_equal``, which compares mapped cover rows) run on Python
-ints too.  numpy is imported only where a matrix goes in or out: the
-read-only views ``lt``, ``leq`` and ``cover_matrix`` (for callers
-outside the package) and the public constructor ``Poset(labels, lt)``,
-so building posets and enumerating antichains never loads it.
+ints too.  numpy is imported only to build the read-only matrix views
+``lt`` and ``cover_matrix``, which nothing in the package reads.
 
 Labels are opaque at the API boundary.  All internal computation runs on
 indices, with subsets handled as Python int bitmasks, so every relation
@@ -69,14 +67,6 @@ def _image(mask: int, to: Sequence[int] | dict[int, int]) -> int:
         out |= 1 << to[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def _mask_rows(matrix: np.ndarray) -> tuple[int, ...]:
-    """Row i of a boolean matrix as a bitset: bit j is ``matrix[i, j]``."""
-    import numpy as np
-
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
@@ -235,6 +225,8 @@ class _view(cached_property):
 class Poset:
     """An immutable finite poset.
 
+    >>> Poset(["a", "b", "c"], [0b110, 0b100, 0]).covers()
+    [('a', 'b'), ('b', 'c')]
     >>> P = chain_poset(3)
     >>> P.covers()
     [('1', '2'), ('2', '3')]
@@ -242,16 +234,17 @@ class Poset:
     1
     """
 
-    def __init__(self, labels: Sequence[str], lt: np.ndarray):
-        import numpy as np
-
+    def __init__(self, labels: Iterable[str], up: Sequence[int]):
+        """Validate strict up-set rows: bit j of ``up[i]`` when i lies below j."""
         self.labels = _distinct(labels)
-        n = self.n
-        lt = np.asarray(lt, dtype=bool)
-        if lt.shape != (n, n):
-            raise ValueError(f"relation matrix must be {n}x{n}, got {lt.shape}")
-        self.up = _mask_rows(lt)
-        _check_order(self.up)
+        n, up = self.n, tuple(up)
+        if len(up) != n:
+            raise ValueError(f"need {n} up-set rows, got {len(up)}")
+        for i, row in enumerate(up):
+            if not isinstance(row, int) or not 0 <= row < 1 << n:
+                raise ValueError(f"row {i} must be an int in [0, 2**{n}), got {row!r}")
+        _check_order(up)
+        self.up = up
 
     @classmethod
     def _from_up(cls, labels: Iterable[str], up: Sequence[int]) -> "Poset":
@@ -348,14 +341,11 @@ class Poset:
         """cover_down[i] = bitmask of the lower covers of i."""
         return self._cover_pass[1]
 
+    # the benchmark reads these two matrix views; nothing in the package does
     @_view
     def lt(self) -> np.ndarray:
         """Read-only matrix view: ``lt[i, j]`` when i is strictly below j."""
         return _bit_matrix(self.up)
-
-    @_view
-    def leq(self) -> np.ndarray:
-        return _bit_matrix([u | 1 << i for i, u in enumerate(self.up)])
 
     @_view
     def cover_matrix(self) -> np.ndarray:
@@ -660,6 +650,8 @@ def chain_poset(n: int) -> Poset:
 def discrete_poset(labels: Sequence[str] | int) -> Poset:
     """An antichain: no two elements comparable."""
     if isinstance(labels, int):
+        if labels < 0:
+            raise BadParameters(f"element count must be nonnegative, got {labels}")
         labels = [str(i) for i in range(1, labels + 1)]
     return Poset._from_up(labels, [0] * len(labels))
 
@@ -722,9 +714,6 @@ class PosetIso:
 
     forward: dict[str, str]
     backward: dict[str, str]
-
-    def apply(self, label: str) -> str:
-        return self.forward[label]
 
     def verify(self, P: Poset, Q: Poset) -> bool:
         """Direct check: bijective and order-preserving both ways."""

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -18,6 +19,17 @@ def posets(draw, max_size: int = 7):
     else:
         chosen = []
     return build_poset(labels, [(labels[i], labels[j]) for i, j in chosen])
+
+
+def mask_rows(matrix):
+    """Row i of a boolean matrix as a bitset: bit j is ``matrix[i, j]``."""
+    packed = np.packbits(np.asarray(matrix, dtype=bool), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def leq_matrix(P):
+    """P's reflexive order as a boolean matrix: [i, j] when i is below or equal to j."""
+    return P.lt | np.eye(P.n, dtype=bool)
 
 
 @pytest.fixture(scope="session")

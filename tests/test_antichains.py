@@ -9,6 +9,7 @@ from posetforge import (
     antichain_ideal_poset,
     build_poset,
     chain_poset,
+    discrete_poset,
     find_isomorphism,
     grid_poset,
     has_order_matching,
@@ -21,7 +22,7 @@ from posetforge.minuscule import SpinD, minuscule_poset
 from posetforge.poset import _bits, _check_order
 from posetforge.sequences import gale_poset
 
-from conftest import posets
+from conftest import leq_matrix, posets
 
 
 def bowtie():
@@ -97,6 +98,20 @@ def test_size_mismatch():
     P = bowtie()
     with pytest.raises(SizeMismatch):
         is_exchange_cover(P.antichain(["a"]), P.antichain(["a", "b"]))
+
+
+def test_matching_rejects_antichains_of_another_poset():
+    # {1} and {2} of the 2-element antichain have no matching there, though
+    # in the chain 1 < 2 they would
+    C, D = chain_poset(2), discrete_poset(2)
+    A, B = D.antichain(["1"]), D.antichain(["2"])
+    assert not has_order_matching(D, A, B)
+    with pytest.raises(ValueError, match="do not live"):
+        has_order_matching(C, A, B)
+    with pytest.raises(ValueError, match="do not live"):
+        has_order_matching(C, C.antichain(["1"]), B)
+    # an equal poset built separately is the same poset
+    assert has_order_matching(chain_poset(2), C.antichain(["1"]), C.antichain(["2"]))
 
 
 # -- the exchange poset ---------------------------------------------------------
@@ -250,8 +265,9 @@ def matching_oracle(P, A, B):
 
     left = A.indices
     right = B.indices
+    leq = leq_matrix(P)
     return any(
-        all(P.leq[u, v] for u, v in zip(left, perm))
+        all(leq[u, v] for u, v in zip(left, perm))
         for perm in permutations(right)
     )
 

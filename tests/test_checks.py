@@ -85,9 +85,17 @@ def test_fault_injection_fails_loudly(monkeypatch):
 
 
 def test_overrides_only_reach_matching_checks():
-    reports = run_all({**TINY_CAPS, "extra_cap_nobody_has": 3})
-    # silently ignored by run_all (filtered per check), still all green
+    # a key that no check takes is an error, not silently ignored
+    with pytest.raises(BadParameters, match="'extra_cap_nobody_has'"):
+        run_all({**TINY_CAPS, "extra_cap_nobody_has": 3})
+    with pytest.raises(BadParameters, match="'max_sise'"):
+        run_all({"max_sise": 8})
+    # each known key is filtered per check, and all stay green
+    reports = run_all(TINY_CAPS)
     assert all(r.passed for r in reports)
+    for r in reports:
+        defaults = check_defaults(r.check_id)
+        assert r.parameters == {**defaults, **{k: v for k, v in TINY_CAPS.items() if k in defaults}}
 
 
 def test_every_certificate_is_json_serializable():

@@ -4,8 +4,11 @@ import subprocess
 import sys
 import warnings
 
-from posetforge import SizeLimitExceeded, poset_from_dict
+from posetforge import SizeLimitExceeded, antichain_ideal_poset, poset_from_dict
+from posetforge.checks import check_defaults
 from posetforge.cli import _read_poset, main, to_dot
+
+TINY = {"a": 1, "b": 1, "n": 1, "m": 0, "max_size": 2}
 
 BOWTIE = {
     "elements": ["a", "b", "c", "d", "e"],
@@ -241,13 +244,15 @@ def test_export_dot(monkeypatch, capsys):
     assert "rank=same" in out
 
 
-def test_ak_dot_output(monkeypatch, capsys):
-    code, out, _ = run_main(
-        ["ak", "2", "--order", "j", "--dot"], json.dumps(BOWTIE), monkeypatch, capsys
-    )
+def test_ak_piped_into_export_dot(monkeypatch, capsys):
+    code, order, _ = run_main(["ak", "2", "--order", "j"], json.dumps(BOWTIE), monkeypatch, capsys)
+    assert code == 0
+    code, out, _ = run_main(["export-dot"], order, monkeypatch, capsys)
     assert code == 0
     assert out.startswith("digraph poset {")
     assert '"{a,b}" -> "{d,e}";' in out
+    # the JSON between the stages keeps labels and covers, so the DOT is that of the order itself
+    assert out == to_dot(antichain_ideal_poset(poset_from_dict(BOWTIE), 2))
 
 
 def test_to_dot_escapes_quotes():
@@ -273,14 +278,17 @@ def test_verify_bad_param(capsys):
     assert main(["verify", "gale-rank-covers", "--param", "n=zz"]) == 2
 
 
-def test_verify_all_rejects_param_no_check_takes(monkeypatch, capsys):
+def test_verify_all_rejects_param_no_check_takes(capsys):
     assert main(["verify", "all", "--param", "max_sise=8", "--param", "n=1"]) == 2
     err = capsys.readouterr().err
     assert "'max_sise'" in err and "'n'" not in err
-    # a cap from the environment stays lenient: it reaches the checks that take it
-    monkeypatch.setenv("POSETFORGE_CAPS", "a=1,b=1,n=1,m=0,max_sise=8")
-    assert main(["verify", "all", "--param", "max_size=2"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "20/20 checks passed"
+    # each known key reaches only the checks that take it
+    assert main(["verify", "all", "--json", *[f"--param={k}={v}" for k, v in TINY.items()]]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 20 and all(r["verdict"] == "pass" for r in reports)
+    for r in reports:
+        defaults = check_defaults(r["check_id"])
+        assert r["parameters"] == {**defaults, **{k: v for k, v in TINY.items() if k in defaults}}
 
 
 def test_verify_json_reports_parameters(capsys):
@@ -299,17 +307,11 @@ def test_verify_list(capsys):
     assert "e7-self-map" in out
 
 
-def test_caps_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("POSETFORGE_CAPS", "n=3")
-    code = main(["verify", "gale-rank-covers", "--json"])
-    out, _ = capsys.readouterr()
-    assert code == 0
-    assert json.loads(out)[0]["parameters"] == {"n": 3}
-
-
-def test_caps_env_var_malformed(monkeypatch, capsys):
-    monkeypatch.setenv("POSETFORGE_CAPS", "n~3")
-    assert main(["verify", "gale-rank-covers"]) == 2
+def test_caps_come_only_from_param(monkeypatch, capsys):
+    # the retired POSETFORGE_CAPS variable is read by nothing
+    monkeypatch.setenv("POSETFORGE_CAPS", "n=3,bogus~")
+    assert main(["verify", "gale-rank-covers", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["parameters"] == check_defaults("gale-rank-covers")
 
 
 def test_self_identification_workflow(tmp_path):
@@ -399,16 +401,16 @@ def test_pipeline_commands_never_import_numpy(tmp_path):
     assert done.stdout.split() == ["False"]
 
 
-def test_verify_all_reports_every_check_when_one_hits_a_cap(monkeypatch, capsys, raise_in_check):
-    monkeypatch.setenv("POSETFORGE_CAPS", "a=1,b=1,n=1,m=0,max_size=2")
+def test_verify_all_reports_every_check_when_one_hits_a_cap(capsys, raise_in_check):
+    tiny = [f"--param={k}={v}" for k, v in TINY.items()]
     raise_in_check("durfee-product", SizeLimitExceeded("capped at 200"))
-    assert main(["verify", "all"]) == 3
+    assert main(["verify", "all", *tiny]) == 3
     out, _ = capsys.readouterr()
     lines = out.splitlines()
     assert len(lines) == 21 and lines[-1] == "19/20 checks passed"
     assert [l.split()[0] for l in lines[:-1]].count("pass") == 19
     assert "SizeLimitExceeded: capped at 200" in out
-    assert main(["verify", "all", "--json"]) == 3
+    assert main(["verify", "all", "--json", *tiny]) == 3
     reports = json.loads(capsys.readouterr()[0])
     errors = [r for r in reports if "error" in r]
     assert len(reports) == 20 and [r["verdict"] for r in errors] == ["error"]
@@ -425,9 +427,8 @@ def test_verify_exit_codes_for_check_errors(capsys, raise_in_check):
     assert main(["verify", "five-element-example", "--param", "n=1"]) == 2
 
 
-def test_key_value_errors_name_their_source(monkeypatch, capsys):
+def test_key_value_errors_name_their_source(capsys):
     assert main(["verify", "gale-rank-covers", "--param", "n~3"]) == 2
     assert "--param" in capsys.readouterr().err
-    monkeypatch.setenv("POSETFORGE_CAPS", "n=zz")
-    assert main(["verify", "gale-rank-covers"]) == 2
-    assert "POSETFORGE_CAPS" in capsys.readouterr().err
+    assert main(["verify", "gale-rank-covers", "--param", "n=zz"]) == 2
+    assert "--param" in capsys.readouterr().err

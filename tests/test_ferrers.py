@@ -90,6 +90,15 @@ def test_diagram_validation():
     assert FerrersDiagram((2, 0), (2, 2)).label == "(2)"
 
 
+@pytest.mark.parametrize("box", [(-1, 0), (0, -1), (-2, 3), (3, -2)], ids=str)
+def test_negative_box_sides_are_rejected(box):
+    with pytest.raises(BadParameters, match="nonnegative"):
+        FerrersDiagram((), box)
+    # (-2, 3) and (3, -2) enumerate no diagram at all, so the box is checked up front
+    with pytest.raises(BadParameters, match="nonnegative"):
+        diagrams_in_box(*box)
+
+
 def test_durfee_poset_sizes_in_2x2():
     # exactly the product-of-Gale-orders counts
     assert [durfee_poset(2, 2, k).n for k in range(3)] == [1, 4, 1]

@@ -20,6 +20,8 @@ from posetforge import (
 )
 from posetforge.poset import _bits
 
+from conftest import leq_matrix
+
 
 def pentagon():
     return build_poset(
@@ -123,12 +125,13 @@ def test_singleton_distributive():
 def bounds_oracle(P, x, y, direction):
     """glb/lub straight from the definition: the unique bound above/below
     every other common bound."""
+    leq = leq_matrix(P)
     if direction == "meet":
-        common = [z for z in range(P.n) if P.leq[z, x] and P.leq[z, y]]
-        best = [z for z in common if all(P.leq[w, z] for w in common)]
+        common = [z for z in range(P.n) if leq[z, x] and leq[z, y]]
+        best = [z for z in common if all(leq[w, z] for w in common)]
     else:
-        common = [z for z in range(P.n) if P.leq[x, z] and P.leq[y, z]]
-        best = [z for z in common if all(P.leq[z, w] for w in common)]
+        common = [z for z in range(P.n) if leq[x, z] and leq[y, z]]
+        best = [z for z in common if all(leq[z, w] for w in common)]
     return best[0] if len(best) == 1 else -1
 
 
@@ -195,9 +198,9 @@ def table_first_verdict(P):
                 if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
                     failure = {"reason": "distributivity fails", "triple": [P.labels[v] for v in (x, y, z)]}
                     return {"distributive": False, "is_lattice": True, "failure": failure}
-    irr = join_irreducibles(P)
+    irr, leq = join_irreducibles(P), leq_matrix(P)
     forward = {
-        lab: irr.subset_label(p for p, q in enumerate(irr.labels) if P.leq[P.index(q), x])
+        lab: irr.subset_label(p for p, q in enumerate(irr.labels) if leq[P.index(q), x])
         for x, lab in enumerate(P.labels)
     }
     witness = PosetIso(forward, {v: k for k, v in forward.items()})

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from posetforge import (
     Antichain,
+    BadParameters,
     CycleDetected,
     DuplicateLabel,
     Grid,
@@ -42,7 +45,6 @@ from posetforge.poset import (
     _bits,
     _image,
     _initial_colours,
-    _mask_rows,
     _match,
     _refine,
     mapped_order_equal,
@@ -50,7 +52,7 @@ from posetforge.poset import (
 )
 from posetforge.roots import positive_roots
 
-from conftest import posets
+from conftest import leq_matrix, mask_rows, posets
 
 
 def bowtie():
@@ -186,33 +188,62 @@ def test_build_unknown_label():
         build_poset(["a"], [("a", "z")])
 
 
-def test_direct_constructor_rejects_unclosed_relation():
-    from posetforge.poset import Poset
+def test_direct_constructor_accepts_a_closed_order():
+    P = Poset(["a", "b", "c"], [0b110, 0b100, 0])
+    assert P == chain_poset(3).relabeled(["a", "b", "c"])
+    assert P.covers() == [("a", "b"), ("b", "c")]
+    assert Poset([], []).n == 0
 
-    lt = np.zeros((3, 3), dtype=bool)
-    lt[0, 1] = lt[1, 2] = True  # missing 0 < 2
-    with pytest.raises(ValueError):
-        Poset(["a", "b", "c"], lt)
+
+@pytest.mark.parametrize(
+    "up, match",
+    [
+        ([0b10], "need 2 up-set rows, got 1"),
+        ([0b10, 0, 0], "need 2 up-set rows, got 3"),
+        ([-1, 0], "row 0"),  # _bits(-1) never ends, so this must be caught first
+        ([0, 0b100], "row 1"),  # a bit past the last element
+        ([0b10, 1.0], "row 1"),  # not an int
+    ],
+    ids=["too-few", "too-many", "negative", "past-n", "not-int"],
+)
+def test_direct_constructor_rejects_malformed_rows(up, match):
+    with pytest.raises(ValueError, match=match):
+        Poset(["a", "b"], up)
+
+
+def test_direct_constructor_rejects_unclosed_relation():
+    with pytest.raises(ValueError, match="transitively closed"):
+        Poset(["a", "b", "c"], [0b010, 0b100, 0])  # missing a < c
 
 
 def test_direct_constructor_rejects_relation_missing_a_pair_with_256_paths():
     # 0 < m < 257 for all 256 middles m, but no 0 < 257: a path count of
     # 256 must not read as "no path"
-    from posetforge.poset import Poset
-
-    lt = np.zeros((258, 258), dtype=bool)
-    lt[0, 1:257] = lt[1:257, 257] = True
-    with pytest.raises(ValueError):
-        Poset([str(i) for i in range(258)], lt)
+    middles = (1 << 257) - 2
+    up = [middles, *[1 << 257] * 256, 0]
+    with pytest.raises(ValueError, match="transitively closed"):
+        Poset([str(i) for i in range(258)], up)
+    Poset([str(i) for i in range(258)], [middles | 1 << 257, *up[1:]])  # closed, accepted
 
 
 def test_direct_constructor_rejects_cycles():
-    from posetforge.poset import Poset
+    with pytest.raises(CycleDetected):
+        Poset(["a", "b"], [0b10, 0b01])
+    with pytest.raises(CycleDetected):
+        Poset(["a", "b"], [0b01, 0])  # a reflexive pair
 
-    with pytest.raises(CycleDetected):
-        Poset(["a", "b"], np.array([[False, True], [True, False]]))
-    with pytest.raises(CycleDetected):
-        Poset(["a", "b"], np.array([[True, False], [False, False]]))
+
+def test_direct_constructor_leaves_numpy_unloaded():
+    script = (
+        "import sys\n"
+        "from posetforge.poset import Poset\n"
+        "P = Poset(['a', 'b', 'c'], [0b110, 0b100, 0])\n"
+        "assert P.covers() == [('a', 'b'), ('b', 'c')]\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_transitive_closure_of_bitsets():
@@ -278,6 +309,13 @@ def test_transitive_closure_output_is_an_order(succ):
 
 def test_chain_covers():
     assert chain_poset(3).covers() == [("1", "2"), ("2", "3")]
+
+
+@pytest.mark.parametrize("build", [chain_poset, discrete_poset])
+def test_negative_element_counts_are_rejected(build):
+    with pytest.raises(BadParameters, match="-3"):
+        build(-3)
+    assert build(0).n == 0
 
 
 def test_long_chain_cover_count():
@@ -365,10 +403,10 @@ def test_product_associative_up_to_iso(corpus5):
 
 def kron_product_reference(P, Q):
     """The product as the Kronecker product of the two closed order matrices."""
-    leq = np.kron(P.leq.astype(np.uint8), Q.leq.astype(np.uint8)).astype(bool)
+    leq = np.kron(leq_matrix(P).astype(np.uint8), leq_matrix(Q).astype(np.uint8)).astype(bool)
     lt = leq & ~np.eye(P.n * Q.n, dtype=bool)
     labels = [f"({p},{q})" for p in P.labels for q in Q.labels]
-    return tuple(labels), _mask_rows(lt)
+    return tuple(labels), mask_rows(lt)
 
 
 def broadcast_componentwise_reference(labels, rows):
@@ -378,7 +416,7 @@ def broadcast_componentwise_reference(labels, rows):
     arr = np.array(rows, dtype=np.int64)
     lt = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
     np.fill_diagonal(lt, False)
-    return tuple(labels), _mask_rows(lt)
+    return tuple(labels), mask_rows(lt)
 
 
 def test_product_matches_kron_reference(corpus4):
@@ -796,7 +834,7 @@ def test_iso_found_on_shuffled_copy(P, perm):
     for i in range(P.n):
         for j in range(P.n):
             lt[order[i], order[j]] = P.lt[i, j]
-    Q = Poset([f"y{i}" for i in range(P.n)], lt)
+    Q = Poset([f"y{i}" for i in range(P.n)], mask_rows(lt))
     iso = find_isomorphism(P, Q)
     assert iso is not None and iso.verify(P, Q)
 
@@ -921,7 +959,7 @@ def bulk_map_reference(P, Q, label_map):
     if P.n != Q.n or set(label_map) != set(P.labels) or set(label_map.values()) != set(Q.labels):
         return False
     img = [Q.index(label_map[lab]) for lab in P.labels]
-    return _mask_rows(Q.lt[np.ix_(img, img)]) == P.up
+    return mask_rows(Q.lt[np.ix_(img, img)]) == P.up
 
 
 def test_mapped_order_equal_matches_bulk_reference(corpus6):
