@@ -6,8 +6,11 @@ reflexive transitive closure of single-element replacement: A steps to B
 when B = A \\ {a} u {b} for a strictly below b.  The exchange order is
 coarser than the ideal order in general, and its covering pairs are
 exactly the single replacements along covering pairs of the host poset;
-that characterization drives the default edge generation, with the
-all-replacements closure kept alongside as an independent route.
+that characterization drives the default edge generation, whose steps are
+handed to the result as its covers, with the all-replacements closure,
+whose covers are derived from it, kept alongside as an independent route.
+Both orders at one k share the host's one enumeration of the size-k
+antichains, and their "{a,b}" labels are built on first read.
 """
 
 from __future__ import annotations
@@ -51,12 +54,17 @@ def _exchange_edges(P: Poset, masks: list[int], *, covers_only: bool) -> list[in
     comp = [u | d for u, d in zip(P.up, P.down)]
     succ = []
     for m in masks:
-        out = 0
-        for a in _bits(m):
-            rest = m & ~(1 << a)
-            for b in _bits(step_from[a]):
-                if comp[b] & rest == 0:
-                    out |= 1 << pos[rest | (1 << b)]
+        out, members = 0, m
+        while members:
+            low = members & -members
+            rest = m ^ low
+            steps = step_from[low.bit_length() - 1]
+            while steps:
+                high = steps & -steps
+                if comp[high.bit_length() - 1] & rest == 0:
+                    out |= 1 << pos[rest | high]
+                steps ^= high
+            members ^= low
         succ.append(out)
     return succ
 
@@ -68,14 +76,23 @@ def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Pose
     (sufficient, since every exchange-order cover has that shape);
     ``edges="all"`` closes over every strict replacement and exists as
     an independent cross-check.  Empty poset when k exceeds the width.
+
+    With ``edges="covers"`` the generated steps are exactly the covers of
+    the result, so they are kept as its ``cover_up``.  A step from A to
+    B = A - a + b, with a covered by b, cannot be split: composing the
+    order-compatible matchings along a chain A < C < B gives one from A
+    to B, which must fix A's other members (they form an antichain with
+    a) and send a to b, so C is A with a replaced by an element between
+    a and b, which is a or b.  Labels are built on first read.
     """
     if edges not in ("covers", "all"):
         raise ValueError(f"edges must be 'covers' or 'all', not {edges!r}")
     masks = P._antichain_masks(k)
     succ = _exchange_edges(P, masks, covers_only=(edges == "covers"))
-    up = transitive_closure(succ)
-    labels = [P.subset_label(_bits(m)) for m in masks]
-    return Poset._from_up(labels, up)
+    E = Poset._on_subsets(P, masks, transitive_closure(succ))
+    if edges == "covers":
+        E.cover_up = tuple(succ)
+    return E
 
 
 def antichain_ideal_poset(P: Poset, k: int) -> Poset:
@@ -84,13 +101,14 @@ def antichain_ideal_poset(P: Poset, k: int) -> Poset:
     down = P.down
     ideals = []
     for m in masks:
-        ideal = m
-        for i in _bits(m):
-            ideal |= down[i]
+        ideal, members = m, m
+        while members:
+            low = members & -members
+            ideal |= down[low.bit_length() - 1]
+            members ^= low
         ideals.append(ideal)
     # ideal(A) lies inside ideal(B) exactly when A does
-    labels = [P.subset_label(_bits(m)) for m in masks]
-    return Poset._from_up(labels, _inclusion_up(P.n, masks, ideals))
+    return Poset._on_subsets(P, masks, _inclusion_up(P.n, masks, ideals))
 
 
 @dataclass

@@ -19,6 +19,7 @@ increasing tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import BadParameters, NotAnAntichain
@@ -91,11 +92,24 @@ def diagrams_in_box(a: int, b: int) -> list[FerrersDiagram]:
     return [FerrersDiagram(h, (a, b)) for h in heights]
 
 
+@lru_cache(maxsize=16)
+def _diagrams_by_durfee_length(a: int, b: int) -> tuple[tuple[FerrersDiagram, ...], ...]:
+    """The box's diagrams grouped by Durfee length, each group in box order.
+
+    Kept per box, so the orders at every k of one box share one
+    enumeration; the checks build them for each k in turn.
+    """
+    groups: list[list[FerrersDiagram]] = [[] for _ in range(min(a, b) + 1)]
+    for d in diagrams_in_box(a, b):
+        groups[durfee_length(d)].append(d)
+    return tuple(map(tuple, groups))
+
+
 def durfee_poset(a: int, b: int, k: int) -> Poset:
     """Diagrams of Durfee length exactly k in the box, ordered by containment."""
     if k < 0 or k > min(a, b):
         raise BadParameters(f"Durfee length {k} does not fit in a {a}x{b} box")
-    diagrams = [d for d in diagrams_in_box(a, b) if durfee_length(d) == k]
+    diagrams = _diagrams_by_durfee_length(a, b)[k]
     padded = [[d.height(j) for j in range(1, b + 1)] for d in diagrams]
     return _componentwise_poset([d.label for d in diagrams], padded)
 

@@ -14,6 +14,11 @@ covers, on Python ints.  A poset grown by one new maximal element
 (``_add_maximal``, how the corpus is built) instead gets these views
 handed down from its parent, changed only where the new element reaches.
 The views are cached in the instance ``__dict__`` without a lock.
+The size-k antichains of the size asked for last are kept there too, so
+the orders built at one k share one enumeration.  An order on subsets of
+a host (``_on_subsets``: the antichain orders and ``ideals_poset``)
+builds its "{a,b}" labels on the first read of ``labels``; most of these
+orders are only compared by their rows.
 Products, the componentwise builder and the check of a map
 (``mapped_order_equal``, which compares mapped cover rows) run on Python
 ints too.  numpy is imported only to build the read-only matrix views
@@ -92,19 +97,30 @@ def transitive_closure(succ: Sequence[int]) -> tuple[int, ...]:
     n = len(succ)
     indegree = [0] * n
     for s in succ:
-        for j in _bits(s):
-            indegree[j] += 1
+        while s:
+            low = s & -s
+            indegree[low.bit_length() - 1] += 1
+            s ^= low
     order = [i for i in range(n) if indegree[i] == 0]
     for i in order:  # grows while it is read
-        for j in _bits(succ[i]):
+        s = succ[i]
+        while s:
+            low = s & -s
+            j = low.bit_length() - 1
             indegree[j] -= 1
             if indegree[j] == 0:
                 order.append(j)
+            s ^= low
     if len(order) < n:
         raise CycleDetected("relation has a cycle")
     up = [0] * n
     for i in reversed(order):
-        up[i] = reduce(or_, (up[j] for j in _bits(succ[i])), succ[i])
+        row = s = succ[i]
+        while s:
+            low = s & -s
+            row |= up[low.bit_length() - 1]
+            s ^= low
+        up[i] = row
     return tuple(up)
 
 
@@ -120,14 +136,19 @@ def _inclusion_up(n: int, gens: Sequence[int], sets: Sequence[int]) -> list[int]
     # sets that contain all of gens[r]
     containing = [0] * n
     for s, m in enumerate(sets):
-        for i in _bits(m):
-            containing[i] |= 1 << s
+        bit = 1 << s
+        while m:
+            low = m & -m
+            containing[low.bit_length() - 1] |= bit
+            m ^= low
     every = (1 << len(sets)) - 1
     up = []
     for r, g in enumerate(gens):
         row = every & ~(1 << r)
-        for i in _bits(g):
-            row &= containing[i]
+        while g:
+            low = g & -g
+            row &= containing[low.bit_length() - 1]
+            g ^= low
         up.append(row)
     return up
 
@@ -234,10 +255,19 @@ class Poset:
     1
     """
 
+    def __new__(cls, *args, **kwargs):
+        P = super().__new__(cls)
+        # the first attribute of every instance, so that keeping antichains
+        # later adds no key: a key added late can turn the key-sharing
+        # instance dict into a private one, 320 bytes more on each of the
+        # corpus's long-lived posets
+        P._antichains_kept = None
+        return P
+
     def __init__(self, labels: Iterable[str], up: Sequence[int]):
         """Validate strict up-set rows: bit j of ``up[i]`` when i lies below j."""
         self.labels = _distinct(labels)
-        n, up = self.n, tuple(up)
+        n, up = len(self.labels), tuple(up)
         if len(up) != n:
             raise ValueError(f"need {n} up-set rows, got {len(up)}")
         for i, row in enumerate(up):
@@ -254,11 +284,41 @@ class Poset:
         P.up = tuple(up)
         return P
 
+    @classmethod
+    def _on_subsets(cls, host: "Poset", masks: Sequence[int], up: Sequence[int]) -> "Poset":
+        """An order on subsets of ``host``, given as bitmasks, from trusted up-set rows.
+
+        Element i is labelled ``host.subset_label(_bits(masks[i]))``, but
+        only on the first read of ``labels``; most orders built by the
+        checks are compared by their rows alone.  Host labels that contain
+        commas can give two subsets one label ("a" with "b,c" and "a,b"
+        with "c" both read "{a,b,c}"); that raises DuplicateLabel on the
+        first read of ``labels``, not here.
+        """
+        P = cls.__new__(cls)
+        P._subsets = (host.labels, masks)
+        P.up = tuple(up)
+        return P
+
     # -- basic accessors -------------------------------------------------
+
+    @_view
+    def labels(self) -> tuple[str, ...]:
+        """Element labels; built here only for an order made by ``_on_subsets``."""
+        host, masks = self._subsets
+        out = []
+        for m in masks:
+            parts = []
+            while m:
+                low = m & -m
+                parts.append(host[low.bit_length() - 1])
+                m ^= low
+            out.append("{" + ",".join(parts) + "}")
+        return _distinct(out)
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.up)
 
     def __len__(self) -> int:
         return self.n
@@ -393,9 +453,25 @@ class Poset:
         return Ideal(self, members)
 
     def _antichain_masks(self, k: int) -> list[int]:
-        """All size-k antichains as bitmasks, in index-lexicographic order."""
+        """All size-k antichains as bitmasks, in index-lexicographic order.
+
+        The list for the size asked last is kept, so the orders built at
+        one k share one enumeration; callers must not change it.  Only
+        one size is kept: the corpus
+        keeps its posets alive, and holding every size would grow with
+        the corpus (605,062 antichains on 8 points, against 56,848 of
+        maximum size).
+        """
         if k < 0:
             raise BadParameters(f"antichain size must be nonnegative, not {k}")
+        kept = self._antichains_kept
+        if kept is not None and kept[0] == k:
+            return kept[1]
+        out = self._enumerate_antichains(k)
+        self._antichains_kept = (k, out)
+        return out
+
+    def _enumerate_antichains(self, k: int) -> list[int]:
         if k == 0:
             return [0]
         comp = [u | d for u, d in zip(self.up, self.down)]
@@ -453,8 +529,7 @@ class Poset:
     def ideals_poset(self, cap: int = DEFAULT_IDEAL_CAP) -> "Poset":
         """The poset of all ideals ordered by containment."""
         masks = self.ideal_masks(cap)
-        labels = [self.subset_label(_bits(m)) for m in masks]
-        return Poset._from_up(labels, _inclusion_up(self.n, masks, masks))
+        return Poset._on_subsets(self, masks, _inclusion_up(self.n, masks, masks))
 
     # -- constructions -----------------------------------------------------
 

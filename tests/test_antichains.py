@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from posetforge import (
     BadParameters,
+    DuplicateLabel,
     SizeMismatch,
     antichain_exchange_poset,
     antichain_ideal_poset,
@@ -18,8 +21,8 @@ from posetforge import (
     is_exchange_cover,
     refinement_report,
 )
-from posetforge.minuscule import SpinD, minuscule_poset
-from posetforge.poset import _bits, _check_order
+from posetforge.minuscule import E6Kind, E7Kind, Grid, NaturalD, SpinD, minuscule_poset
+from posetforge.poset import Poset, _bits, _check_order
 from posetforge.sequences import gale_poset
 
 from conftest import leq_matrix, posets
@@ -304,3 +307,135 @@ def test_negative_antichain_size_is_rejected():
         with pytest.raises(BadParameters, match="-1"):
             call(-1)
         assert call(0) is not None
+
+
+# -- orders built once per size, labelled on first read --------------------------
+
+# the hosts of the benchmark's minuscule ladder
+LADDER_KINDS = (Grid(5, 5), Grid(6, 6), SpinD(8), SpinD(9), NaturalD(7), E6Kind(), E7Kind())
+
+
+def antichain_masks_reference(P, k):
+    """Size-k antichains in index-lexicographic order, grown one size at a time."""
+    comp = [u | d | 1 << i for i, (u, d) in enumerate(zip(P.up, P.down))]
+    level = [0]
+    for _ in range(k):
+        level = [m | 1 << j for m in level for j in range(m.bit_length(), P.n) if not comp[j] & m]
+    return level
+
+
+def reachability_reference(succ):
+    """Strict up-sets of a DAG, by a search from each vertex."""
+    up = []
+    for i in range(len(succ)):
+        seen, todo = 0, [i]
+        while todo:
+            for j in _bits(succ[todo.pop()] & ~seen):
+                seen |= 1 << j
+                todo.append(j)
+        up.append(seen)
+    return tuple(up)
+
+
+def eager_orders_reference(P, k):
+    """(labels, exchange up, ideal up) with labels built eagerly by ``subset_label``."""
+    masks = antichain_masks_reference(P, k)
+    pos = {m: i for i, m in enumerate(masks)}
+    labels = tuple(P.subset_label(_bits(m)) for m in masks)
+    succ = []
+    for m in masks:
+        row = 0
+        for a in _bits(m):
+            for b in _bits(P.up[a]):
+                s = m & ~(1 << a) | 1 << b
+                if s in pos:
+                    row |= 1 << pos[s]
+        succ.append(row)
+    ideals = [m | _or_rows(P.down, m) for m in masks]
+    ideal_up = tuple(
+        sum(1 << j for j, J in enumerate(ideals) if j != i and I & ~J == 0) for i, I in enumerate(ideals)
+    )
+    return labels, reachability_reference(succ), ideal_up
+
+
+def _or_rows(rows, mask):
+    out = 0
+    for i in _bits(mask):
+        out |= rows[i]
+    return out
+
+
+def assert_orders_match_eager_reference(P):
+    for k in range(P.width() + 2):
+        labels, exchange_up, ideal_up = eager_orders_reference(P, k)
+        for E in (antichain_exchange_poset(P, k), antichain_exchange_poset(P, k, edges="all")):
+            assert E.labels == labels and E.up == exchange_up
+        I = antichain_ideal_poset(P, k)
+        assert I.labels == labels and I.up == ideal_up
+
+
+def test_orders_match_eager_reference_on_corpus6(corpus6):
+    for P in corpus6:
+        assert_orders_match_eager_reference(P)
+
+
+@pytest.mark.parametrize("kind", LADDER_KINDS, ids=repr)
+def test_orders_match_eager_reference_on_ladder_hosts(kind):
+    assert_orders_match_eager_reference(minuscule_poset(kind))
+
+
+def test_ideals_poset_matches_eager_reference_on_corpus6(corpus6):
+    for P in corpus6:
+        J = P.ideals_poset()
+        masks = sorted(
+            (m for m in range(1 << P.n) if _or_rows(P.down, m) & ~m == 0),
+            key=lambda m: (m.bit_count(), tuple(_bits(m))),
+        )
+        assert J.labels == tuple(P.subset_label(_bits(m)) for m in masks)
+        assert J.up == tuple(
+            sum(1 << j for j, N in enumerate(masks) if j != i and M & ~N == 0)
+            for i, M in enumerate(masks)
+        )
+
+
+def handed_down_covers_match_derived(E):
+    return E.__dict__["cover_up"] == Poset._from_up(E.labels, E.up).cover_up
+
+
+def test_handed_down_covers_match_derived_covers_on_corpus7(corpus7):
+    for P in corpus7:
+        for k in range(P.width() + 1):
+            assert handed_down_covers_match_derived(antichain_exchange_poset(P, k))
+
+
+@pytest.mark.parametrize("kind", [Grid(6, 6), SpinD(9)], ids=repr)
+def test_handed_down_covers_match_derived_covers_on_large_orders(kind):
+    E = antichain_exchange_poset(minuscule_poset(kind), 3)
+    assert E.n > 300
+    assert handed_down_covers_match_derived(E)
+
+
+def test_antichain_masks_in_any_order_of_sizes_match_a_fresh_enumeration(corpus6):
+    rng = random.Random(17)
+    hosts = [P for P in corpus6 if P.width() >= 2][::7] + [grid_poset(4, 4), bowtie()]
+    for P in hosts:
+        sizes = list(range(P.width() + 2)) * 3
+        rng.shuffle(sizes)
+        for k in sizes:
+            fresh = Poset._from_up(P.labels, P.up)
+            assert P._antichain_masks(k) == fresh._antichain_masks(k) == antichain_masks_reference(P, k)
+
+
+def test_colliding_subset_labels_raise_on_first_read():
+    # {a, "b,c"} and {"a,b", c} are both labelled {a,b,c}
+    P = Poset(["a", "b,c", "a,b", "c"], [0, 0, 0, 0])
+    for order in (
+        antichain_exchange_poset(P, 2),
+        antichain_exchange_poset(P, 2, edges="all"),
+        antichain_ideal_poset(P, 2),
+    ):
+        assert order.n == 6
+        with pytest.raises(DuplicateLabel, match=r"\{a,b,c\}"):
+            order.labels
+    # one subset per label at k=1, so no collision there
+    assert antichain_exchange_poset(P, 1).labels == ("{a}", "{b,c}", "{a,b}", "{c}")

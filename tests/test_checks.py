@@ -5,7 +5,7 @@ import pytest
 
 import posetforge.antichains
 import posetforge.minuscule
-from posetforge import BadParameters, SizeLimitExceeded, UnknownCheck, chain_poset, checks
+from posetforge import BadParameters, SizeLimitExceeded, UnknownCheck, build_poset, chain_poset, checks
 from posetforge.checks import check_defaults, registered_checks, run_all, run_check
 
 TINY_CAPS = {"a": 1, "b": 1, "n": 1, "m": 0, "max_size": 2}
@@ -210,3 +210,71 @@ def test_exchange_order_basics_matches_once_per_cover(monkeypatch, five_element_
     exchange = posetforge.antichains.antichain_exchange_poset
     covers = [pair for k in range(P.width() + 1) for pair in exchange(P, k).covers()]
     assert sorted(calls) == sorted(covers) and len(calls) == len(set(calls))
+
+
+def _patch_exchange_steps(monkeypatch, change, *, modes):
+    """Apply ``change`` to the successor rows that ``_exchange_edges`` returns in ``modes``."""
+    edges = posetforge.antichains._exchange_edges
+
+    def patched(P, masks, *, covers_only):
+        succ = edges(P, masks, covers_only=covers_only)
+        return change(succ) if ("covers" if covers_only else "all") in modes else succ
+
+    monkeypatch.setattr(posetforge.antichains, "_exchange_edges", patched)
+
+
+def _drop_first_step(succ):
+    # unchanged when there is no step, as at k = 0
+    i = next((i for i, row in enumerate(succ) if row), None)
+    return [row & row - 1 if r == i else row for r, row in enumerate(succ)]
+
+
+def _add_a_two_step(succ):
+    # i -> j -> l made a step i -> l: the closure stays, the steps are no longer covers
+    for i, row in enumerate(succ):
+        for j in posetforge.poset._bits(row):
+            if succ[j]:
+                out = list(succ)
+                out[i] |= succ[j] & -succ[j]
+                return out
+    return succ
+
+
+@pytest.mark.parametrize(
+    "change, modes",
+    [(_drop_first_step, {"covers", "all"}), (_drop_first_step, {"covers"}), (_add_a_two_step, {"covers"})],
+    ids=["drop-both-routes", "drop-covers-route", "add-a-two-step"],
+)
+def test_exchange_order_basics_fails_on_a_changed_swap(monkeypatch, five_element_only, change, modes):
+    assert run_check("exchange-order-basics").passed
+    _patch_exchange_steps(monkeypatch, change, modes=modes)
+    report = run_check("exchange-order-basics")
+    assert report.verdict == "fail", report.certificate
+
+
+def test_exchange_order_basics_fails_on_a_dropped_swap_in_the_corpus(monkeypatch):
+    # no fixture: the corpus and the families at small caps, as verify runs them
+    caps = {"max_size": 4, "a": 2, "b": 2, "n": 2, "m": 1}
+    assert run_check("exchange-order-basics", caps).passed
+    _patch_exchange_steps(monkeypatch, _drop_first_step, modes={"covers", "all"})
+    assert run_check("exchange-order-basics", caps).verdict == "fail"
+
+
+def test_a_swap_dropped_from_both_routes_is_caught_by_the_derived_covers(monkeypatch):
+    # 1 < 2 beside 3, with {1,3} < {2,3} lost from both routes at k = 2 only: the
+    # routes agree, and only the swaps the check lists itself, compared with
+    # E_all's derived covers, see it (at k = 1 the isomorphism to P would)
+    monkeypatch.setattr(
+        checks, "_corpus_and_minuscule", lambda *caps: [build_poset(["1", "2", "3"], [("1", "2")])]
+    )
+    assert run_check("exchange-order-basics").passed
+    edges = posetforge.antichains._exchange_edges
+
+    def patched(P, masks, *, covers_only):
+        succ = edges(P, masks, covers_only=covers_only)
+        return _drop_first_step(succ) if masks and masks[0].bit_count() == 2 else succ
+
+    monkeypatch.setattr(posetforge.antichains, "_exchange_edges", patched)
+    example = run_check("exchange-order-basics").certificate["counterexample"]
+    assert example["reason"] == "cover characterization mismatch"
+    assert (example["k"], example["pair"]) == (2, ["{1,3}", "{2,3}"])

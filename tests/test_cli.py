@@ -244,6 +244,17 @@ def test_export_dot(monkeypatch, capsys):
     assert "rank=same" in out
 
 
+def test_ak_names_colliding_subset_labels(monkeypatch, capsys):
+    # {a, "b,c"} and {"a,b", c} are both labelled {a,b,c}
+    commas = {"elements": ["a", "b,c", "a,b", "c"], "relations": []}
+    code, built, _ = run_main(["build"], json.dumps(commas), monkeypatch, capsys)
+    assert code == 0
+    for order in ("k", "j"):
+        code, out, err = run_main(["ak", "2", "--order", order], built, monkeypatch, capsys)
+        assert code != 0 and out == ""
+        assert "{a,b,c}" in err
+
+
 def test_ak_piped_into_export_dot(monkeypatch, capsys):
     code, order, _ = run_main(["ak", "2", "--order", "j"], json.dumps(BOWTIE), monkeypatch, capsys)
     assert code == 0

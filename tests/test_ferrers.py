@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from posetforge import (
@@ -16,7 +18,8 @@ from posetforge import (
     spin_antichain_merge,
     split_grid_antichain,
 )
-from posetforge.poset import grid_points, point_label
+from posetforge import ferrers
+from posetforge.poset import _componentwise_poset, grid_points, point_label
 
 
 def durfee_oracle(d: FerrersDiagram) -> int:
@@ -137,6 +140,23 @@ def test_durfee_poset_matches_containment_oracle():
                 D = durfee_poset(a, b, k)
                 assert D.labels == tuple(d.label for d in level)
                 assert D.up == up, (a, b, k)
+
+
+def test_durfee_poset_enumerates_each_box_once(monkeypatch):
+    calls = Counter()
+    enumerate_box = ferrers.diagrams_in_box
+    monkeypatch.setattr(ferrers, "diagrams_in_box", lambda a, b: calls.update([(a, b)]) or enumerate_box(a, b))
+    ferrers._diagrams_by_durfee_length.cache_clear()
+    for a in range(6):
+        for b in range(6):
+            for k in range(min(a, b) + 1):
+                # the per-k filter over the whole box
+                level = [d for d in enumerate_box(a, b) if durfee_length(d) == k]
+                rows = [[d.height(j) for j in range(1, b + 1)] for d in level]
+                expected = _componentwise_poset([d.label for d in level], rows)
+                D = durfee_poset(a, b, k)
+                assert (D.labels, D.up) == (expected.labels, expected.up), (a, b, k)
+    assert calls == Counter({(a, b): 1 for a in range(6) for b in range(6)})
 
 
 def test_decompose_full_square():
