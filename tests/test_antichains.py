@@ -352,10 +352,12 @@ def eager_orders_reference(P, k):
                     row |= 1 << pos[s]
         succ.append(row)
     ideals = [m | _or_rows(P.down, m) for m in masks]
-    ideal_up = tuple(
-        sum(1 << j for j, J in enumerate(ideals) if j != i and I & ~J == 0) for i, I in enumerate(ideals)
-    )
-    return labels, reachability_reference(succ), ideal_up
+    return labels, reachability_reference(succ), inclusion_reference(ideals)
+
+
+def inclusion_reference(sets):
+    """Strict up-sets of distinct sets under inclusion, pair by pair."""
+    return tuple(sum(1 << j for j, T in enumerate(sets) if j != i and S & ~T == 0) for i, S in enumerate(sets))
 
 
 def _or_rows(rows, mask):
@@ -392,10 +394,7 @@ def test_ideals_poset_matches_eager_reference_on_corpus6(corpus6):
             key=lambda m: (m.bit_count(), tuple(_bits(m))),
         )
         assert J.labels == tuple(P.subset_label(_bits(m)) for m in masks)
-        assert J.up == tuple(
-            sum(1 << j for j, N in enumerate(masks) if j != i and M & ~N == 0)
-            for i, M in enumerate(masks)
-        )
+        assert J.up == inclusion_reference(masks)
 
 
 def handed_down_covers_match_derived(E):
