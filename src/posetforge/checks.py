@@ -6,7 +6,8 @@ type-A root poset, at parameter caps small enough for the whole suite to
 run in well under a minute.  A passing existential check carries a
 witness (an isomorphism map); a passing universal check carries an
 exhaustion statement (what was enumerated); a failing check carries a
-counterexample.  Caps are overridable per run.
+counterexample.  Caps are overridable per run.  No check searches for a
+map it can name ({x} -> x is A_1(P) = P; a swap is its own matching).
 """
 
 from __future__ import annotations
@@ -153,6 +154,11 @@ def _five_element_example() -> Poset:
         ["a", "b", "c", "d", "e"],
         [("a", "c"), ("b", "c"), ("c", "d"), ("c", "e")],
     )
+
+
+def _is_singleton_copy(A1: Poset, P: Poset) -> bool:
+    """Whether x -> {x} maps P onto A1 = A_1(P); from P, so only A1 keeps a label index."""
+    return mapped_order_equal(P, A1, {x: "{" + x + "}" for x in P.labels})
 
 
 def _corpus_and_minuscule(max_size: int, a: int, b: int, n: int, m: int) -> list[Poset]:
@@ -363,7 +369,7 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
                 }
             if k == 0 and E.n != 1:
                 return False, {"counterexample": {"poset": P.covers(), "k": 0}}
-            if k == 1 and find_isomorphism(E, P) is None:
+            if k == 1 and not _is_singleton_copy(E, P):
                 return False, {
                     "counterexample": {"poset": P.covers(), "k": 1, "reason": "A_1 not iso to P"}
                 }
@@ -380,27 +386,23 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
                         "reason": "exchange relation missing from ideal order",
                     }
                 }
-            # the covers must be exactly the single-cover-step exchanges; matchings
-            # compose (a <= s(a) <= t(s(a))), so one per cover gives one per relation.
-            # E_all's covers are the ones derived from a closure, not generated
-            chains = P.antichains_of_size(k)
-            index = {A.mask: j for j, A in enumerate(chains)}
-            for i, A in enumerate(chains):
-                swaps = {A.mask & ~(1 << a) | 1 << b
-                         for a in _bits(A.mask) for b in _bits(P.cover_up[a])}
+            # E_all's covers, derived from a closure, must be the swaps A - a + b with b
+            # covering a in P; each has the matching a -> b with the rest fixed, and
+            # matchings compose (a <= s(a) <= t(s(a))), so every relation has one
+            masks = P._antichain_masks(k)
+            index = {mask: j for j, mask in enumerate(masks)}
+            for i, mask in enumerate(masks):
+                swaps = {mask & ~(1 << a) | 1 << b
+                         for a in _bits(mask) for b in _bits(P.cover_up[a])}
                 steps = sum(1 << index[s] for s in swaps if s in index)
-                covers = E_all.cover_up[i]
-                bad = [(j, "cover characterization mismatch") for j in _bits(steps ^ covers)]
-                bad += [(j, "no order-compatible matching")
-                        for j in _bits(covers) if not ac.has_order_matching(P, A, chains[j])]
-                if bad:
-                    j, reason = bad[0]
+                mismatch = steps ^ E_all.cover_up[i]
+                if mismatch:
                     return False, {
                         "counterexample": {
                             "poset": P.covers(),
                             "k": k,
-                            "pair": [E.labels[i], E.labels[j]],
-                            "reason": reason,
+                            "pair": [E.labels[i], E.labels[next(_bits(mismatch))]],
+                            "reason": "cover characterization mismatch",
                         }
                     }
             stats["relations"] += sum(u.bit_count() for u in E.up)
@@ -573,7 +575,7 @@ def _check_natural_family(m: int) -> tuple[bool, dict]:
             return False, {"counterexample": {"m": mm, "k": 2}}
         if ac.antichain_exchange_poset(P, 0).n != 1:
             return False, {"counterexample": {"m": mm, "k": 0}}
-        if find_isomorphism(ac.antichain_exchange_poset(P, 1), P) is None:
+        if not _is_singleton_copy(ac.antichain_exchange_poset(P, 1), P):
             return False, {"counterexample": {"m": mm, "k": 1}}
     return True, {"exhausted": {"max_m": m}}
 
@@ -586,7 +588,7 @@ def _check_e6_antichains() -> tuple[bool, dict]:
     P = minuscule.minuscule_poset(minuscule.E6Kind())
     if P.n != 16 or P.width() != 2:
         return False, {"counterexample": {"size": P.n, "width": P.width()}}
-    if find_isomorphism(ac.antichain_exchange_poset(P, 1), P) is None:
+    if not _is_singleton_copy(ac.antichain_exchange_poset(P, 1), P):
         return False, {"counterexample": {"k": 1}}
     E2 = ac.antichain_exchange_poset(P, 2)
     target = minuscule.minuscule_poset(minuscule.NaturalD(3))
@@ -607,7 +609,7 @@ def _check_e7_antichains() -> tuple[bool, dict]:
     P = minuscule.minuscule_poset(minuscule.E7Kind())
     if P.n != 27 or P.width() != 3:
         return False, {"counterexample": {"size": P.n, "width": P.width()}}
-    if find_isomorphism(ac.antichain_exchange_poset(P, 1), P) is None:
+    if not _is_singleton_copy(ac.antichain_exchange_poset(P, 1), P):
         return False, {"counterexample": {"k": 1}}
     E2 = ac.antichain_exchange_poset(P, 2)
     if E2.n != 27 or find_isomorphism(E2, P) is None:
@@ -690,14 +692,12 @@ def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
                 if len(img) != nn - 1 - k:
                     return False, {"counterexample": {"n": nn, "A": A.label}}
                 back = roots.panyushev_complement(img)
-                if back != A:
+                if back != A:  # an involution, so injective: no separate test
                     return False, {
                         "counterexample": {"n": nn, "A": A.label, "twice": back.label}
                     }
                 images[A.label] = img.label
                 checked += 1
-            if len(set(images.values())) != len(images):
-                return False, {"counterexample": {"n": nn, "k": k, "reason": "not injective"}}
             star[k] = images
         for k in range(nn):
             E = ac.antichain_exchange_poset(P, k)

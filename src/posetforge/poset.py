@@ -17,8 +17,8 @@ The views are cached in the instance ``__dict__`` without a lock.
 The size-k antichains of the size asked for last are kept there too, so
 the orders built at one k share one enumeration.  An order on subsets of
 a host (``_on_subsets``: the antichain orders and ``ideals_poset``)
-builds its "{a,b}" labels on the first read of ``labels``; most of these
-orders are only compared by their rows.
+builds its "{a,b}" labels, and reads the host's, on the first read of
+``labels``; most of these orders are only compared by their rows.
 Products, the componentwise builder and the check of a map
 (``mapped_order_equal``, which compares mapped cover rows) run on Python
 ints too.  numpy is imported only to build the read-only matrix views
@@ -288,15 +288,14 @@ class Poset:
     def _on_subsets(cls, host: "Poset", masks: Sequence[int], up: Sequence[int]) -> "Poset":
         """An order on subsets of ``host``, given as bitmasks, from trusted up-set rows.
 
-        Element i is labelled ``host.subset_label(_bits(masks[i]))``, but
-        only on the first read of ``labels``; most orders built by the
-        checks are compared by their rows alone.  Host labels that contain
-        commas can give two subsets one label ("a" with "b,c" and "a,b"
-        with "c" both read "{a,b,c}"); that raises DuplicateLabel on the
-        first read of ``labels``, not here.
+        Element i is labelled ``host.subset_label(_bits(masks[i]))``, from
+        the host's labels, only on the first read of ``labels``: most orders
+        are compared by their rows alone.  Host labels with commas can give
+        two subsets one label ("a" with "b,c" and "a,b" with "c" both read
+        "{a,b,c}"), which raises DuplicateLabel on that first read.
         """
         P = cls.__new__(cls)
-        P._subsets = (host.labels, masks)
+        P._subsets = (host, masks)
         P.up = tuple(up)
         return P
 
@@ -306,12 +305,13 @@ class Poset:
     def labels(self) -> tuple[str, ...]:
         """Element labels; built here only for an order made by ``_on_subsets``."""
         host, masks = self._subsets
+        names = host.labels
         out = []
         for m in masks:
             parts = []
             while m:
                 low = m & -m
-                parts.append(host[low.bit_length() - 1])
+                parts.append(names[low.bit_length() - 1])
                 m ^= low
             out.append("{" + ",".join(parts) + "}")
         return _distinct(out)

@@ -397,6 +397,15 @@ def test_ideals_poset_matches_eager_reference_on_corpus6(corpus6):
         assert J.up == inclusion_reference(masks)
 
 
+def test_ideals_of_ideals_leave_the_middle_level_unlabelled():
+    # minuscule_poset relabels iterated ideals p0, p1, ...; labels of the
+    # levels in between, whose length grows fast, are never needed
+    J = grid_poset(2, 2).ideals_poset()
+    JJ = J.ideals_poset()
+    assert "labels" not in J.__dict__
+    assert JJ.labels[:2] == ("{}", "{{}}")
+
+
 def handed_down_covers_match_derived(E):
     return E.__dict__["cover_up"] == Poset._from_up(E.labels, E.up).cover_up
 

@@ -5,6 +5,7 @@ import pytest
 
 import posetforge.antichains
 import posetforge.minuscule
+import posetforge.roots
 from posetforge import BadParameters, SizeLimitExceeded, UnknownCheck, build_poset, chain_poset, checks
 from posetforge.checks import check_defaults, registered_checks, run_all, run_check
 
@@ -174,15 +175,6 @@ def five_element_only(monkeypatch):
     monkeypatch.setattr(checks, "_corpus_and_minuscule", lambda *caps: [checks._five_element_example()])
 
 
-def test_exchange_order_basics_fails_on_a_missing_matching(monkeypatch, five_element_only):
-    monkeypatch.setattr(posetforge.antichains, "has_order_matching", lambda P, A, B: False)
-    report = run_check("exchange-order-basics")
-    assert report.verdict == "fail"
-    example = report.certificate["counterexample"]
-    assert example["reason"] == "no order-compatible matching"
-    assert (example["k"], example["pair"]) == (1, ["{a}", "{c}"])
-
-
 def test_exchange_order_basics_fails_on_a_cover_that_is_no_single_step(monkeypatch, five_element_only):
     # the ideal order passes every other clause here, but {a,b} < {d,e} is
     # one of its covers and swaps both members
@@ -197,19 +189,27 @@ def test_exchange_order_basics_fails_on_a_cover_that_is_no_single_step(monkeypat
     assert (example["k"], example["pair"]) == (2, ["{a,b}", "{d,e}"])
 
 
-def test_exchange_order_basics_matches_once_per_cover(monkeypatch, five_element_only):
-    calls = []
-    match = posetforge.antichains.has_order_matching
-    monkeypatch.setattr(
-        posetforge.antichains,
-        "has_order_matching",
-        lambda P, A, B: calls.append((A.label, B.label)) or match(P, A, B),
-    )
+def test_explicit_maps_need_no_matcher_and_no_search(monkeypatch, five_element_only):
+    # a cover that is a single swap is its own matching, and {x} -> x is the
+    # isomorphism A_1(P) = P; only e6 and e7 search, once each, at k = 2
+    searched = []
+
+    def refuse(*args):
+        searched.append(args)
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(posetforge.antichains, "has_order_matching", refuse)
+    monkeypatch.setattr(checks, "find_isomorphism", refuse)
     assert run_check("exchange-order-basics").passed
-    P = checks._five_element_example()
-    exchange = posetforge.antichains.antichain_exchange_poset
-    covers = [pair for k in range(P.width() + 1) for pair in exchange(P, k).covers()]
-    assert sorted(calls) == sorted(covers) and len(calls) == len(set(calls))
+    assert run_check("natural-family-antichains").passed
+    assert not searched
+    minuscule = posetforge.minuscule
+    for check_id, kind in [("e6-antichains", minuscule.E6Kind()), ("e7-antichains", minuscule.E7Kind())]:
+        searched.clear()
+        assert run_check(check_id).verdict == "error"
+        P = minuscule.minuscule_poset(kind)
+        assert len(searched) == 1
+        assert searched[0][0] == posetforge.antichains.antichain_exchange_poset(P, 2)
 
 
 def _patch_exchange_steps(monkeypatch, change, *, modes):
@@ -260,21 +260,62 @@ def test_exchange_order_basics_fails_on_a_dropped_swap_in_the_corpus(monkeypatch
     assert run_check("exchange-order-basics", caps).verdict == "fail"
 
 
-def test_a_swap_dropped_from_both_routes_is_caught_by_the_derived_covers(monkeypatch):
-    # 1 < 2 beside 3, with {1,3} < {2,3} lost from both routes at k = 2 only: the
-    # routes agree, and only the swaps the check lists itself, compared with
-    # E_all's derived covers, see it (at k = 1 the isomorphism to P would)
-    monkeypatch.setattr(
-        checks, "_corpus_and_minuscule", lambda *caps: [build_poset(["1", "2", "3"], [("1", "2")])]
-    )
-    assert run_check("exchange-order-basics").passed
+def _drop_first_step_at(monkeypatch, k):
+    """Drop the first swap between k-antichains from both edge routes."""
     edges = posetforge.antichains._exchange_edges
 
     def patched(P, masks, *, covers_only):
         succ = edges(P, masks, covers_only=covers_only)
-        return _drop_first_step(succ) if masks and masks[0].bit_count() == 2 else succ
+        return _drop_first_step(succ) if masks and masks[0].bit_count() == k else succ
 
     monkeypatch.setattr(posetforge.antichains, "_exchange_edges", patched)
+
+
+def test_a_swap_dropped_from_both_routes_is_caught_by_the_derived_covers(monkeypatch):
+    # 1 < 2 beside 3, with {1,3} < {2,3} lost from both routes at k = 2 only: the
+    # routes agree, and only the swaps the check lists itself, compared with
+    # E_all's derived covers, see it (at k = 1 the map {x} -> x onto P would)
+    monkeypatch.setattr(
+        checks, "_corpus_and_minuscule", lambda *caps: [build_poset(["1", "2", "3"], [("1", "2")])]
+    )
+    assert run_check("exchange-order-basics").passed
+    _drop_first_step_at(monkeypatch, 2)
     example = run_check("exchange-order-basics").certificate["counterexample"]
     assert example["reason"] == "cover characterization mismatch"
     assert (example["k"], example["pair"]) == (2, ["{1,3}", "{2,3}"])
+
+
+@pytest.mark.parametrize(
+    "check_id, caps, example",
+    [
+        (
+            "exchange-order-basics",
+            TINY_CAPS,
+            {"poset": [("x0", "x1")], "k": 1, "reason": "A_1 not iso to P"},
+        ),
+        ("natural-family-antichains", {}, {"m": 0, "k": 1}),
+        ("e6-antichains", {}, {"k": 1}),
+        ("e7-antichains", {}, {"k": 1}),
+    ],
+)
+def test_a_swap_dropped_at_k1_breaks_the_singleton_map(monkeypatch, check_id, caps, example):
+    # the first poset with a swap is the 2-chain in the corpus and the 2x2 grid
+    # (m = 0) in the natural family; dropping a cover from both routes keeps them equal
+    assert run_check(check_id, caps).passed
+    _drop_first_step_at(monkeypatch, 1)
+    report = run_check(check_id, caps)
+    assert report.verdict == "fail"
+    assert report.certificate == {"counterexample": example}
+
+
+def test_root_complement_involution_fails_on_a_non_injective_complement(monkeypatch):
+    # every antichain goes to the first one of the complementary size: the
+    # sizes are right, and complementing twice is what catches it
+    monkeypatch.setattr(
+        posetforge.roots,
+        "panyushev_complement",
+        lambda A: A.poset.antichains_of_size(A.poset.width() - len(A))[0],
+    )
+    report = run_check("root-complement-involution")
+    assert report.verdict == "fail"
+    assert "twice" in report.certificate["counterexample"]

@@ -8,6 +8,7 @@ from posetforge import (
     NaturalD,
     SpinD,
     antichain_exchange_poset,
+    build_poset,
     expected_width,
     find_isomorphism,
     grid_poset,
@@ -25,6 +26,20 @@ def test_zero_iterations_is_identity():
 def test_natural_family_sizes():
     for m in range(6):
         assert iterated_ideals(grid_poset(2, 2), m).n == 2 * m + 4
+
+
+def double_tailed_diamond(m):
+    """A chain of m+1, then two incomparable elements, then another chain of m+1."""
+    low = [f"l{i}" for i in range(m + 1)]
+    high = [f"h{i}" for i in range(m + 1)]
+    relations = list(zip(low, low[1:])) + list(zip(high, high[1:]))
+    relations += [(low[-1], "x"), (low[-1], "y"), ("x", high[0]), ("y", high[0])]
+    return build_poset(low + ["x", "y"] + high, relations)
+
+
+def test_natural_family_is_the_double_tailed_diamond():
+    for m in range(13):
+        assert find_isomorphism(minuscule_poset(NaturalD(m)), double_tailed_diamond(m)) is not None
 
 
 def test_exceptional_sizes():
