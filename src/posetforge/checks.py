@@ -7,7 +7,9 @@ run in well under a minute.  A passing existential check carries a
 witness (an isomorphism map); a passing universal check carries an
 exhaustion statement (what was enumerated); a failing check carries a
 counterexample.  Caps are overridable per run.  No check searches for a
-map it can name ({x} -> x is A_1(P) = P; a swap is its own matching).
+map it can name ({x} -> x is A_1(P) = P, a swap is its own matching,
+Frobenius coordinates are the Durfee maps) or tests pairs that cover rows
+settle; only e6-antichains, e7-antichains and e7-self-map search.
 """
 
 from __future__ import annotations
@@ -161,6 +163,17 @@ def _is_singleton_copy(A1: Poset, P: Poset) -> bool:
     return mapped_order_equal(P, A1, {x: "{" + x + "}" for x in P.labels})
 
 
+def _bump_mismatch(P: Poset, entries: list[tuple[int, ...]]) -> tuple[int, int] | None:
+    """The first (i, j) where i's upper covers in P are not ``entries[i]`` with one entry raised."""
+    index = {e: j for j, e in enumerate(entries)}
+    for i, e in enumerate(entries):
+        bumps = (e[:p] + (v + 1,) + e[p + 1:] for p, v in enumerate(e))
+        mismatch = sum(1 << index[t] for t in bumps if t in index) ^ P.cover_up[i]
+        if mismatch:
+            return i, next(_bits(mismatch))
+    return None
+
+
 def _corpus_and_minuscule(max_size: int, a: int, b: int, n: int, m: int) -> list[Poset]:
     posets = list(corpus_mod.small_posets(max_size))
     for kind in minuscule.all_kinds_at_caps(a, b, n, m):
@@ -177,30 +190,16 @@ def _corpus_and_minuscule(max_size: int, a: int, b: int, n: int, m: int) -> list
     n=8,
 )
 def _check_gale_rank_covers(n: int) -> tuple[bool, dict]:
+    # covers that each raise one entry by one make the entry sum a rank function
     pairs = 0
     for nn in range(n + 1):
         for k in range(nn + 1):
             elems = seq.gale_elements(nn, k)
-            P = seq.gale_poset(nn, k)
-            for i, x in enumerate(elems):
-                for j, y in enumerate(elems):
-                    if i == j:
-                        continue
-                    pairs += 1
-                    is_cover = bool(P.cover_up[i] >> j & 1)
-                    rank_step = x.leq(y) and seq.entry_sum(y) == seq.entry_sum(x) + 1
-                    if is_cover != rank_step:
-                        return False, {
-                            "counterexample": {"n": nn, "k": k, "x": x.label, "y": y.label}
-                        }
-                    if is_cover:
-                        diffs = [
-                            (u, v) for u, v in zip(x.entries, y.entries) if u != v
-                        ]
-                        if len(diffs) != 1 or diffs[0][1] != diffs[0][0] + 1:
-                            return False, {
-                                "counterexample": {"n": nn, "k": k, "x": x.label, "y": y.label}
-                            }
+            pairs += len(elems) * (len(elems) - 1)
+            mismatch = _bump_mismatch(seq.gale_poset(nn, k), [x.entries for x in elems])
+            if mismatch:
+                x, y = (elems[i].label for i in mismatch)
+                return False, {"counterexample": {"n": nn, "k": k, "x": x, "y": y}}
     return True, {"exhausted": {"max_n": n, "ordered_pairs": pairs}}
 
 
@@ -221,17 +220,7 @@ def _check_weak_chain_shift_iso(a: int, b: int) -> tuple[bool, dict]:
             label_map = {e.label: seq.weak_chain_to_ksubset(e).label for e in elems}
             if not mapped_order_equal(S, C, label_map):
                 return False, {"counterexample": {"a": aa, "b": bb}}
-            cover_pairs = set(S.covers())
-            step_pairs = set()
-            index = {e.entries: e.label for e in elems}
-            for e in elems:
-                for pos in range(bb):
-                    bumped = tuple(
-                        v + 1 if p == pos else v for p, v in enumerate(e.entries)
-                    )
-                    if bumped in index:
-                        step_pairs.add((e.label, index[bumped]))
-            if cover_pairs != step_pairs:
+            if _bump_mismatch(S, [e.entries for e in elems]):
                 return False, {"counterexample": {"a": aa, "b": bb}}
     return True, {"exhausted": {"max_a": a, "max_b": b, "cases": cases}}
 
@@ -324,16 +313,17 @@ def _check_durfee_product(a: int, b: int) -> tuple[bool, dict]:
     iso_count = 0
     for aa in range(a + 1):
         for bb in range(b + 1):
+            frobenius = [{} for _ in range(min(aa, bb) + 1)]  # per Durfee length
             for d in ferrers.diagrams_in_box(aa, bb):
                 k, top, side = ferrers.durfee_decompose(d)
                 if ferrers.durfee_compose(aa, bb, k, top, side) != d:
-                    return False, {
-                        "counterexample": {"a": aa, "b": bb, "diagram": d.label}
-                    }
+                    return False, {"counterexample": {"a": aa, "b": bb, "diagram": d.label}}
+                xs, ys = ferrers.frobenius_coordinates(d)
+                frobenius[k][d.label] = f"({xs.label},{ys.label})"
             for k in range(min(aa, bb) + 1):
                 D = ferrers.durfee_poset(aa, bb, k)
                 prod = seq.gale_poset(aa, k).product(seq.gale_poset(bb, k))
-                if D.n != prod.n or find_isomorphism(D, prod) is None:
+                if not mapped_order_equal(D, prod, frobenius[k]):
                     return False, {
                         "counterexample": {"a": aa, "b": bb, "k": k, "sizes": [D.n, prod.n]}
                     }
@@ -511,13 +501,22 @@ def _check_grid_antichain_split(a: int, b: int) -> tuple[bool, dict]:
     b=4,
 )
 def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
+    # A -> its coordinate split -> the diagram with those Frobenius coordinates
     cases = 0
     for aa in range(1, a + 1):
         for bb in range(1, b + 1):
+            G = grid_poset(aa, bb)
+            diagram_at = {
+                ferrers.frobenius_coordinates(d): d.label for d in ferrers.diagrams_in_box(aa, bb)
+            }
             for k in range(min(aa, bb) + 1):
-                E = ac.antichain_exchange_poset(grid_poset(aa, bb), k)
+                E = ac.antichain_exchange_poset(G, k)
                 D = ferrers.durfee_poset(aa, bb, k)
-                if E.n != D.n or find_isomorphism(E, D) is None:
+                label_map = {
+                    A.label: diagram_at.get(ferrers.split_grid_antichain(aa, bb, A))
+                    for A in G.antichains_of_size(k)
+                }
+                if not mapped_order_equal(E, D, label_map):
                     return False, {
                         "counterexample": {"a": aa, "b": bb, "k": k, "sizes": [E.n, D.n]}
                     }
@@ -567,8 +566,9 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
     m=5,
 )
 def _check_natural_family(m: int) -> tuple[bool, dict]:
+    P = minuscule.minuscule_poset(minuscule.NaturalD(0))
     for mm in range(m + 1):
-        P = minuscule.minuscule_poset(minuscule.NaturalD(mm))
+        P = P.ideals_poset().relabeled() if mm else P  # level mm: the ideals of level mm - 1
         if P.n != 2 * mm + 4 or P.width() != 2:
             return False, {"counterexample": {"m": mm, "size": P.n, "width": P.width()}}
         if ac.antichain_exchange_poset(P, 2).n != 1:

@@ -10,10 +10,10 @@ and the first k heights less k, and stacking them back around a k x k
 square inverts the cut exactly; both directions are arithmetic on
 height vectors and build no poset.
 
-Two explicit maps on grid-like antichains live here as well: splitting
-an antichain of an a x b grid into its sorted x- and y-coordinate
-tuples, and flattening an antichain of the pair order into one long
-increasing tuple.
+Three explicit maps live here as well: a diagram's Frobenius
+coordinates, splitting an antichain of an a x b grid into its sorted x-
+and y-coordinate tuples, and flattening an antichain of the pair order
+into one long increasing tuple.
 """
 
 from __future__ import annotations
@@ -140,6 +140,15 @@ def durfee_compose(
         raise BadParameters("part boxes do not match the stated box and Durfee length")
     heights = tuple(k + side.height(j) for j in range(1, k + 1)) + top.heights
     return FerrersDiagram(heights, (a, b))
+
+
+def frobenius_coordinates(d: FerrersDiagram) -> tuple[KSubset, KSubset]:
+    """Frobenius coordinates (h_j - j + 1) and (r_j - j + 1), j = k..1, of column heights h
+    and row lengths r: Durfee length k maps onto Gale(a,k) x Gale(b,k), order and all."""
+    k = durfee_length(d)
+    xs = tuple(d.heights[j - 1] - j + 1 for j in range(k, 0, -1))
+    ys = tuple(sum(h >= j for h in d.heights) - j + 1 for j in range(k, 0, -1))
+    return KSubset(xs, d.box[0]), KSubset(ys, d.box[1])
 
 
 def _sorted_antichain_points(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -6,7 +6,17 @@ import pytest
 import posetforge.antichains
 import posetforge.minuscule
 import posetforge.roots
-from posetforge import BadParameters, SizeLimitExceeded, UnknownCheck, build_poset, chain_poset, checks
+import posetforge.sequences
+from posetforge import (
+    BadParameters,
+    Poset,
+    SizeLimitExceeded,
+    UnknownCheck,
+    build_poset,
+    chain_poset,
+    checks,
+    minuscule_poset,
+)
 from posetforge.checks import check_defaults, registered_checks, run_all, run_check
 
 TINY_CAPS = {"a": 1, "b": 1, "n": 1, "m": 0, "max_size": 2}
@@ -125,11 +135,19 @@ def test_pass_report_has_no_error_key():
     assert set(blob) == {"check_id", "parameters", "verdict", "certificate", "elapsed_s"}
 
 
-@pytest.mark.parametrize("check_id", ["spin-antichain-merge", "root-complement-involution"])
-def test_checks_past_the_iso_cap_pass_on_their_explicit_maps(check_id):
-    # n=8 reaches exchange orders above the 200-element isomorphism cap;
+@pytest.mark.parametrize(
+    "check_id, caps",
+    [
+        pytest.param("spin-antichain-merge", {"n": 8}, id="spin-antichain-merge"),
+        pytest.param("root-complement-involution", {"n": 8}, id="root-complement-involution"),
+        pytest.param("durfee-product", {"a": 6, "b": 6}, id="durfee-product"),
+        pytest.param("grid-antichain-durfee", {"a": 6, "b": 6}, id="grid-antichain-durfee"),
+    ],
+)
+def test_checks_past_the_iso_cap_pass_on_their_explicit_maps(check_id, caps):
+    # n=8 and a=b=6 reach orders above the 200-element isomorphism cap;
     # the verified label map alone proves the isomorphism
-    report = run_check(check_id, {"n": 8})
+    report = run_check(check_id, caps)
     assert report.verdict == "pass", report.to_json_dict()
 
 
@@ -190,8 +208,9 @@ def test_exchange_order_basics_fails_on_a_cover_that_is_no_single_step(monkeypat
 
 
 def test_explicit_maps_need_no_matcher_and_no_search(monkeypatch, five_element_only):
-    # a cover that is a single swap is its own matching, and {x} -> x is the
-    # isomorphism A_1(P) = P; only e6 and e7 search, once each, at k = 2
+    # a cover that is a single swap is its own matching, {x} -> x is the
+    # isomorphism A_1(P) = P, and Frobenius coordinates name the Durfee maps;
+    # only e6 and e7 search, once each, at k = 2
     searched = []
 
     def refuse(*args):
@@ -202,6 +221,8 @@ def test_explicit_maps_need_no_matcher_and_no_search(monkeypatch, five_element_o
     monkeypatch.setattr(checks, "find_isomorphism", refuse)
     assert run_check("exchange-order-basics").passed
     assert run_check("natural-family-antichains").passed
+    assert run_check("durfee-product").passed
+    assert run_check("grid-antichain-durfee").passed
     assert not searched
     minuscule = posetforge.minuscule
     for check_id, kind in [("e6-antichains", minuscule.E6Kind()), ("e7-antichains", minuscule.E7Kind())]:
@@ -319,3 +340,56 @@ def test_root_complement_involution_fails_on_a_non_injective_complement(monkeypa
     report = run_check("root-complement-involution")
     assert report.verdict == "fail"
     assert "twice" in report.certificate["counterexample"]
+
+
+def _drop_first_cover(build):
+    """``build`` with the first cover of each poset it returns left out."""
+
+    def patched(*args):
+        P = build(*args)
+        return build_poset(P.labels, P.covers()[1:])
+
+    return patched
+
+
+def test_gale_rank_covers_fails_on_a_dropped_cover(monkeypatch):
+    # (1) < (2) in Gale(2,1) is the first cover the check meets
+    assert run_check("gale-rank-covers").passed
+    gale_poset = _drop_first_cover(posetforge.sequences.gale_poset)
+    monkeypatch.setattr(posetforge.sequences, "gale_poset", gale_poset)
+    report = run_check("gale-rank-covers")
+    assert report.verdict == "fail"
+    assert report.certificate == {"counterexample": {"n": 2, "k": 1, "x": "(1)", "y": "(2)"}}
+
+
+@pytest.mark.parametrize("map_clause", [True, False], ids=["both-clauses", "cover-clause-alone"])
+def test_weak_chain_shift_iso_fails_on_a_dropped_cover(monkeypatch, map_clause):
+    # (0) < (1) in the weak chains at a = b = 1 is the first cover the check meets
+    assert run_check("weak-chain-shift-iso").passed
+    weak_chain_poset = _drop_first_cover(posetforge.sequences.weak_chain_poset)
+    monkeypatch.setattr(posetforge.sequences, "weak_chain_poset", weak_chain_poset)
+    if not map_clause:  # then only the clause that covers raise one entry by one sees it
+        monkeypatch.setattr(checks, "mapped_order_equal", lambda *args: True)
+    report = run_check("weak-chain-shift-iso")
+    assert report.verdict == "fail"
+    assert report.certificate == {"counterexample": {"a": 1, "b": 1}}
+
+
+def test_natural_family_builds_one_level_from_the_last(monkeypatch):
+    # level m is the ideal lattice of level m - 1: m ideals_poset calls, where building
+    # every level from the 2x2 grid made m(m+1)/2, 210 at m = 20
+    calls, levels = [], {}
+    ideals_poset, exchange = Poset.ideals_poset, posetforge.antichains.antichain_exchange_poset
+
+    def recorded_exchange(P, k):
+        levels.setdefault(P.n, P)  # level m has 2m + 4 elements
+        return exchange(P, k)
+
+    monkeypatch.setattr(Poset, "ideals_poset", lambda P: calls.append(P) or ideals_poset(P))
+    monkeypatch.setattr(posetforge.antichains, "antichain_exchange_poset", recorded_exchange)
+    assert run_check("natural-family-antichains", {"m": 20}).passed
+    assert len(calls) == 20
+    monkeypatch.undo()
+    for m in range(13):
+        P, Q = levels[2 * m + 4], minuscule_poset(posetforge.minuscule.NaturalD(m))
+        assert (P.labels, P.up) == (Q.labels, Q.up), m

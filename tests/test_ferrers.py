@@ -20,6 +20,7 @@ from posetforge import (
 )
 from posetforge import ferrers
 from posetforge.poset import _componentwise_poset, grid_points, point_label
+from posetforge.sequences import WeakChain, weak_chain_to_ksubset
 
 
 def durfee_oracle(d: FerrersDiagram) -> int:
@@ -118,6 +119,8 @@ def test_durfee_poset_rejects_oversized_square():
 
 
 def test_durfee_poset_matches_product():
+    # the search reference for the named maps the checks verify: the Frobenius map
+    # onto the product, and its inverse after the grid-antichain split
     for a in range(5):
         for b in range(5):
             for k in range(min(a, b) + 1):
@@ -125,6 +128,26 @@ def test_durfee_poset_matches_product():
                 prod = gale_poset(a, k).product(gale_poset(b, k))
                 assert D.n == prod.n
                 assert find_isomorphism(D, prod) is not None
+                assert find_isomorphism(antichain_exchange_poset(grid_poset(a, b), k), D) is not None
+
+
+def test_frobenius_coordinates_are_the_weak_chain_route():
+    # side's heights padded and reversed, and top's row lengths reversed, are weak
+    # chains in [0, a-k] and [0, b-k]; the shift sends them into Gale(a,k) and Gale(b,k)
+    for a in range(7):
+        for b in range(7):
+            images = [set() for _ in range(min(a, b) + 1)]
+            for d in diagrams_in_box(a, b):
+                k, top, side = durfee_decompose(d)
+                rows = Counter(i for i, _ in top.cells())  # row i has rows[i] cells
+                x = weak_chain_to_ksubset(WeakChain([side.height(j) for j in range(k, 0, -1)], a - k))
+                y = weak_chain_to_ksubset(WeakChain([rows[i] for i in range(k, 0, -1)], b - k))
+                assert ferrers.frobenius_coordinates(d) == (x, y), d
+                images[k].add(f"({x.label},{y.label})")
+            for k, image in enumerate(images):
+                # one-to-one: as many images as diagrams, and every pair of the product
+                assert len(image) == durfee_poset(a, b, k).n
+                assert image == set(gale_poset(a, k).product(gale_poset(b, k)).labels), (a, b, k)
 
 
 def test_durfee_poset_matches_containment_oracle():
