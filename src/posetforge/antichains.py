@@ -15,10 +15,16 @@ antichains, and their "{a,b}" labels are built on first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import SizeMismatch
-from .poset import Antichain, Poset, _bits, _inclusion_up, _matching_size, transitive_closure
+from .poset import (
+    Antichain,
+    Poset,
+    _bits,
+    _inclusion_up,
+    _matching_size,
+    _Record,
+    transitive_closure,
+)
 
 
 def ideal_leq(A: Antichain, B: Antichain) -> bool:
@@ -111,16 +117,28 @@ def antichain_ideal_poset(P: Poset, k: int) -> Poset:
     return Poset._on_subsets(P, masks, _inclusion_up(P.n, masks, ideals))
 
 
-@dataclass
-class RefinementReport:
+class RefinementReport(_Record):
     """How the exchange order sits inside the ideal order at size k."""
 
-    k: int
-    antichain_count: int
-    exchange_pairs: int
-    ideal_pairs: int
-    violations: list[tuple[str, str]] = field(default_factory=list)
-    coarsening_witnesses: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = (
+        "k", "antichain_count", "exchange_pairs", "ideal_pairs", "violations", "coarsening_witnesses"
+    )
+
+    def __init__(
+        self,
+        k: int,
+        antichain_count: int,
+        exchange_pairs: int,
+        ideal_pairs: int,
+        violations: list[tuple[str, str]] | None = None,
+        coarsening_witnesses: list[tuple[str, str]] | None = None,
+    ):
+        self.k = k
+        self.antichain_count = antichain_count
+        self.exchange_pairs = exchange_pairs
+        self.ideal_pairs = ideal_pairs
+        self.violations = [] if violations is None else violations
+        self.coarsening_witnesses = [] if coarsening_witnesses is None else coarsening_witnesses
 
     @property
     def consistent(self) -> bool:

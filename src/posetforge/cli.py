@@ -14,6 +14,13 @@ check that hits a cap gets an "error" verdict and the run exits 3.
 Verification caps are overridden only by `--param key=value`; under
 `verify all` each key reaches the checks that take it, and a key that no
 check in the run takes is a usage error (see `checks.run_all`).
+
+Each subcommand imports only the modules it runs, on top of `errors`
+and `poset`: `build`, `iso` and `export-dot` nothing more, `minuscule`
+the `minuscule` module, `ak` `antichains`, `check` `lattice`, `narayana`
+and `star` `roots`, and `durfee` `ferrers` with `sequences`.  Only
+`verify` loads `checks`, and through it every module.  Only `durfee` and
+`verify` load `dataclasses`, and no command loads numpy.
 """
 
 from __future__ import annotations
@@ -22,14 +29,8 @@ import argparse
 import json
 import sys
 
-from . import checks
 from .errors import PosetForgeError, SizeLimitExceeded
-from .ferrers import FerrersDiagram, durfee_decompose
-from .lattice import is_distributive, meet_join_table
-from .minuscule import kind_from_args, minuscule_poset
-from .antichains import antichain_exchange_poset, antichain_ideal_poset
 from .poset import Poset, find_isomorphism, point_label, poset_from_dict, poset_to_dict
-from .roots import narayana_table, panyushev_complement, parse_root_label, type_a_root_poset
 
 
 def _read_poset(path: str | None) -> Poset:
@@ -152,12 +153,16 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_minuscule(args) -> int:
+    from .minuscule import kind_from_args, minuscule_poset
+
     kind = kind_from_args(args.kind, list(args.params))
     _emit_json(poset_to_dict(minuscule_poset(kind)))
     return 0
 
 
 def _cmd_ak(args) -> int:
+    from .antichains import antichain_exchange_poset, antichain_ideal_poset
+
     if args.k < 0:
         raise _InputError(f"ak: antichain size k must be nonnegative, got {args.k}")
     P = _read_poset(args.file)
@@ -170,6 +175,8 @@ def _cmd_ak(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .lattice import is_distributive, meet_join_table
+
     P = _read_poset(args.file)
     if args.property == "lattice":
         table = meet_join_table(P)
@@ -224,6 +231,8 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 
 def _cmd_durfee(args) -> int:
+    from .ferrers import FerrersDiagram, durfee_decompose
+
     heights = _parse_partition(args.partition)
     d = FerrersDiagram(heights, (heights[0] if heights else 0, len(heights)))
     k, top, side = durfee_decompose(d)
@@ -242,11 +251,15 @@ def _cmd_durfee(args) -> int:
 
 
 def _cmd_narayana(args) -> int:
+    from .roots import narayana_table
+
     print(" ".join(map(str, narayana_table(args.n))))
     return 0
 
 
 def _cmd_star(args) -> int:
+    from .roots import panyushev_complement, parse_root_label, type_a_root_poset
+
     P = type_a_root_poset(args.n)
     text = args.antichain.strip()
     labels = []
@@ -259,6 +272,8 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     if args.list:
         for cdef in checks.registered_checks():
             print(f"{cdef.check_id:28}  {cdef.summary}")

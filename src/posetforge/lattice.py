@@ -15,20 +15,21 @@ meet/join table as tuples of int rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NotALattice, SizeLimitExceeded
-from .poset import Poset, PosetIso, _bits, _image
+from .poset import Poset, PosetIso, _bits, _Frozen, _image, _Record
 
 
-@dataclass(frozen=True)
-class MeetJoinTable:
+class MeetJoinTable(_Frozen):
     """Pairwise glb/lub tables over canonical indices; -1 marks undefined."""
 
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    complete: bool
+    __slots__ = ("meet", "join", "complete")
+
+    def __init__(
+        self, meet: tuple[tuple[int, ...], ...], join: tuple[tuple[int, ...], ...], complete: bool
+    ):
+        self._fill(meet, join, complete)
 
     def undefined_pair(self) -> tuple[int, int] | None:
         """The first hole, row-major, in the meet table and then the join table."""
@@ -97,15 +98,25 @@ def join_irreducibles(P: Poset) -> Poset:
     return P.induced(_join_irreducible_indices(P))
 
 
-@dataclass
-class DistributivityResult:
+class DistributivityResult(_Record):
     """Verdict plus certificate material for a distributivity check."""
 
-    distributive: bool
-    is_lattice: bool
-    failure: dict | None = None
-    witness: PosetIso | None = None
-    irreducibles: Poset | None = field(default=None, repr=False)
+    __slots__ = ("distributive", "is_lattice", "failure", "witness", "irreducibles")
+    _hidden = ("irreducibles",)
+
+    def __init__(
+        self,
+        distributive: bool,
+        is_lattice: bool,
+        failure: dict | None = None,
+        witness: PosetIso | None = None,
+        irreducibles: Poset | None = None,
+    ):
+        self.distributive = distributive
+        self.is_lattice = is_lattice
+        self.failure = failure
+        self.witness = witness
+        self.irreducibles = irreducibles
 
     def __bool__(self) -> bool:
         return self.distributive

@@ -10,37 +10,39 @@ closed-form widths are kept alongside as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import BadParameters
-from .poset import Poset, grid_poset
+from .poset import Poset, _Frozen, grid_poset
 
 
-@dataclass(frozen=True)
-class Grid:
-    a: int
-    b: int
+class Grid(_Frozen):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self._fill(a, b)
 
 
-@dataclass(frozen=True)
-class SpinD:
-    n: int
+class SpinD(_Frozen):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._fill(n)
 
 
-@dataclass(frozen=True)
-class NaturalD:
-    m: int
+class NaturalD(_Frozen):
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        self._fill(m)
 
 
-@dataclass(frozen=True)
-class E6Kind:
-    pass
+class E6Kind(_Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class E7Kind:
-    pass
+class E7Kind(_Frozen):
+    __slots__ = ()
 
 
 MinusculeKind = Union[Grid, SpinD, NaturalD, E6Kind, E7Kind]

@@ -23,6 +23,12 @@ Products, the componentwise builder and the check of a map
 (``mapped_order_equal``, which compares mapped cover rows) run on Python
 ints too.  numpy is imported only to build the read-only matrix views
 ``lt`` and ``cover_matrix``, which nothing in the package reads.
+Every CLI command loads this module (``import posetforge`` itself loads
+no submodule until one of its names is used), so it keeps its imports
+to the standard library's cheapest: its record types, and those of the
+modules the pipeline commands load (``lattice``, ``antichains``,
+``minuscule``, ``roots``), derive from ``_Record`` instead of
+``dataclasses``, which would load ``inspect``.
 
 Labels are opaque at the API boundary.  All internal computation runs on
 indices, with subsets handled as Python int bitmasks, so every relation
@@ -32,7 +38,6 @@ construction, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
@@ -521,7 +526,13 @@ class Poset:
                                 f"more than {cap} ideals; raise the cap to continue"
                             )
                         found.append(m2)
-        return sorted(seen, key=lambda m: (m.bit_count(), tuple(_bits(m))))
+        # smallest first, ties in lexicographic order of the member indices:
+        # of two sets of one size, that order puts first the one holding the
+        # lowest bit where they differ, the larger as bits read from bit 0 up
+        fmt = f"0{self.n}b"
+        out = sorted(seen, key=lambda m: format(m, fmt)[::-1], reverse=True)
+        out.sort(key=int.bit_count)
+        return out
 
     def ideals(self) -> list["Ideal"]:
         return [Ideal._from_mask(self, m) for m in self.ideal_masks()]
@@ -783,12 +794,65 @@ def mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
     return all(_image(c, img) == coverQ[img[i]] for i, c in enumerate(P.cover_up))
 
 
-@dataclass(frozen=True)
-class PosetIso:
+class _Record:
+    """A value over the fields its subclass names in ``__slots__``.
+
+    What ``@dataclass`` would give, written out so that loading a record
+    type does not load ``dataclasses`` (and through it ``inspect``): a
+    repr naming the fields (but those in ``_hidden``), and equality with
+    records of the same type only, field by field.  Mutable records are
+    unhashable, as a dataclass with ``eq`` is.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """A record whose fields cannot be assigned after construction; hashable.
+
+    ``__init__`` sets the fields, in ``__slots__`` order, through ``_fill``.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class PosetIso(_Frozen):
     """A witness isomorphism: label maps in both directions."""
 
-    forward: dict[str, str]
-    backward: dict[str, str]
+    __slots__ = ("forward", "backward")
+
+    def __init__(self, forward: dict[str, str], backward: dict[str, str]):
+        self._fill(forward, backward)
 
     def verify(self, P: Poset, Q: Poset) -> bool:
         """Direct check: bijective and order-preserving both ways."""

@@ -11,25 +11,29 @@ is itself one of the facts under test.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset, _componentwise_poset
+from .poset import Antichain, Poset, _componentwise_poset, _Frozen
 
 _ROOT_RE = re.compile(r"\[(\d+),(\d+)\]")
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """The interval root [i, j], 1 <= i < j."""
+@total_ordering
+class Root(_Frozen):
+    """The interval root [i, j], 1 <= i < j, ordered as the pair (i, j)."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if not 1 <= self.i < self.j:
-            raise BadParameters(f"need 1 <= i < j, got [{self.i},{self.j}]")
+    def __init__(self, i: int, j: int):
+        if not 1 <= i < j:
+            raise BadParameters(f"need 1 <= i < j, got [{i},{j}]")
+        self._fill(i, j)
+
+    def __lt__(self, other):
+        if type(other) is not Root:
+            return NotImplemented
+        return (self.i, self.j) < (other.i, other.j)
 
     @property
     def label(self) -> str:

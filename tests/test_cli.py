@@ -412,6 +412,48 @@ def test_pipeline_commands_never_import_numpy(tmp_path):
     assert done.stdout.split() == ["False"]
 
 
+LEAN_STARTUP_SCRIPT = """
+import contextlib, io, json, pathlib, sys
+
+preloaded = "dataclasses" in sys.modules
+from posetforge.cli import main
+
+tmp = pathlib.Path(sys.argv[1])
+
+
+def run(*argv, stdin=""):
+    sys.stdin, out = io.StringIO(stdin), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+
+grid = run("minuscule", "grid", "3", "3")
+(tmp / "grid.json").write_text(grid)
+assert run("build", str(tmp / "grid.json")) == grid
+exchange = run("ak", "2", stdin=grid)
+run("ak", "2", "--order", "j", stdin=grid)
+run("check", "lattice", stdin=exchange)
+run("check", "distributive", stdin=exchange)
+run("iso", str(tmp / "grid.json"), str(tmp / "grid.json"))
+run("export-dot", stdin=exchange)
+run("narayana", "5")
+run("star", "4", "[1,3]")
+heavy = ["posetforge.checks", "posetforge.corpus", "posetforge.sequences", "posetforge.ferrers", "numpy"]
+heavy += [] if preloaded else ["dataclasses"]
+print(sorted(name for name in heavy if name in sys.modules))
+print(len(json.loads(run("verify", "all", "--json"))))
+"""
+
+
+def test_pipeline_commands_load_only_what_they_run(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", LEAN_STARTUP_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "20"]
+
+
 def test_verify_all_reports_every_check_when_one_hits_a_cap(capsys, raise_in_check):
     tiny = [f"--param={k}={v}" for k, v in TINY.items()]
     raise_in_check("durfee-product", SizeLimitExceeded("capped at 200"))
