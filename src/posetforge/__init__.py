@@ -14,7 +14,6 @@ _EXPORTS = {
         "RefinementReport",
         "antichain_exchange_poset",
         "antichain_ideal_poset",
-        "has_order_matching",
         "ideal_leq",
         "is_exchange_cover",
         "refinement_report",

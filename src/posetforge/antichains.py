@@ -21,7 +21,6 @@ from .poset import (
     Poset,
     _bits,
     _inclusion_up,
-    _matching_size,
     _Record,
     transitive_closure,
 )
@@ -175,12 +174,3 @@ def refinement_report(P: Poset, k: int) -> RefinementReport:
             report.coarsening_witnesses.append((ideal.labels[i], ideal.labels[j]))
     return report
 
-
-def has_order_matching(P: Poset, A: Antichain, B: Antichain) -> bool:
-    """Whether A and B admit a perfect matching with each a_i <= b_i."""
-    if len(A) != len(B):
-        raise SizeMismatch(f"antichain sizes differ: {len(A)} vs {len(B)}")
-    if any(S.poset is not P and S.poset != P for S in (A, B)):
-        raise ValueError("antichains do not live in the given poset")
-    adj = {u: (P.up[u] | 1 << u) & B.mask for u in A}
-    return _matching_size(P.n, adj) == len(A)

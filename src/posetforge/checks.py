@@ -9,7 +9,9 @@ exhaustion statement (what was enumerated); a failing check carries a
 counterexample.  Caps are overridable per run.  No check searches for a
 map it can name ({x} -> x is A_1(P) = P, a swap is its own matching,
 Frobenius coordinates are the Durfee maps) or tests pairs that cover rows
-settle; only e6-antichains, e7-antichains and e7-self-map search.
+settle; only e6-antichains and e7-self-map search.  No clause re-derives
+what a passing one already implies: e7-antichains states sizes and leaves
+A_2(E7) = E7 to e7-self-map.
 """
 
 from __future__ import annotations
@@ -218,9 +220,10 @@ def _check_weak_chain_shift_iso(a: int, b: int) -> tuple[bool, dict]:
             C = seq.gale_poset(aa + bb, bb)
             elems = seq.weak_chain_elements(aa, bb)
             label_map = {e.label: seq.weak_chain_to_ksubset(e).label for e in elems}
+            # a verified map makes S's covers the preimages of the Gale covers,
+            # which raise one entry by one (gale-rank-covers); the shift adds a
+            # constant to each position, so S's covers raise one entry by one too
             if not mapped_order_equal(S, C, label_map):
-                return False, {"counterexample": {"a": aa, "b": bb}}
-            if _bump_mismatch(S, [e.entries for e in elems]):
                 return False, {"counterexample": {"a": aa, "b": bb}}
     return True, {"exhausted": {"max_a": a, "max_b": b, "cases": cases}}
 
@@ -602,17 +605,18 @@ def _check_e6_antichains() -> tuple[bool, dict]:
 
 @_register(
     "e7-antichains",
-    "the 27-element exceptional poset has self-identifying 2-antichains "
-    "and a unique 3-antichain",
+    "the 27-element exceptional poset has self-identifying 1-antichains, "
+    "27 2-antichains and a unique 3-antichain",
 )
 def _check_e7_antichains() -> tuple[bool, dict]:
+    # the sizes only: e7-self-map finds and verifies the isomorphism A_2 = P
     P = minuscule.minuscule_poset(minuscule.E7Kind())
     if P.n != 27 or P.width() != 3:
         return False, {"counterexample": {"size": P.n, "width": P.width()}}
     if not _is_singleton_copy(ac.antichain_exchange_poset(P, 1), P):
         return False, {"counterexample": {"k": 1}}
     E2 = ac.antichain_exchange_poset(P, 2)
-    if E2.n != 27 or find_isomorphism(E2, P) is None:
+    if E2.n != 27:
         return False, {"counterexample": {"k": 2, "size": E2.n}}
     if ac.antichain_exchange_poset(P, 3).n != 1:
         return False, {"counterexample": {"k": 3}}
@@ -681,25 +685,24 @@ def _check_e7_self_map() -> tuple[bool, dict]:
     n=6,
 )
 def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
+    # one complement per antichain; it raises on an image of the wrong size,
+    # and the tables of both sizes show it an involution, so star[n-1-k] is
+    # the inverse of star[k], an isomorphism when star[k] is: each pair of
+    # sizes is compared once, from the smaller side
     checked = 0
     for nn in range(2, n + 1):
         P = roots.type_a_root_poset(nn)
-        star: dict[int, dict[str, str]] = {}
-        for k in range(nn):
-            images = {}
-            for A in P.antichains_of_size(k):
-                img = roots.panyushev_complement(A)
-                if len(img) != nn - 1 - k:
-                    return False, {"counterexample": {"n": nn, "A": A.label}}
-                back = roots.panyushev_complement(img)
-                if back != A:  # an involution, so injective: no separate test
-                    return False, {
-                        "counterexample": {"n": nn, "A": A.label, "twice": back.label}
-                    }
-                images[A.label] = img.label
-                checked += 1
-            star[k] = images
-        for k in range(nn):
+        star = [
+            {A.label: roots.panyushev_complement(A).label for A in P.antichains_of_size(k)}
+            for k in range(nn)
+        ]
+        for k, images in enumerate(star):
+            for A, img in images.items():
+                back = star[nn - 1 - k][img]
+                if back != A:
+                    return False, {"counterexample": {"n": nn, "A": A, "twice": back}}
+            checked += len(images)
+        for k in range((nn + 1) // 2):
             E = ac.antichain_exchange_poset(P, k)
             F = ac.antichain_exchange_poset(P, nn - 1 - k)
             if not mapped_order_equal(E, F, star[k]):

@@ -698,8 +698,7 @@ class Ideal(_Subset):
 
     def max_elements(self) -> Antichain:
         """The maximal members; inverse of :meth:`Antichain.ideal`."""
-        below = reduce(or_, (self.poset.down[i] for i in self), 0)
-        return Antichain._from_mask(self.poset, self.mask & ~below)
+        return Antichain._from_mask(self.poset, self.poset._ideal_tops(self.mask))
 
 
 # -- constructors ----------------------------------------------------------
@@ -1015,4 +1014,6 @@ def poset_from_dict(data: dict) -> Poset:
     for rel in relations:
         if not isinstance(rel, (list, tuple)) or len(rel) != 2:
             raise ValueError(f'relation {rel!r} is not a pair')
+        if not all(isinstance(end, str) for end in rel):
+            raise ValueError(f'relation {rel!r} must pair two strings')
     return build_poset(elements, relations)

@@ -79,10 +79,11 @@ def panyushev_complement(A: Antichain) -> Antichain:
     the call fails loudly otherwise.
     """
     n = _rank_of(A.poset)
-    members = sorted(parse_root_label(lab) for lab in A.member_labels)
+    members = [parse_root_label(lab) for lab in A.member_labels]
     k = len(members)
-    new_i = sorted(set(range(1, n)) - {r.j - 1 for r in members})
-    new_j = sorted(set(range(2, n + 1)) - {r.i + 1 for r in members})
+    shifted_j, shifted_i = {r.j - 1 for r in members}, {r.i + 1 for r in members}
+    new_i = [i for i in range(1, n) if i not in shifted_j]
+    new_j = [j for j in range(2, n + 1) if j not in shifted_i]
     if len(new_i) != n - 1 - k or len(new_j) != n - 1 - k:
         raise NotAnAntichain("complement sets have the wrong size")
     roots = []

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from posetforge import build_poset, checks
+from posetforge import SizeMismatch, build_poset, checks
 from posetforge.corpus import small_posets
+from posetforge.poset import _matching_size
 
 
 @st.composite
@@ -30,6 +31,20 @@ def mask_rows(matrix):
 def leq_matrix(P):
     """P's reflexive order as a boolean matrix: [i, j] when i is below or equal to j."""
     return P.lt | np.eye(P.n, dtype=bool)
+
+
+def has_order_matching(P, A, B):
+    """Whether A and B admit a perfect matching with each a_i <= b_i.
+
+    The definition of an order-compatible matching, kept as the oracle the
+    exchange order is tested against; the package itself runs no matcher.
+    """
+    if len(A) != len(B):
+        raise SizeMismatch(f"antichain sizes differ: {len(A)} vs {len(B)}")
+    if any(S.poset is not P and S.poset != P for S in (A, B)):
+        raise ValueError("antichains do not live in the given poset")
+    adj = {u: (P.up[u] | 1 << u) & B.mask for u in A}
+    return _matching_size(P.n, adj) == len(A)
 
 
 @pytest.fixture(scope="session")

@@ -87,6 +87,7 @@ def test_criterion_06_exceptional_identifications():
         run_check("natural-family-antichains", {"m": 5}),
         run_check("e6-antichains"),
         run_check("e7-antichains"),
+        run_check("e7-self-map"),
     ]
     _criterion(
         6,

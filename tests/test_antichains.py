@@ -15,7 +15,6 @@ from posetforge import (
     discrete_poset,
     find_isomorphism,
     grid_poset,
-    has_order_matching,
     ideal_leq,
     is_distributive,
     is_exchange_cover,
@@ -25,7 +24,7 @@ from posetforge.minuscule import E6Kind, E7Kind, Grid, NaturalD, SpinD, minuscul
 from posetforge.poset import Poset, _bits, _check_order
 from posetforge.sequences import gale_poset
 
-from conftest import leq_matrix, posets
+from conftest import has_order_matching, leq_matrix, posets
 
 
 def bowtie():

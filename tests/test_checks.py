@@ -209,28 +209,24 @@ def test_exchange_order_basics_fails_on_a_cover_that_is_no_single_step(monkeypat
 
 def test_explicit_maps_need_no_matcher_and_no_search(monkeypatch, five_element_only):
     # a cover that is a single swap is its own matching, {x} -> x is the
-    # isomorphism A_1(P) = P, and Frobenius coordinates name the Durfee maps;
-    # only e6 and e7 search, once each, at k = 2
-    searched = []
+    # isomorphism A_1(P) = P, Frobenius coordinates name the Durfee maps, and
+    # e7-antichains states sizes, leaving A_2(E7) = E7 to e7-self-map: of all
+    # the checks, only e6-antichains and e7-self-map search, once each, at k = 2
+    assert not hasattr(posetforge.antichains, "has_order_matching")  # no matcher to run
+    searched, search = {}, checks.find_isomorphism
 
-    def refuse(*args):
-        searched.append(args)
-        raise AssertionError("searched")
+    def recorded(P, Q):
+        searched.setdefault(check_id, []).append((P, Q))
+        return search(P, Q)
 
-    monkeypatch.setattr(posetforge.antichains, "has_order_matching", refuse)
-    monkeypatch.setattr(checks, "find_isomorphism", refuse)
-    assert run_check("exchange-order-basics").passed
-    assert run_check("natural-family-antichains").passed
-    assert run_check("durfee-product").passed
-    assert run_check("grid-antichain-durfee").passed
-    assert not searched
-    minuscule = posetforge.minuscule
-    for check_id, kind in [("e6-antichains", minuscule.E6Kind()), ("e7-antichains", minuscule.E7Kind())]:
-        searched.clear()
-        assert run_check(check_id).verdict == "error"
-        P = minuscule.minuscule_poset(kind)
-        assert len(searched) == 1
-        assert searched[0][0] == posetforge.antichains.antichain_exchange_poset(P, 2)
+    monkeypatch.setattr(checks, "find_isomorphism", recorded)
+    for check_id in [cdef.check_id for cdef in registered_checks()]:
+        assert run_check(check_id).passed, check_id
+    assert sorted(searched) == ["e6-antichains", "e7-self-map"]
+    minuscule, exchange = posetforge.minuscule, posetforge.antichains.antichain_exchange_poset
+    E6, E7 = minuscule_poset(minuscule.E6Kind()), minuscule_poset(minuscule.E7Kind())
+    assert searched["e6-antichains"] == [(exchange(E6, 2), minuscule_poset(minuscule.NaturalD(3)))]
+    assert searched["e7-self-map"] == [(E7, exchange(E7, 2))]
 
 
 def _patch_exchange_steps(monkeypatch, change, *, modes):
@@ -329,6 +325,27 @@ def test_a_swap_dropped_at_k1_breaks_the_singleton_map(monkeypatch, check_id, ca
     assert report.certificate == {"counterexample": example}
 
 
+def test_root_complement_involution_complements_each_antichain_once(monkeypatch):
+    # the tables of both sizes show the involution, with no second complement:
+    # one call per antichain, the Catalan numbers 2 + 5 + 14 + 42 + 132 up to n = 6
+    calls = []
+    complement = posetforge.roots.panyushev_complement
+    monkeypatch.setattr(posetforge.roots, "panyushev_complement", lambda A: calls.append(A) or complement(A))
+    report = run_check("root-complement-involution", {"n": 6})
+    assert report.certificate == {"exhausted": {"max_n": 6, "antichains": 195}}
+    assert len(calls) == 195
+
+
+def test_root_complement_involution_sees_a_dropped_swap_on_the_larger_side(monkeypatch):
+    # sizes 1 and 2 are compared once, from size 1, at n = 4 (6 antichains
+    # each); a swap lost from A_2 alone still breaks the map onto it
+    assert run_check("root-complement-involution", {"n": 4}).passed
+    _drop_first_step_at(monkeypatch, 2)
+    report = run_check("root-complement-involution", {"n": 4})
+    assert report.verdict == "fail"
+    assert report.certificate == {"counterexample": {"n": 4, "k": 1, "reason": "not an iso"}}
+
+
 def test_root_complement_involution_fails_on_a_non_injective_complement(monkeypatch):
     # every antichain goes to the first one of the complementary size: the
     # sizes are right, and complementing twice is what catches it
@@ -362,14 +379,11 @@ def test_gale_rank_covers_fails_on_a_dropped_cover(monkeypatch):
     assert report.certificate == {"counterexample": {"n": 2, "k": 1, "x": "(1)", "y": "(2)"}}
 
 
-@pytest.mark.parametrize("map_clause", [True, False], ids=["both-clauses", "cover-clause-alone"])
-def test_weak_chain_shift_iso_fails_on_a_dropped_cover(monkeypatch, map_clause):
+def test_weak_chain_shift_iso_fails_on_a_dropped_cover(monkeypatch):
     # (0) < (1) in the weak chains at a = b = 1 is the first cover the check meets
     assert run_check("weak-chain-shift-iso").passed
     weak_chain_poset = _drop_first_cover(posetforge.sequences.weak_chain_poset)
     monkeypatch.setattr(posetforge.sequences, "weak_chain_poset", weak_chain_poset)
-    if not map_clause:  # then only the clause that covers raise one entry by one sees it
-        monkeypatch.setattr(checks, "mapped_order_equal", lambda *args: True)
     report = run_check("weak-chain-shift-iso")
     assert report.verdict == "fail"
     assert report.certificate == {"counterexample": {"a": 1, "b": 1}}

@@ -54,6 +54,15 @@ def test_build_semantic_error_exits_2(monkeypatch, capsys):
     assert "z" in err
 
 
+def test_build_non_string_endpoint_exits_2(monkeypatch, capsys):
+    # 1 and null are no element labels, though str() would make them "1" and "None"
+    for relations in ([[1, 2]], [[None, "1"]], [["1", 2]]):
+        bad = {"elements": ["1", "2", "None"], "relations": relations}
+        code, out, err = run_main(["build"], json.dumps(bad), monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert "two strings" in err
+
+
 def test_minuscule_grid(capsys):
     code = main(["minuscule", "grid", "2", "2"])
     out, _ = capsys.readouterr()
