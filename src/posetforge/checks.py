@@ -16,6 +16,10 @@ A_2(E7) = E7 to e7-self-map.
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -96,50 +100,181 @@ def check_defaults(check_id: str) -> dict:
     return dict(_REGISTRY[check_id].defaults)
 
 
-def run_check(check_id: str, params: dict | None = None) -> CheckReport:
-    """Run one check; unknown ids and unknown/ill-typed params are errors.
-
-    An exception raised by the check itself, such as a size cap being
-    hit, does not propagate: it becomes an ``error`` verdict carrying the
-    exception, so one check cannot abort a whole run.
-    """
+def _merged_params(check_id: str, params: dict | None) -> dict:
+    """The check's defaults, overridden by ``params``; an unknown or ill-typed key is an error."""
     if check_id not in _REGISTRY:
         raise UnknownCheck(f"no check registered as {check_id!r}")
-    cdef = _REGISTRY[check_id]
+    defaults = _REGISTRY[check_id].defaults
     params = dict(params or {})
     for key, value in params.items():
-        if key not in cdef.defaults:
+        if key not in defaults:
             raise BadParameters(f"check {check_id!r} takes no parameter {key!r}")
         if not isinstance(value, int) or isinstance(value, bool):
             raise BadParameters(f"parameter {key!r} must be an integer")
         if value < 0:
             raise BadParameters(f"parameter {key!r} must be nonnegative")
-    merged = {**cdef.defaults, **params}
+    return {**defaults, **params}
+
+
+def _execute(check_id: str, merged: dict) -> CheckReport:
     start = time.perf_counter()
     try:
-        passed, certificate = cdef.fn(**merged)
+        passed, certificate = _REGISTRY[check_id].fn(**merged)
     except Exception as exc:  # reported in the check's verdict
         return CheckReport(check_id, merged, False, None, time.perf_counter() - start, exc)
-    elapsed = time.perf_counter() - start
-    return CheckReport(check_id, merged, passed, certificate, elapsed)
+    return CheckReport(check_id, merged, passed, certificate, time.perf_counter() - start)
+
+
+def run_check(check_id: str, params: dict | None = None) -> CheckReport:
+    """Run one check, in this process; unknown ids and unknown/ill-typed params are errors.
+
+    An exception raised by the check itself, such as a size cap being
+    hit, does not propagate: it becomes an ``error`` verdict carrying the
+    exception, so one check cannot abort a whole run.
+    """
+    return _execute(check_id, _merged_params(check_id, params))
 
 
 def run_all(overrides: dict | None = None) -> list[CheckReport]:
     """Run every registered check, applying each override to the checks that take it.
 
-    A key that no registered check takes is an error, so a misspelt cap
-    never runs the defaults silently.
+    A key that no registered check takes, or a value ``run_check`` would
+    refuse, is an error before any check runs, so a misspelt cap never
+    runs the defaults silently.
+
+    The checks run in forked worker processes, one per CPU this process
+    may use (``_worker_count``).  This process is one of them, so on one
+    CPU, without ``os.fork`` or with a second thread alive the same loop
+    runs with nothing forked.  Workers read check indices one at a time
+    from one shared pipe until it is empty, so the load balances itself,
+    and send each report back, pickled, as soon as its check ends; the
+    reports come back in registry order, as a serial run gives them, and
+    an exception keeps its type.  A worker that dies takes only the check
+    it was running with it: that check gets an ``error`` verdict naming
+    the worker's exit code, and the others still run.  Each worker keeps
+    its own caches (two checks that build the corpus may each build one),
+    and what a tracer records inside a worker stays in that worker.
     """
     overrides = dict(overrides or {})
     known = {key for cdef in _REGISTRY.values() for key in cdef.defaults}
     unknown = sorted(overrides.keys() - known)
     if unknown:
         raise BadParameters(f"no check takes {', '.join(map(repr, unknown))}")
-    reports = []
+    jobs = []
     for cdef in registered_checks():
         params = {k: v for k, v in overrides.items() if k in cdef.defaults}
-        reports.append(run_check(cdef.check_id, params))
+        jobs.append((cdef.check_id, _merged_params(cdef.check_id, params)))
+    reports: list[CheckReport | None] = [None] * len(jobs)
+    claimed_by, exit_codes = {}, {}  # check index -> worker pid, worker pid -> exit code
+    results = {}  # read end of each running worker's result pipe -> its pid
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(2, "big") for i in range(len(jobs))))
+    os.close(feed)
+
+    def receive(timeout: float | None) -> None:
+        # the frames waiting now, or with no timeout every frame until each worker ends
+        while results and (ready := select.select(list(results), [], [], timeout)[0]):
+            for fd in ready:
+                frame = _receive(fd)
+                if frame is None:
+                    os.close(fd)
+                    del results[fd]
+                    continue
+                i, report = frame
+                claimed_by[i] = results[fd]
+                if report is not None:
+                    reports[i] = report
+
+    def keep(i: int, report: CheckReport | None) -> None:
+        if report is not None:
+            reports[i] = report
+        receive(0)
+
+    try:
+        for _ in range(_worker_count(len(jobs)) - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker never returns, so no atexit handler or stdio flush runs twice
+                code = 1
+                try:
+                    for fd in (read_end, *results):  # so a worker's pipe breaks when the parent closes it
+                        os.close(fd)
+                    _work(queue, jobs, lambda i, report: _send(write_end, i, report))
+                    code = 0
+                finally:
+                    os._exit(code)
+            exit_codes[pid] = None
+            results[read_end] = pid
+            os.close(write_end)
+        _work(queue, jobs, keep)
+        receive(None)
+    finally:
+        os.close(queue)
+        for fd in results:
+            os.close(fd)  # a worker still writing gets a broken pipe and ends
+        for pid in exit_codes:
+            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for i, (check_id, merged) in enumerate(jobs):
+        if reports[i] is None:
+            pid = claimed_by.get(i)
+            code = exit_codes.get(pid)
+            lost = RuntimeError(f"worker {pid} exited with code {code} before reporting this check")
+            reports[i] = CheckReport(check_id, merged, False, None, 0.0, lost)
     return reports
+
+
+def _worker_count(checks: int) -> int:
+    """One worker per CPU this process may use, at most one per check.
+
+    Only one, this process, where ``os.fork`` is missing or a second
+    thread is alive: a forked child gets no copy of the other threads,
+    so a lock one of them holds would never be released in it.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, checks)
+
+
+def _work(queue: int, jobs: list[tuple[str, dict]], send: Callable) -> None:
+    """Claim check indices from ``queue`` one at a time until it is empty, and run each.
+
+    ``send(i, None)`` announces a claim and ``send(i, report)`` the result.
+    """
+    while claim := os.read(queue, 2):
+        i = int.from_bytes(claim, "big")
+        send(i, None)
+        send(i, _execute(*jobs[i]))
+
+
+def _send(fd: int, i: int, report: CheckReport | None) -> None:
+    """Write one frame: check index, payload length, and the pickled report (none for a claim)."""
+    payload = b"" if report is None else pickle.dumps(report)
+    if report is not None and report.error is not None:
+        pickle.loads(payload)  # an exception that would not unpickle ends this worker, not the run
+    frame = memoryview(i.to_bytes(2, "big") + len(payload).to_bytes(4, "big") + payload)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _receive(fd: int) -> tuple[int, CheckReport | None] | None:
+    """The next frame a worker sent on ``fd``, or None once it has ended (mid-frame included)."""
+    head = _read_exactly(fd, 6)
+    if len(head) < 6:
+        return None
+    size = int.from_bytes(head[2:], "big")
+    payload = _read_exactly(fd, size)
+    if len(payload) < size:
+        return None
+    return int.from_bytes(head[:2], "big"), pickle.loads(payload) if size else None
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``, or fewer if the writer has ended."""
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return bytes(data)
 
 
 # -- shared helpers ---------------------------------------------------------
@@ -685,29 +820,33 @@ def _check_e7_self_map() -> tuple[bool, dict]:
     n=6,
 )
 def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
-    # one complement per antichain; it raises on an image of the wrong size,
-    # and the tables of both sizes show it an involution, so star[n-1-k] is
-    # the inverse of star[k], an isomorphism when star[k] is: each pair of
-    # sizes is compared once, from the smaller side
+    # one complement per antichain, and each size's table is built right before
+    # its exchange order, which reuses the one enumeration of that size; the
+    # complement raises on an image of the wrong size, and the tables of sizes
+    # k and n-1-k show it an involution, so the second is the inverse of the
+    # first, an isomorphism when the first is: each pair of sizes is compared
+    # once, from the smaller side
     checked = 0
     for nn in range(2, n + 1):
         P = roots.type_a_root_poset(nn)
-        star = [
-            {A.label: roots.panyushev_complement(A).label for A in P.antichains_of_size(k)}
-            for k in range(nn)
-        ]
-        for k, images in enumerate(star):
-            for A, img in images.items():
-                back = star[nn - 1 - k][img]
-                if back != A:
-                    return False, {"counterexample": {"n": nn, "A": A, "twice": back}}
-            checked += len(images)
         for k in range((nn + 1) // 2):
-            E = ac.antichain_exchange_poset(P, k)
-            F = ac.antichain_exchange_poset(P, nn - 1 - k)
-            if not mapped_order_equal(E, F, star[k]):
+            star, E = _complement_table(P, k)
+            inverse, F = (star, E) if 2 * k == nn - 1 else _complement_table(P, nn - 1 - k)
+            tables = [(star, inverse)] if inverse is star else [(star, inverse), (inverse, star)]
+            for images, back in tables:
+                for A, img in images.items():
+                    if back[img] != A:
+                        return False, {"counterexample": {"n": nn, "A": A, "twice": back[img]}}
+            checked += sum(len(images) for images, _ in tables)
+            if not mapped_order_equal(E, F, star):
                 return False, {"counterexample": {"n": nn, "k": k, "reason": "not an iso"}}
     return True, {"exhausted": {"max_n": n, "antichains": checked}}
+
+
+def _complement_table(P: Poset, k: int) -> tuple[dict[str, str], Poset]:
+    """The complement of each k-antichain of P by label, and their exchange order."""
+    star = {A.label: roots.panyushev_complement(A).label for A in P.antichains_of_size(k)}
+    return star, ac.antichain_exchange_poset(P, k)
 
 
 @_register(

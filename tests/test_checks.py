@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
 import json
+import os
+import select
+import threading
 
 import pytest
 
@@ -336,6 +340,18 @@ def test_root_complement_involution_complements_each_antichain_once(monkeypatch)
     assert len(calls) == 195
 
 
+def test_root_complement_involution_enumerates_each_size_once(monkeypatch):
+    # each size's table is built right before its exchange order, which reuses
+    # the kept enumeration: one per (rank, size), 2 + 3 + 4 + 5 + 6 up to n = 6
+    calls = []
+    enumerate_antichains = Poset._enumerate_antichains
+    monkeypatch.setattr(
+        Poset, "_enumerate_antichains", lambda P, k: calls.append((P.n, k)) or enumerate_antichains(P, k)
+    )
+    assert run_check("root-complement-involution", {"n": 6}).passed
+    assert len(calls) == len(set(calls)) == 20
+
+
 def test_root_complement_involution_sees_a_dropped_swap_on_the_larger_side(monkeypatch):
     # sizes 1 and 2 are compared once, from size 1, at n = 4 (6 antichains
     # each); a swap lost from A_2 alone still breaks the map onto it
@@ -407,3 +423,119 @@ def test_natural_family_builds_one_level_from_the_last(monkeypatch):
     for m in range(13):
         P, Q = levels[2 * m + 4], minuscule_poset(posetforge.minuscule.NaturalD(m))
         assert (P.labels, P.up) == (Q.labels, Q.up), m
+
+
+# -- the parallel runner ------------------------------------------------------
+
+
+def _without_elapsed(reports):
+    return [{k: v for k, v in r.to_json_dict().items() if k != "elapsed_s"} for r in reports]
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("caps", [TINY_CAPS, {}], ids=["tiny-caps", "default-caps"])
+def test_run_all_gives_the_same_reports_with_any_number_of_workers(monkeypatch, caps):
+    runs = {}
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(checks, "_worker_count", lambda count: workers)
+        runs[workers] = _without_elapsed(run_all(caps))
+        _assert_no_worker_left()
+    assert len(runs[1]) == 20
+    assert runs[2] == runs[1] and runs[4] == runs[1]
+
+
+def test_worker_count_is_one_per_cpu_and_one_without_fork_or_with_threads(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert checks._worker_count(20) == min(cpus, 20)
+    assert checks._worker_count(1) == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert checks._worker_count(20) == 1
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert checks._worker_count(20) == 1
+
+
+@pytest.fixture
+def run_in_a_worker(monkeypatch):
+    """Make the last registered check run ``fn`` in the forked worker of a two-worker run.
+
+    This process claims one of the first two checks before the worker can
+    reach the last one, and every check it runs waits until the worker has
+    started ``fn``, so the worker claims every other check.
+    """
+    parent, (started, starting) = os.getpid(), os.pipe()
+    monkeypatch.setattr(checks, "_worker_count", lambda count: 2)
+
+    def wait_then(run):
+        def waiting(**params):
+            if os.getpid() == parent:
+                select.select([started], [], [], 60)
+            return run(**params)
+
+        return waiting
+
+    def patch(fn):
+        *first, last = registered_checks()
+        for cdef in first:
+            monkeypatch.setitem(checks._REGISTRY, cdef.check_id, dataclasses.replace(cdef, fn=wait_then(cdef.fn)))
+
+        def in_the_worker(**params):
+            assert os.getpid() != parent
+            os.write(starting, b".")
+            return fn(**params)
+
+        monkeypatch.setitem(checks._REGISTRY, last.check_id, dataclasses.replace(last, fn=in_the_worker))
+
+    yield patch
+    os.close(started)
+    os.close(starting)
+
+
+class _TwoArgError(Exception):
+    """An exception that pickles but does not unpickle: its constructor wants two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def _raise_two_arg_error(**params):
+    raise _TwoArgError(1, 2)
+
+
+@pytest.mark.parametrize(
+    "fn, code",
+    [(lambda **params: os._exit(7), 7), (_raise_two_arg_error, 1)],
+    ids=["exit-7", "exception-that-does-not-unpickle"],
+)
+def test_a_worker_that_dies_takes_only_its_check(run_in_a_worker, fn, code):
+    run_in_a_worker(fn)
+    reports = run_all(TINY_CAPS)
+    _assert_no_worker_left()
+    assert len(reports) == 20
+    *others, lost = reports
+    assert all(r.verdict == "pass" for r in others)
+    assert lost.check_id == "weak-chain-shift-iso" and lost.parameters == {"a": 1, "b": 1}
+    assert lost.verdict == "error" and lost.certificate is None
+    assert type(lost.error) is RuntimeError and f"exited with code {code} " in str(lost.error)
+
+
+def test_an_exception_raised_in_a_worker_keeps_its_type(run_in_a_worker):
+    def capped(**params):
+        raise SizeLimitExceeded(f"capped in process {os.getpid()}")
+
+    run_in_a_worker(capped)
+    *others, report = run_all(TINY_CAPS)
+    _assert_no_worker_left()
+    assert all(r.verdict == "pass" for r in others)
+    assert type(report.error) is SizeLimitExceeded
+    assert report.to_json_dict()["error"]["type"] == "SizeLimitExceeded"
+    assert int(str(report.error).split()[-1]) != os.getpid()
