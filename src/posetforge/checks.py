@@ -21,7 +21,6 @@ import pickle
 import select
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import antichains as ac
@@ -35,6 +34,8 @@ from .errors import BadParameters, UnknownCheck
 from .poset import (
     Poset,
     _bits,
+    _Frozen,
+    _Record,
     build_poset,
     discrete_poset,
     find_isomorphism,
@@ -43,14 +44,24 @@ from .poset import (
 )
 
 
-@dataclass
-class CheckReport:
-    check_id: str
-    parameters: dict
-    passed: bool
-    certificate: dict | None
-    elapsed: float
-    error: Exception | None = None
+class CheckReport(_Record):
+    __slots__ = ("check_id", "parameters", "passed", "certificate", "elapsed", "error")
+
+    def __init__(
+        self,
+        check_id: str,
+        parameters: dict,
+        passed: bool,
+        certificate: dict | None,
+        elapsed: float,
+        error: Exception | None = None,
+    ):
+        self.check_id = check_id
+        self.parameters = parameters
+        self.passed = passed
+        self.certificate = certificate
+        self.elapsed = elapsed
+        self.error = error
 
     @property
     def verdict(self) -> str:
@@ -71,12 +82,13 @@ class CheckReport:
         return out
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    summary: str
-    defaults: dict
-    fn: Callable[..., tuple[bool, dict]]
+class CheckDef(_Frozen):
+    __slots__ = ("check_id", "summary", "defaults", "fn")
+
+    def __init__(
+        self, check_id: str, summary: str, defaults: dict, fn: Callable[..., tuple[bool, dict]]
+    ):
+        self._fill(check_id, summary, defaults, fn)
 
 
 _REGISTRY: dict[str, CheckDef] = {}
@@ -296,8 +308,19 @@ def _five_element_example() -> Poset:
 
 
 def _is_singleton_copy(A1: Poset, P: Poset) -> bool:
-    """Whether x -> {x} maps P onto A1 = A_1(P); from P, so only A1 keeps a label index."""
-    return mapped_order_equal(P, A1, {x: "{" + x + "}" for x in P.labels})
+    """Whether x -> {x} maps P onto A1 = A_1(P), decided on indices.
+
+    A_1(P) sits on P's singleton masks in index order, so x -> {x} is the
+    identity on indices and carries P's order onto A1's when their cover
+    rows are equal; no "{x}" label is built.
+    """
+    host, masks = A1._subsets
+    return (
+        host == P
+        and len(masks) == P.n
+        and all(m == 1 << i for i, m in enumerate(masks))
+        and A1.cover_up == P.cover_up
+    )
 
 
 def _bump_mismatch(P: Poset, entries: list[tuple[int, ...]]) -> tuple[int, int] | None:
@@ -520,9 +543,13 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
             masks = P._antichain_masks(k)
             index = {mask: j for j, mask in enumerate(masks)}
             for i, mask in enumerate(masks):
-                swaps = {mask & ~(1 << a) | 1 << b
-                         for a in _bits(mask) for b in _bits(P.cover_up[a])}
-                steps = sum(1 << index[s] for s in swaps if s in index)
+                steps = 0
+                for a in _bits(mask):
+                    rest = mask & ~(1 << a)
+                    for b in _bits(P.cover_up[a]):
+                        j = index.get(rest | 1 << b)
+                        if j is not None:
+                            steps |= 1 << j
                 mismatch = steps ^ E_all.cover_up[i]
                 if mismatch:
                     return False, {

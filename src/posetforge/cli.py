@@ -19,8 +19,8 @@ Each subcommand imports only the modules it runs, on top of `errors`
 and `poset`: `build`, `iso` and `export-dot` nothing more, `minuscule`
 the `minuscule` module, `ak` `antichains`, `check` `lattice`, `narayana`
 and `star` `roots`, and `durfee` `ferrers` with `sequences`.  Only
-`verify` loads `checks`, and through it every module.  Only `durfee` and
-`verify` load `dataclasses`, and no command loads numpy.
+`verify` loads `checks`, and through it every module.  No command loads
+`dataclasses` (every record type derives from `poset._Record`) or numpy.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class _InputError(Exception):
 
 
 def _emit_json(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
 
 def to_dot(P: Poset) -> str:

@@ -18,41 +18,37 @@ into one long increasing tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset, _componentwise_poset, grid_points
+from .poset import Antichain, Poset, _componentwise_poset, _Frozen, grid_points
 from .sequences import KSubset
 
 
-@dataclass(frozen=True)
-class FerrersDiagram:
+class FerrersDiagram(_Frozen):
     """Weakly decreasing column heights inside an a x b box.
 
     Heights are stored without trailing zeros, so the label "(3,2,1)"
     is the usual partition notation; the empty diagram prints as "()".
     """
 
-    heights: tuple[int, ...]
-    box: tuple[int, int]
+    __slots__ = ("heights", "box")
 
-    def __post_init__(self):
-        a, b = self.box
+    def __init__(self, heights: tuple[int, ...], box: tuple[int, int]):
+        a, b = box
         if a < 0 or b < 0:
             raise BadParameters(f"box sides must be nonnegative: {a}x{b}")
-        hs = tuple(self.heights)
+        hs = tuple(heights)
         if any(h < 0 for h in hs):
             raise BadParameters(f"heights must be nonnegative: {hs}")
         if any(x < y for x, y in zip(hs, hs[1:])):
             raise BadParameters(f"heights must be weakly decreasing: {hs}")
         while hs and hs[-1] == 0:
             hs = hs[:-1]
-        object.__setattr__(self, "heights", hs)
-        object.__setattr__(self, "box", (a, b))
         if len(hs) > b or (hs and hs[0] > a):
             raise BadParameters(f"diagram {hs} does not fit in a {a}x{b} box")
+        self._fill(hs, (a, b))
 
     @property
     def label(self) -> str:

@@ -25,10 +25,9 @@ ints too.  numpy is imported only to build the read-only matrix views
 ``lt`` and ``cover_matrix``, which nothing in the package reads.
 Every CLI command loads this module (``import posetforge`` itself loads
 no submodule until one of its names is used), so it keeps its imports
-to the standard library's cheapest: its record types, and those of the
-modules the pipeline commands load (``lattice``, ``antichains``,
-``minuscule``, ``roots``), derive from ``_Record`` instead of
-``dataclasses``, which would load ``inspect``.
+to the standard library's cheapest.  Every record type of the package
+derives from ``_Record`` (or ``_Frozen``) instead of ``dataclasses``,
+which would load ``inspect``, ``ast``, ``dis`` and ``tokenize``.
 
 Labels are opaque at the API boundary.  All internal computation runs on
 indices, with subsets handled as Python int bitmasks, so every relation
@@ -786,9 +785,18 @@ def mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
     onto the upper covers of its image carries the cover relation onto
     Q's, both ways, and so the order, its transitive closure, as well.
     """
-    if P.n != Q.n or set(label_map) != set(P.labels) or set(label_map.values()) != set(Q.labels):
+    n = P.n
+    if Q.n != n or len(label_map) != n:
         return False
-    img = [Q.index(label_map[lab]) for lab in P.labels]
+    # n keys that include P's n labels are exactly P's labels, and n
+    # distinct images in Q's n elements are all of them
+    index = Q._index
+    try:
+        img = [index[label_map[lab]] for lab in P.labels]
+    except KeyError:
+        return False
+    if len(set(img)) != n:
+        return False
     coverQ = Q.cover_up
     return all(_image(c, img) == coverQ[img[i]] for i, c in enumerate(P.cover_up))
 
@@ -796,11 +804,12 @@ def mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
 class _Record:
     """A value over the fields its subclass names in ``__slots__``.
 
-    What ``@dataclass`` would give, written out so that loading a record
-    type does not load ``dataclasses`` (and through it ``inspect``): a
-    repr naming the fields (but those in ``_hidden``), and equality with
-    records of the same type only, field by field.  Mutable records are
-    unhashable, as a dataclass with ``eq`` is.
+    Every record type of the package derives from this class or from
+    ``_Frozen``.  It gives what ``@dataclass`` would, written out so that
+    loading a record type does not load ``dataclasses`` (and through it
+    ``inspect``): a repr naming the fields (but those in ``_hidden``), and
+    equality with records of the same type only, field by field.  Mutable
+    records are unhashable, as a dataclass with ``eq`` is.
     """
 
     __slots__ = ()
@@ -826,7 +835,8 @@ class _Record:
 class _Frozen(_Record):
     """A record whose fields cannot be assigned after construction; hashable.
 
-    ``__init__`` sets the fields, in ``__slots__`` order, through ``_fill``.
+    ``__init__`` sets the fields, in ``__slots__`` order, through ``_fill``,
+    or one by one through ``object.__setattr__`` where construction is hot.
     """
 
     __slots__ = ()

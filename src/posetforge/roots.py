@@ -14,7 +14,7 @@ import re
 from functools import lru_cache, total_ordering
 
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset, _componentwise_poset, _Frozen
+from .poset import Antichain, Poset, _bits, _componentwise_poset, _Frozen
 
 _ROOT_RE = re.compile(r"\[(\d+),(\d+)\]")
 
@@ -45,6 +45,13 @@ def positive_roots(n: int) -> list[Root]:
 
 
 @lru_cache(maxsize=None)
+def _root_pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """The (i, j) of each index of ``type_a_root_poset(n)``, and the index of each (i, j)."""
+    pairs = [(r.i, r.j) for r in positive_roots(n)]
+    return pairs, {p: t for t, p in enumerate(pairs)}
+
+
+@lru_cache(maxsize=None)
 def type_a_root_poset(n: int) -> Poset:
     """All intervals [i, j] inside [1, n], ordered by containment."""
     if n < 2:
@@ -65,9 +72,11 @@ def _rank_of(P: Poset) -> int:
     """Recover n from the host; the root count is n(n-1)/2."""
     count = P.n
     n = round((1 + (1 + 8 * count) ** 0.5) / 2)
-    if n < 2 or n * (n - 1) // 2 != count or P != type_a_root_poset(n):
-        raise BadParameters("host is not a type-A root poset")
-    return n
+    if n >= 2 and n * (n - 1) // 2 == count:
+        host = type_a_root_poset(n)
+        if P is host or P == host:
+            return n
+    raise BadParameters("host is not a type-A root poset")
 
 
 def panyushev_complement(A: Antichain) -> Antichain:
@@ -76,22 +85,25 @@ def panyushev_complement(A: Antichain) -> Antichain:
     For members [i_t, j_t], the image pairs the sorted complements
     {1..n-1} \\ {j_t - 1} and {2..n} \\ {i_t + 1} positionally.  The
     result is checked to be a genuine antichain of the expected size and
-    the call fails loudly otherwise.
+    the call fails loudly otherwise.  Members are read from the mask, and
+    the image is built from indices, through the host's (i, j) table.
     """
-    n = _rank_of(A.poset)
-    members = [parse_root_label(lab) for lab in A.member_labels]
+    P = A.poset
+    n = _rank_of(P)
+    pairs, index = _root_pairs(n)
+    members = [pairs[t] for t in _bits(A.mask)]
     k = len(members)
-    shifted_j, shifted_i = {r.j - 1 for r in members}, {r.i + 1 for r in members}
+    shifted_j, shifted_i = {j - 1 for _, j in members}, {i + 1 for i, _ in members}
     new_i = [i for i in range(1, n) if i not in shifted_j]
     new_j = [j for j in range(2, n + 1) if j not in shifted_i]
     if len(new_i) != n - 1 - k or len(new_j) != n - 1 - k:
         raise NotAnAntichain("complement sets have the wrong size")
-    roots = []
+    image = []
     for i, j in zip(new_i, new_j):
         if not i < j:
             raise NotAnAntichain(f"complement pairing produced [{i},{j}]")
-        roots.append(Root(i, j))
-    return A.poset.antichain([r.label for r in roots])
+        image.append(index[i, j])
+    return P.antichain(image)
 
 
 def narayana_table(n: int) -> list[int]:

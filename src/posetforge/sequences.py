@@ -10,26 +10,27 @@ lattice of a grid into a Gale order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .errors import BadParameters
-from .poset import Ideal, Poset, _componentwise_poset, grid_points, point_label
+from .poset import Ideal, Poset, _componentwise_poset, _Frozen, grid_points, point_label
 
 
-@dataclass(frozen=True)
-class KSubset:
+class KSubset(_Frozen):
     """A k-subset of {1..n} as a strictly increasing tuple."""
 
-    entries: tuple[int, ...]
-    n: int
+    __slots__ = ("entries", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if any(x >= y for x, y in zip(self.entries, self.entries[1:])):
-            raise BadParameters(f"entries must be strictly increasing: {self.entries}")
-        if self.entries and not (1 <= self.entries[0] and self.entries[-1] <= self.n):
-            raise BadParameters(f"entries must lie in 1..{self.n}: {self.entries}")
+    def __init__(self, entries: tuple[int, ...], n: int):
+        # checked as locals and set slot by slot: the ladder rebuilds its
+        # Gale targets on every witness op, so this runs hot
+        entries = tuple(entries)
+        if any(x >= y for x, y in zip(entries, entries[1:])):
+            raise BadParameters(f"entries must be strictly increasing: {entries}")
+        if entries and not (1 <= entries[0] and entries[-1] <= n):
+            raise BadParameters(f"entries must lie in 1..{n}: {entries}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n", n)
 
     @property
     def k(self) -> int:
@@ -43,19 +44,18 @@ class KSubset:
         return all(x <= y for x, y in zip(self.entries, other.entries))
 
 
-@dataclass(frozen=True)
-class WeakChain:
+class WeakChain(_Frozen):
     """A weakly increasing tuple of length b with entries in [0, bound]."""
 
-    entries: tuple[int, ...]
-    bound: int
+    __slots__ = ("entries", "bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if any(x > y for x, y in zip(self.entries, self.entries[1:])):
-            raise BadParameters(f"entries must be weakly increasing: {self.entries}")
-        if self.entries and not (0 <= self.entries[0] and self.entries[-1] <= self.bound):
-            raise BadParameters(f"entries must lie in 0..{self.bound}: {self.entries}")
+    def __init__(self, entries: tuple[int, ...], bound: int):
+        entries = tuple(entries)
+        if any(x > y for x, y in zip(entries, entries[1:])):
+            raise BadParameters(f"entries must be weakly increasing: {entries}")
+        if entries and not (0 <= entries[0] and entries[-1] <= bound):
+            raise BadParameters(f"entries must lie in 0..{bound}: {entries}")
+        self._fill(entries, bound)
 
     @property
     def length(self) -> int:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -81,6 +79,7 @@ def raise_in_check(monkeypatch):
             raise exc
 
         cdef = checks._REGISTRY[check_id]
-        monkeypatch.setitem(checks._REGISTRY, check_id, dataclasses.replace(cdef, fn=fn))
+        raising = checks.CheckDef(check_id, cdef.summary, cdef.defaults, fn)
+        monkeypatch.setitem(checks._REGISTRY, check_id, raising)
 
     return patch

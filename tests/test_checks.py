@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -21,7 +20,7 @@ from posetforge import (
     checks,
     minuscule_poset,
 )
-from posetforge.checks import check_defaults, registered_checks, run_all, run_check
+from posetforge.checks import CheckDef, check_defaults, registered_checks, run_all, run_check
 
 TINY_CAPS = {"a": 1, "b": 1, "n": 1, "m": 0, "max_size": 2}
 
@@ -329,6 +328,19 @@ def test_a_swap_dropped_at_k1_breaks_the_singleton_map(monkeypatch, check_id, ca
     assert report.certificate == {"counterexample": example}
 
 
+def test_the_singleton_map_rejects_a_1_of_another_poset_of_the_same_size():
+    P = build_poset(["a", "b", "c"], [("a", "b")])
+    assert checks._is_singleton_copy(posetforge.antichains.antichain_exchange_poset(P, 1), P)
+    for other in [
+        build_poset(["a", "b", "c"], [("b", "c")]),  # another order on the same labels
+        build_poset(["a", "b", "c"], [("b", "a")]),  # isomorphic to P, but not under x -> x
+        P.relabeled(["x", "y", "z"]),  # the same order on other labels
+        chain_poset(3),
+    ]:
+        A1 = posetforge.antichains.antichain_exchange_poset(other, 1)
+        assert not checks._is_singleton_copy(A1, P)
+
+
 def test_root_complement_involution_complements_each_antichain_once(monkeypatch):
     # the tables of both sizes show the involution, with no second complement:
     # one call per antichain, the Catalan numbers 2 + 5 + 14 + 42 + 132 up to n = 6
@@ -486,14 +498,16 @@ def run_in_a_worker(monkeypatch):
     def patch(fn):
         *first, last = registered_checks()
         for cdef in first:
-            monkeypatch.setitem(checks._REGISTRY, cdef.check_id, dataclasses.replace(cdef, fn=wait_then(cdef.fn)))
+            waiting = CheckDef(cdef.check_id, cdef.summary, cdef.defaults, wait_then(cdef.fn))
+            monkeypatch.setitem(checks._REGISTRY, cdef.check_id, waiting)
 
         def in_the_worker(**params):
             assert os.getpid() != parent
             os.write(starting, b".")
             return fn(**params)
 
-        monkeypatch.setitem(checks._REGISTRY, last.check_id, dataclasses.replace(last, fn=in_the_worker))
+        in_worker = CheckDef(last.check_id, last.summary, last.defaults, in_the_worker)
+        monkeypatch.setitem(checks._REGISTRY, last.check_id, in_worker)
 
     yield patch
     os.close(started)

@@ -452,6 +452,8 @@ heavy = ["posetforge.checks", "posetforge.corpus", "posetforge.sequences", "pose
 heavy += [] if preloaded else ["dataclasses"]
 print(sorted(name for name in heavy if name in sys.modules))
 print(len(json.loads(run("verify", "all", "--json"))))
+run("durfee", "4,3,1")
+print("dataclasses" in sys.modules and not preloaded)
 """
 
 
@@ -460,7 +462,7 @@ def test_pipeline_commands_load_only_what_they_run(tmp_path):
         [sys.executable, "-c", LEAN_STARTUP_SCRIPT, str(tmp_path)], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "20"]
+    assert done.stdout.splitlines() == ["[]", "20", "False"]
 
 
 def test_verify_all_reports_every_check_when_one_hits_a_cap(capsys, raise_in_check):

@@ -10,19 +10,24 @@ import pytest
 
 import posetforge
 from posetforge import (
+    CheckReport,
     DistributivityResult,
     E6Kind,
     E7Kind,
+    FerrersDiagram,
     Grid,
+    KSubset,
     MeetJoinTable,
     NaturalD,
     PosetIso,
     RefinementReport,
     Root,
     SpinD,
+    WeakChain,
     BadParameters,
     chain_poset,
 )
+from posetforge.checks import CheckDef
 
 EXPORTS = {
     "antichains": [
@@ -147,6 +152,7 @@ def test_records_of_different_types_are_never_equal():
     assert Grid(2, 3) != (2, 3)
     assert Grid(2, 3) == Grid(2, 3) and Grid(2, 3) != Grid(3, 2)
     assert Root(1, 2) != Grid(1, 2)
+    assert KSubset((1, 2), 3) != WeakChain((1, 2), 3)
 
 
 def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
@@ -154,6 +160,12 @@ def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
     assert kinds[Grid(2, 3)] == "g" and kinds[NaturalD(4)] == "n" and kinds[E7Kind()] == "e7"
     assert hash(Root(1, 4)) == hash(Root(1, 4))
     assert hash(MeetJoinTable(((0,),), ((0,),), True)) == hash(MeetJoinTable(((0,),), ((0,),), True))
+    assert hash(KSubset((1, 2), 3)) == hash(KSubset([1, 2], 3))
+    assert hash(FerrersDiagram((2,), (2, 1))) == hash(FerrersDiagram([2, 0], [2, 1]))
+    with pytest.raises(TypeError):
+        hash(CheckDef("c", "s", {}, len))  # a dict field, as with a frozen dataclass
+    with pytest.raises(TypeError):
+        hash(CheckReport("c", {}, True, None, 0.5))
     with pytest.raises(TypeError):
         hash(PosetIso({"a": "b"}, {"b": "a"}))  # dict fields, as with a frozen dataclass
     with pytest.raises(TypeError):
@@ -175,6 +187,12 @@ def test_record_reprs_name_their_fields():
         "RefinementReport(k=1, antichain_count=2, exchange_pairs=3, ideal_pairs=4, "
         "violations=[], coarsening_witnesses=[])"
     )
+    assert repr(KSubset([1, 3], 4)) == "KSubset(entries=(1, 3), n=4)"
+    assert repr(WeakChain(bound=2, entries=(0, 2))) == "WeakChain(entries=(0, 2), bound=2)"
+    assert repr(FerrersDiagram((3, 1, 0), [3, 3])) == "FerrersDiagram(heights=(3, 1), box=(3, 3))"
+    assert repr(CheckReport("c", {"a": 1}, True, None, 0.5)) == (
+        "CheckReport(check_id='c', parameters={'a': 1}, passed=True, certificate=None, elapsed=0.5, error=None)"
+    )
 
 
 def test_frozen_fields_cannot_be_assigned():
@@ -185,6 +203,10 @@ def test_frozen_fields_cannot_be_assigned():
         (Root(1, 2), "j"),
         (PosetIso({}, {}), "forward"),
         (MeetJoinTable((), (), False), "complete"),
+        (KSubset((1,), 1), "n"),
+        (WeakChain((), 0), "entries"),
+        (FerrersDiagram((), (0, 0)), "box"),
+        (CheckDef("c", "s", {}, len), "fn"),
     ]:
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
@@ -201,6 +223,9 @@ def test_mutable_records_assign_and_keep_their_own_lists():
     verdict = DistributivityResult(False, False)
     verdict.failure = {"reason": "empty poset"}
     assert verdict.failure == {"reason": "empty poset"}
+    report = CheckReport("c", {}, True, None, 0.5)
+    report.passed = False
+    assert report.verdict == "fail"
 
 
 def test_root_orders_as_its_pair_and_validates():
@@ -234,6 +259,17 @@ def test_distributivity_result_is_truthy_exactly_when_distributive():
 
 
 def test_records_survive_copy_and_pickle():
-    for record in [Grid(2, 3), E7Kind(), Root(1, 4), PosetIso({"a": "b"}, {"b": "a"}), RefinementReport(1, 2, 3, 4)]:
+    for record in [
+        Grid(2, 3),
+        E7Kind(),
+        Root(1, 4),
+        PosetIso({"a": "b"}, {"b": "a"}),
+        RefinementReport(1, 2, 3, 4),
+        KSubset((1, 3), 4),
+        WeakChain((0, 0), 1),
+        FerrersDiagram((2, 1), (2, 2)),
+        CheckReport("c", {"a": 1}, True, {"exhausted": {}}, 0.5),
+        CheckDef("c", "s", {"a": 1}, len),
+    ]:
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record

@@ -995,6 +995,25 @@ def test_mapped_order_equal_rejects_swapped_images():
     assert not mapped_order_equal(P, P, {"1": "2", "2": "1", "3": "3"})
 
 
+@pytest.mark.parametrize(
+    "label_map, expected",
+    [
+        ({"a": "x", "b": "y", "c": "z"}, True),
+        ({"b": "y", "c": "z"}, False),
+        ({"d": "x", "b": "y", "c": "z"}, False),
+        ({"a": "x", "b": "y", "c": "z", "d": "x"}, False),
+        ({"a": "x", "b": "x", "c": "z"}, False),
+        ({"a": "w", "b": "y", "c": "z"}, False),
+    ],
+    ids=["bijection", "missing-label", "missing-label-same-size", "extra-key", "two-to-one", "image-not-in-Q"],
+)
+def test_mapped_order_equal_needs_a_bijection_onto_q(label_map, expected):
+    # a and b lie below c; sending both to x still carries every cover row onto Q's
+    P = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    Q = P.relabeled(["x", "y", "z"])
+    assert mapped_order_equal(P, Q, label_map) is expected
+
+
 def test_induced_matches_comprehension(corpus6):
     rng = random.Random(66)
     for P in corpus6:
