@@ -39,8 +39,9 @@ from .poset import (
     build_poset,
     discrete_poset,
     find_isomorphism,
+    grid_mask_points,
     grid_poset,
-    mapped_order_equal,
+    index_map_order_equal,
 )
 
 
@@ -179,8 +180,11 @@ def run_all(overrides: dict | None = None) -> list[CheckReport]:
     reports: list[CheckReport | None] = [None] * len(jobs)
     claimed_by, exit_codes = {}, {}  # check index -> worker pid, worker pid -> exit code
     results = {}  # read end of each running worker's result pipe -> its pid
+    # the checks that sweep the corpus (those taking max_size) are the longest,
+    # so they are claimed first and no worker starts one while the rest idle
+    order = sorted(range(len(jobs)), key=lambda i: "max_size" not in jobs[i][1])
     queue, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(2, "big") for i in range(len(jobs))))
+    os.write(feed, b"".join(i.to_bytes(2, "big") for i in order))
     os.close(feed)
 
     def receive(timeout: float | None) -> None:
@@ -376,12 +380,11 @@ def _check_weak_chain_shift_iso(a: int, b: int) -> tuple[bool, dict]:
             cases += 1
             S = seq.weak_chain_poset(aa, bb)
             C = seq.gale_poset(aa + bb, bb)
-            elems = seq.weak_chain_elements(aa, bb)
-            label_map = {e.label: seq.weak_chain_to_ksubset(e).label for e in elems}
+            img = [seq.gale_rank(seq.shifted(w)) for w in seq.weak_chain_entries(aa, bb)]
             # a verified map makes S's covers the preimages of the Gale covers,
             # which raise one entry by one (gale-rank-covers); the shift adds a
             # constant to each position, so S's covers raise one entry by one too
-            if not mapped_order_equal(S, C, label_map):
+            if not index_map_order_equal(S, C, img):
                 return False, {"counterexample": {"a": aa, "b": bb}}
     return True, {"exhausted": {"max_a": a, "max_b": b, "cases": cases}}
 
@@ -397,17 +400,17 @@ def _check_ideal_heights_iso(a: int, b: int) -> tuple[bool, dict]:
         for bb in range(b + 1):
             G = grid_poset(aa, bb)
             J = G.ideals_poset()
-            ideals = G.ideals()
             S = seq.weak_chain_poset(aa, bb)
-            label_map = {}
-            for idl in ideals:
-                chain = seq.ideal_heights(aa, bb, idl)
-                if seq.ideal_from_heights(G, aa, bb, chain) != idl:
+            index = {w: i for i, w in enumerate(seq.weak_chain_entries(aa, bb))}
+            img = []
+            for mask in J._subsets[1]:
+                chain = seq.grid_ideal_heights(bb, mask)
+                if seq.grid_ideal_mask(bb, chain) != mask:
                     return False, {
-                        "counterexample": {"a": aa, "b": bb, "ideal": idl.label}
+                        "counterexample": {"a": aa, "b": bb, "ideal": G.subset_label(_bits(mask))}
                     }
-                label_map[idl.label] = chain.label
-            if not mapped_order_equal(J, S, label_map):
+                img.append(index.get(chain))
+            if not index_map_order_equal(J, S, img):
                 return False, {"counterexample": {"a": aa, "b": bb}}
     return True, {"exhausted": {"max_a": a, "max_b": b}}
 
@@ -422,17 +425,13 @@ def _check_box_gale_composite(a: int, b: int) -> tuple[bool, dict]:
     sample = None
     for aa in range(a + 1):
         for bb in range(b + 1):
-            G = grid_poset(aa, bb)
-            J = G.ideals_poset()
+            J = grid_poset(aa, bb).ideals_poset()
             C = seq.gale_poset(aa + bb, bb)
-            label_map = {
-                idl.label: seq.box_ideal_to_ksubset(aa, bb, idl).label
-                for idl in G.ideals()
-            }
-            if not mapped_order_equal(J, C, label_map):
+            img = [seq.gale_rank(seq.shifted(seq.grid_ideal_heights(bb, m))) for m in J._subsets[1]]
+            if not index_map_order_equal(J, C, img):
                 return False, {"counterexample": {"a": aa, "b": bb}}
             if aa == a and bb == b:
-                sample = label_map
+                sample = {lab: C.labels[j] for lab, j in zip(J.labels, img)}
     return True, {
         "exhausted": {"max_a": a, "max_b": b},
         "witness_at_caps": sample,
@@ -474,17 +473,18 @@ def _check_durfee_product(a: int, b: int) -> tuple[bool, dict]:
     iso_count = 0
     for aa in range(a + 1):
         for bb in range(b + 1):
-            frobenius = [{} for _ in range(min(aa, bb) + 1)]  # per Durfee length
-            for d in ferrers.diagrams_in_box(aa, bb):
-                k, top, side = ferrers.durfee_decompose(d)
-                if ferrers.durfee_compose(aa, bb, k, top, side) != d:
-                    return False, {"counterexample": {"a": aa, "b": bb, "diagram": d.label}}
-                xs, ys = ferrers.frobenius_coordinates(d)
-                frobenius[k][d.label] = f"({xs.label},{ys.label})"
-            for k in range(min(aa, bb) + 1):
+            for k, diagrams in enumerate(ferrers._diagrams_by_durfee_length(aa, bb)):
+                gb = seq.gale_poset(bb, k)
+                img = []
+                for d in diagrams:
+                    dk, top, side = ferrers.durfee_decompose(d)
+                    if ferrers.durfee_compose(aa, bb, dk, top, side) != d:
+                        return False, {"counterexample": {"a": aa, "b": bb, "diagram": d.label}}
+                    xs, ys = ferrers.frobenius(d.heights)
+                    img.append(seq.gale_rank(xs) * gb.n + seq.gale_rank(ys))
                 D = ferrers.durfee_poset(aa, bb, k)
-                prod = seq.gale_poset(aa, k).product(seq.gale_poset(bb, k))
-                if not mapped_order_equal(D, prod, frobenius[k]):
+                prod = seq.gale_poset(aa, k).product(gb)
+                if not index_map_order_equal(D, prod, img):
                     return False, {
                         "counterexample": {"a": aa, "b": bb, "k": k, "sizes": [D.n, prod.n]}
                     }
@@ -648,12 +648,13 @@ def _check_grid_antichain_split(a: int, b: int) -> tuple[bool, dict]:
             G = grid_poset(aa, bb)
             for k in range(min(aa, bb) + 1):
                 E = ac.antichain_exchange_poset(G, k)
-                prod = seq.gale_poset(aa, k).product(seq.gale_poset(bb, k))
-                label_map = {}
-                for A in G.antichains_of_size(k):
-                    xs, ys = ferrers.split_grid_antichain(aa, bb, A)
-                    label_map[A.label] = f"({xs.label},{ys.label})"
-                if not mapped_order_equal(E, prod, label_map):
+                gb = seq.gale_poset(bb, k)
+                prod = seq.gale_poset(aa, k).product(gb)
+                img = []
+                for mask in E._subsets[1]:
+                    xs, ys = ferrers.split_points(grid_mask_points(bb, mask))
+                    img.append(seq.gale_rank(xs) * gb.n + seq.gale_rank(ys))
+                if not index_map_order_equal(E, prod, img):
                     return False, {"counterexample": {"a": aa, "b": bb, "k": k}}
                 cover_counts += sum(c.bit_count() for c in E.cover_up)
     return True, {"exhausted": {"max_a": a, "max_b": b, "covers_matched": cover_counts}}
@@ -671,17 +672,15 @@ def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
     for aa in range(1, a + 1):
         for bb in range(1, b + 1):
             G = grid_poset(aa, bb)
-            diagram_at = {
-                ferrers.frobenius_coordinates(d): d.label for d in ferrers.diagrams_in_box(aa, bb)
-            }
-            for k in range(min(aa, bb) + 1):
+            for k, diagrams in enumerate(ferrers._diagrams_by_durfee_length(aa, bb)):
                 E = ac.antichain_exchange_poset(G, k)
                 D = ferrers.durfee_poset(aa, bb, k)
-                label_map = {
-                    A.label: diagram_at.get(ferrers.split_grid_antichain(aa, bb, A))
-                    for A in G.antichains_of_size(k)
-                }
-                if not mapped_order_equal(E, D, label_map):
+                diagram_at = {ferrers.frobenius(d.heights): i for i, d in enumerate(diagrams)}
+                img = [
+                    diagram_at.get(ferrers.split_points(grid_mask_points(bb, mask)))
+                    for mask in E._subsets[1]
+                ]
+                if not index_map_order_equal(E, D, img):
                     return False, {
                         "counterexample": {"a": aa, "b": bb, "k": k, "sizes": [E.n, D.n]}
                     }
@@ -697,13 +696,10 @@ def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
 )
 def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
     for nn in range(1, n + 1):
-        G = grid_poset(nn, 2)
-        P = G.ideals_poset()
+        P = grid_poset(nn, 2).ideals_poset()
         pair_poset = seq.gale_poset(nn + 2, 2)
-        to_pair = {
-            idl.label: seq.box_ideal_to_ksubset(nn, 2, idl).label for idl in G.ideals()
-        }
-        if not mapped_order_equal(P, pair_poset, to_pair):
+        pairs = [seq.shifted(seq.grid_ideal_heights(2, m)) for m in P._subsets[1]]
+        if not index_map_order_equal(P, pair_poset, [seq.gale_rank(p) for p in pairs]):
             return False, {"counterexample": {"n": nn, "reason": "base identification"}}
         w = P.width()
         if w != (nn + 2) // 2:
@@ -711,12 +707,12 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
         for k in range(w + 1):
             E = ac.antichain_exchange_poset(P, k)
             target = seq.gale_poset(nn + 2, 2 * k)
-            label_map = {}
-            for A in P.antichains_of_size(k):
-                members = [to_pair[lab] for lab in A.member_labels]
-                image = pair_poset.antichain(members)
-                label_map[A.label] = ferrers.spin_antichain_merge(nn, image).label
-            if not mapped_order_equal(E, target, label_map):
+            # the base map is an isomorphism, so antichains go to antichains of pairs
+            img = [
+                seq.gale_rank(ferrers.merge_pairs([pairs[t] for t in _bits(mask)]))
+                for mask in E._subsets[1]
+            ]
+            if not index_map_order_equal(E, target, img):
                 return False, {"counterexample": {"n": nn, "k": k}}
     return True, {"exhausted": {"max_n": n}}
 
@@ -857,23 +853,32 @@ def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
     for nn in range(2, n + 1):
         P = roots.type_a_root_poset(nn)
         for k in range((nn + 1) // 2):
-            star, E = _complement_table(P, k)
-            inverse, F = (star, E) if 2 * k == nn - 1 else _complement_table(P, nn - 1 - k)
-            tables = [(star, inverse)] if inverse is star else [(star, inverse), (inverse, star)]
-            for images, back in tables:
-                for A, img in images.items():
-                    if back[img] != A:
-                        return False, {"counterexample": {"n": nn, "A": A, "twice": back[img]}}
-            checked += sum(len(images) for images, _ in tables)
-            if not mapped_order_equal(E, F, star):
+            images, E = _complement_table(P, k)
+            back_images, F = (images, E) if 2 * k == nn - 1 else _complement_table(P, nn - 1 - k)
+            star = _indices_in(F, images)
+            inverse = star if F is E else _indices_in(E, back_images)
+            tables = [(E, star, inverse)] if F is E else [(E, star, inverse), (F, inverse, star)]
+            for X, there, back in tables:
+                for i, j in enumerate(there):
+                    if back[j] != i:
+                        A, twice = (P.subset_label(_bits(X._subsets[1][t])) for t in (i, back[j]))
+                        return False, {"counterexample": {"n": nn, "A": A, "twice": twice}}
+            checked += sum(len(there) for _, there, _ in tables)
+            if not index_map_order_equal(E, F, star):
                 return False, {"counterexample": {"n": nn, "k": k, "reason": "not an iso"}}
     return True, {"exhausted": {"max_n": n, "antichains": checked}}
 
 
-def _complement_table(P: Poset, k: int) -> tuple[dict[str, str], Poset]:
-    """The complement of each k-antichain of P by label, and their exchange order."""
-    star = {A.label: roots.panyushev_complement(A).label for A in P.antichains_of_size(k)}
-    return star, ac.antichain_exchange_poset(P, k)
+def _complement_table(P: Poset, k: int) -> tuple[list[int], Poset]:
+    """The mask of the complement of each k-antichain of P, in index order, and their exchange order."""
+    images = [roots.panyushev_complement(A).mask for A in P.antichains_of_size(k)]
+    return images, ac.antichain_exchange_poset(P, k)
+
+
+def _indices_in(E: Poset, masks: list[int]) -> list[int]:
+    """The index in E, an order on subsets, of each of ``masks``."""
+    index = {m: i for i, m in enumerate(E._subsets[1])}
+    return [index[m] for m in masks]
 
 
 @_register(

@@ -13,7 +13,10 @@ height vectors and build no poset.
 Three explicit maps live here as well: a diagram's Frobenius
 coordinates, splitting an antichain of an a x b grid into its sorted x-
 and y-coordinate tuples, and flattening an antichain of the pair order
-into one long increasing tuple.
+into one long increasing tuple.  Each has a core on plain tuples
+(``frobenius``, ``split_points``, ``merge_pairs``), which the checks use
+on index masks; the functions on diagrams and antichains validate their
+arguments and wrap the core's result in ``KSubset``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset, _componentwise_poset, _Frozen, grid_points
+from .poset import Antichain, Poset, _componentwise_poset, _Frozen, grid_mask_points, grid_points
 from .sequences import KSubset
 
 
@@ -138,12 +141,19 @@ def durfee_compose(
     return FerrersDiagram(heights, (a, b))
 
 
+def frobenius(heights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Frobenius coordinates (h_j - j + 1) and (r_j - j + 1), j = k..1, of the weakly
+    decreasing column heights h, with row lengths r and Durfee length k."""
+    k = sum(h >= j for j, h in enumerate(heights, 1))
+    xs = tuple(heights[j - 1] - j + 1 for j in range(k, 0, -1))
+    ys = tuple(sum(h >= j for h in heights) - j + 1 for j in range(k, 0, -1))
+    return xs, ys
+
+
 def frobenius_coordinates(d: FerrersDiagram) -> tuple[KSubset, KSubset]:
-    """Frobenius coordinates (h_j - j + 1) and (r_j - j + 1), j = k..1, of column heights h
-    and row lengths r: Durfee length k maps onto Gale(a,k) x Gale(b,k), order and all."""
-    k = durfee_length(d)
-    xs = tuple(d.heights[j - 1] - j + 1 for j in range(k, 0, -1))
-    ys = tuple(sum(h >= j for h in d.heights) - j + 1 for j in range(k, 0, -1))
+    """Frobenius coordinates of a diagram: Durfee length k maps onto
+    Gale(a,k) x Gale(b,k), order and all."""
+    xs, ys = frobenius(d.heights)
     return KSubset(xs, d.box[0]), KSubset(ys, d.box[1])
 
 
@@ -158,19 +168,28 @@ def _sorted_antichain_points(points: list[tuple[int, int]]) -> list[tuple[int, i
     return pts
 
 
+def split_points(points: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(x_1..x_k, y_k..y_1) of points sorted as x_1 < ... < x_k with y_1 > ... > y_k."""
+    return tuple(x for x, _ in points), tuple(y for _, y in reversed(points))
+
+
+def merge_pairs(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The pairs sorted, then their split concatenated: x_1..x_k followed by y_k..y_1."""
+    xs, ys = split_points(sorted(pairs))
+    return xs + ys
+
+
 def split_grid_antichain(a: int, b: int, A: Antichain) -> tuple[KSubset, KSubset]:
-    """Coordinates of a grid antichain as a pair of increasing tuples.
+    """Coordinates of an antichain of ``grid_poset(a, b)`` as a pair of increasing tuples.
 
     The points sort uniquely with x strictly increasing and y strictly
     decreasing; the result is (x_1..x_k, y_k..y_1), and the induced map
     on size-k antichains is an isomorphism onto the product of the two
-    Gale orders.
+    Gale orders.  The points are read from the mask (``grid_mask_points``).
     """
     if A.poset.n != a * b:
         raise BadParameters(f"host poset has {A.poset.n} elements, expected {a * b}")
-    pts = _sorted_antichain_points(grid_points(A))
-    xs = tuple(p[0] for p in pts)
-    ys = tuple(p[1] for p in reversed(pts))
+    xs, ys = split_points(_sorted_antichain_points(grid_mask_points(b, A.mask)))
     return KSubset(xs, a), KSubset(ys, b)
 
 
@@ -185,8 +204,7 @@ def spin_antichain_merge(n: int, A: Antichain) -> KSubset:
     pts = _sorted_antichain_points(grid_points(A))
     if any(x >= y for x, y in pts):
         raise NotAnAntichain(f"members must be increasing pairs: {pts}")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in reversed(pts)]
+    xs, ys = split_points(pts)
     if pts and xs[-1] >= ys[0]:
         raise NotAnAntichain(f"coordinates do not interleave: {pts}")
-    return KSubset(tuple(xs + ys), n + 2)
+    return KSubset(xs + ys, n + 2)

@@ -19,10 +19,14 @@ the orders built at one k share one enumeration.  An order on subsets of
 a host (``_on_subsets``: the antichain orders and ``ideals_poset``)
 builds its "{a,b}" labels, and reads the host's, on the first read of
 ``labels``; most of these orders are only compared by their rows.
-Products, the componentwise builder and the check of a map
-(``mapped_order_equal``, which compares mapped cover rows) run on Python
-ints too.  numpy is imported only to build the read-only matrix views
-``lt`` and ``cover_matrix``, which nothing in the package reads.
+Products, the componentwise builder and the check of a map run on
+Python ints too: ``index_map_order_equal`` compares the cover rows of a
+map given on indices, and ``mapped_order_equal``, its label form, looks
+the labels up first.  The checks name their maps on indices (the points
+of a grid subset come from its mask, ``grid_mask_points``), so they
+build no label to compare rows.  numpy is imported only to build the
+read-only matrix views ``lt`` and ``cover_matrix``, which nothing in the
+package reads.
 Every CLI command loads this module (``import posetforge`` itself loads
 no submodule until one of its names is used), so it keeps its imports
 to the standard library's cheapest.  Every record type of the package
@@ -771,8 +775,22 @@ def grid_poset(a: int, b: int) -> Poset:
 
 
 def grid_points(subset: _Subset) -> list[tuple[int, int]]:
-    """Decode a subset of a grid poset into its (i, j) lattice points."""
+    """Decode a subset of a grid poset into its (i, j) lattice points, from its labels."""
     return [parse_point(lab) for lab in subset.member_labels]
+
+
+def grid_mask_points(b: int, mask: int) -> list[tuple[int, int]]:
+    """The (i, j) points of a subset of ``grid_poset(a, b)`` given by its index mask.
+
+    The grid is ``chain_poset(a).product(chain_poset(b))``, so point (i, j)
+    has index (i-1)*b + (j-1) and index t is ``divmod(t, b)`` plus one in
+    each coordinate; the points come in index order, which sorts them.
+    """
+    out = []
+    for t in _bits(mask):
+        i, j = divmod(t, b)
+        out.append((i + 1, j + 1))
+    return out
 
 
 # -- isomorphism search ----------------------------------------------------
@@ -781,21 +799,31 @@ def grid_points(subset: _Subset) -> list[tuple[int, int]]:
 def mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
     """Whether ``label_map`` is a bijection carrying the order of P exactly onto Q's.
 
-    A bijection that maps the upper covers of every element of P exactly
-    onto the upper covers of its image carries the cover relation onto
-    Q's, both ways, and so the order, its transitive closure, as well.
+    The labels are turned into indices and the map is checked by
+    :func:`index_map_order_equal`; n keys that include P's n labels are
+    exactly P's labels.
     """
-    n = P.n
-    if Q.n != n or len(label_map) != n:
+    if len(label_map) != P.n:
         return False
-    # n keys that include P's n labels are exactly P's labels, and n
-    # distinct images in Q's n elements are all of them
     index = Q._index
     try:
         img = [index[label_map[lab]] for lab in P.labels]
     except KeyError:
         return False
-    if len(set(img)) != n:
+    return index_map_order_equal(P, Q, img)
+
+
+def index_map_order_equal(P: Poset, Q: Poset, img: Sequence[int | None]) -> bool:
+    """Whether i -> ``img[i]`` is a bijection of P's indices onto Q's carrying P's order exactly onto Q's.
+
+    A bijection that maps the upper covers of every element of P exactly
+    onto the upper covers of its image carries the cover relation onto
+    Q's, both ways, and so the order, its transitive closure, as well.
+    A short ``img``, an image that is no index of Q (None included) or two
+    elements sent to one image is no bijection, whatever the cover rows.
+    """
+    n = P.n
+    if Q.n != n or len(img) != n or set(img) != set(range(n)):
         return False
     coverQ = Q.cover_up
     return all(_image(c, img) == coverQ[img[i]] for i, c in enumerate(P.cover_up))

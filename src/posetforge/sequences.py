@@ -6,14 +6,22 @@ b-tuples with entries in [0, a].  A shift map identifies the weak chains
 with the (a+b choose b) subsets, and column heights identify the ideals
 of an a x b grid with the weak chains; composing the two turns the ideal
 lattice of a grid into a Gale order.
+
+Each map has an index-level core on plain tuples and masks
+(``grid_ideal_heights``, ``grid_ideal_mask``, ``shifted``, and
+``gale_rank`` for the index of a Gale element), which the checks use
+directly; the functions on ``Ideal``, ``WeakChain`` and ``KSubset``
+validate their arguments and wrap the core's result.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from math import comb
+from typing import Sequence
 
 from .errors import BadParameters
-from .poset import Ideal, Poset, _componentwise_poset, _Frozen, grid_points, point_label
+from .poset import Ideal, Poset, _bits, _componentwise_poset, _Frozen, grid_mask_points
 
 
 class KSubset(_Frozen):
@@ -82,16 +90,32 @@ def gale_elements(n: int, k: int) -> list[KSubset]:
     return [KSubset(t, n) for t in combos]
 
 
+def gale_rank(entries: Sequence[int]) -> int:
+    """The index of the increasing tuple ``entries`` in ``gale_elements(n, len(entries))``, any n.
+
+    Its colexicographic rank: the sum of C(x_p - 1, p) over the entries
+    x_1 < ... < x_k, the combinatorial number system (Knuth, TAOCP
+    7.2.1.3), which counts the k-subsets whose largest differing entry is
+    smaller.
+    """
+    return sum(comb(v - 1, p) for p, v in enumerate(entries, 1))
+
+
 def gale_poset(n: int, k: int) -> Poset:
     """The Gale order: componentwise comparison of increasing k-tuples."""
     elems = gale_elements(n, k)
     return _componentwise_poset([e.label for e in elems], [e.entries for e in elems])
 
 
-def weak_chain_elements(a: int, b: int) -> list[WeakChain]:
+def weak_chain_entries(a: int, b: int) -> list[tuple[int, ...]]:
+    """The entries of every weak chain, in the element order of ``weak_chain_poset(a, b)``."""
     if a < 0 or b < 0:
         raise BadParameters(f"need a, b >= 0, got a={a}, b={b}")
-    return [WeakChain(t, a) for t in combinations_with_replacement(range(a + 1), b)]
+    return list(combinations_with_replacement(range(a + 1), b))
+
+
+def weak_chain_elements(a: int, b: int) -> list[WeakChain]:
+    return [WeakChain(t, a) for t in weak_chain_entries(a, b)]
 
 
 def weak_chain_poset(a: int, b: int) -> Poset:
@@ -100,10 +124,14 @@ def weak_chain_poset(a: int, b: int) -> Poset:
     return _componentwise_poset([e.label for e in elems], [e.entries for e in elems])
 
 
+def shifted(entries: Sequence[int]) -> tuple[int, ...]:
+    """The shift map on entries: position p (from 0) goes up by p+1."""
+    return tuple(v + p for p, v in enumerate(entries, 1))
+
+
 def weak_chain_to_ksubset(x: WeakChain) -> KSubset:
     """Shift position p by p+1; lands in the (bound+length choose length) subsets."""
-    shifted = tuple(v + p + 1 for p, v in enumerate(x.entries))
-    return KSubset(shifted, x.bound + x.length)
+    return KSubset(shifted(x.entries), x.bound + x.length)
 
 
 def ksubset_to_weak_chain(x: KSubset) -> WeakChain:
@@ -112,39 +140,44 @@ def ksubset_to_weak_chain(x: KSubset) -> WeakChain:
     return WeakChain(tuple(v - p - 1 for p, v in enumerate(x.entries)), x.n - b)
 
 
+def grid_ideal_heights(b: int, mask: int) -> tuple[int, ...]:
+    """Column heights of the ideal of ``grid_poset(a, b)`` with index mask ``mask``, lowest column first.
+
+    The points come in index order (``grid_mask_points``), so a column's
+    last point is its top.  Entry p is the height of column b-p.
+    """
+    heights = [0] * b
+    for i, j in grid_mask_points(b, mask):
+        heights[j - 1] = i
+    return tuple(reversed(heights))
+
+
+def grid_ideal_mask(b: int, entries: Sequence[int]) -> int:
+    """Inverse of :func:`grid_ideal_heights`: the index mask of the ideal with these column heights."""
+    mask = 0
+    for p, h in enumerate(entries):
+        for i in range(h):
+            mask |= 1 << (i * b + b - 1 - p)
+    return mask
+
+
 def ideal_heights(a: int, b: int, ideal: Ideal) -> WeakChain:
     """Column heights of a grid ideal, lowest column first.
 
-    The host poset must be the a x b grid with point labels.  Entry p of
-    the result is the height of column b-p, so the tuple is weakly
-    increasing and the induced map onto weak chains is an isomorphism.
+    The host poset must be ``grid_poset(a, b)``.  Entry p of the result
+    is the height of column b-p, so the tuple is weakly increasing and
+    the induced map onto weak chains is an isomorphism.
     """
     if ideal.poset.n != a * b:
         raise BadParameters(f"host poset has {ideal.poset.n} elements, expected {a * b}")
-    heights = [0] * (b + 1)
-    for i, j in grid_points(ideal):
-        if not (1 <= i <= a and 1 <= j <= b):
-            raise BadParameters(f"point ({i},{j}) outside the {a}x{b} grid")
-        heights[j] = max(heights[j], i)
-    return WeakChain(tuple(heights[j] for j in range(b, 0, -1)), a)
-
-
-def heights_from_chain(a: int, b: int, chain: WeakChain) -> list[int]:
-    """Per-column heights (column 1 first) encoded by a weak chain."""
-    if chain.length != b or chain.bound != a:
-        raise BadParameters("weak chain does not fit the grid dimensions")
-    return [chain.entries[b - j] for j in range(1, b + 1)]
+    return WeakChain(grid_ideal_heights(b, ideal.mask), a)
 
 
 def ideal_from_heights(grid: Poset, a: int, b: int, chain: WeakChain) -> Ideal:
-    """Rebuild the grid ideal with the given column heights."""
-    heights = heights_from_chain(a, b, chain)
-    members = [
-        point_label(i, j)
-        for j in range(1, b + 1)
-        for i in range(1, heights[j - 1] + 1)
-    ]
-    return grid.ideal(members)
+    """Rebuild the ideal of ``grid = grid_poset(a, b)`` with the given column heights."""
+    if grid.n != a * b or chain.length != b or chain.bound != a:
+        raise BadParameters("weak chain does not fit the grid dimensions")
+    return grid.ideal(_bits(grid_ideal_mask(b, chain.entries)))
 
 
 def box_ideal_to_ksubset(a: int, b: int, ideal: Ideal) -> KSubset:

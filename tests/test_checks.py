@@ -8,6 +8,7 @@ import pytest
 
 import posetforge.antichains
 import posetforge.minuscule
+import posetforge.poset
 import posetforge.roots
 import posetforge.sequences
 from posetforge import (
@@ -181,13 +182,73 @@ DEFAULT_CAP_DIGESTS = {
 }
 
 
+RAISED_CAPS = {"a": 6, "b": 6, "n": 8, "m": 7}
+
+# the same digests at RAISED_CAPS, where every named map reaches orders of
+# hundreds of elements (924 antichains of the 6x6 grid, Gale(12,6))
+RAISED_CAP_DIGESTS = {
+    "boolean-cube-example": "ccf254b89146d3b39dc3b0a857221e465b09bf6c8e4fe86db6c57a28b7185e18",
+    "box-gale-composite": "453d7c1baf6e86688f08122453a614b18a51efd59ceb105bed393e6d759def8c",
+    "dilworth-max-antichains": "c42b51c7084499ad207408329a638fd839b903976ecb30ae305eaf287e1b4243",
+    "durfee-product": "b4e34f6ec1984f83188a92e67f8359da86330c1747386113e2231fc0f3d614b6",
+    "e6-antichains": "99d49252ea7be029dbeac82f03443672f4eff88278083b4e089733c909dda1bb",
+    "e7-antichains": "0e823fdb4aa9302ac7ac2cfa5aa39469eede76315d1ecc92fee5987908858683",
+    "e7-self-map": "9b6ce4b331eb213ade54c041c6bcb56c411ab5250127a2552883578a5b3bcd3e",
+    "exchange-order-basics": "f54bdb2f499b6505d18d8719c64cc8c01a727a5b99d7afe9ba0cb7960e492842",
+    "five-element-example": "14a8eab46f3ec3d1089c4d726d84afb34946c8d0b68a6ef4d1d003f9da8c3761",
+    "gale-rank-covers": "dd138bfdfe445bee2497212babee11e327cbe45b4b89b54f24775062cb7167e0",
+    "grid-antichain-durfee": "cdcacc3ddc347360324f2da1e2ecda676d66fcd70b0ef7b1c9e58854d5ffe368",
+    "grid-antichain-split": "8a05349fbe11ad3db45d16ebb2ae29c2ac51d650aba68cf3ab814205e8f197c5",
+    "ideal-heights-iso": "7a7b5bce709f32c518acc51169e9598ef9ab21d8fb759aa02d000c00210dbdc2",
+    "minuscule-distributive": "9cb6eec20c63affba4d042aa8038c51426ecf3eef4b46600fa53e898b1e182e6",
+    "narayana-symmetry": "3c6385c28dfbcfdb0965e838cc9353879748bdda02efe016381610f297049885",
+    "natural-family-antichains": "23cf2cd39500ba206cd273a87db4ff54ab0cb1d157b6cf1671b29fa45daa1447",
+    "root-complement-involution": "f22e01154881ca0aa5b533846d95193e71fd959e3e5512517609dbd96dd7730f",
+    "sequence-lattices": "cb03c2632bc9273a74ccafac0f92579ee2f0bcd53a99d06380d1edc0b9166a87",
+    "spin-antichain-merge": "26c5eae97fe71f03ebdaa1807129be77b89781744b82901934cac056c27d1042",
+    "weak-chain-shift-iso": "7c3331a2c8e296286ddb7dc7a9b48262aae3e81fc073bc2baed220506439a9c6",
+}
+
+
+def _digest(report):
+    blob = report.to_json_dict()
+    del blob["elapsed_s"]
+    return hashlib.sha256(json.dumps(blob, indent=2).encode()).hexdigest()
+
+
 def test_default_cap_certificates_are_pinned():
-    digests = {}
-    for report in run_all():
-        blob = report.to_json_dict()
-        del blob["elapsed_s"]
-        digests[report.check_id] = hashlib.sha256(json.dumps(blob, indent=2).encode()).hexdigest()
-    assert digests == DEFAULT_CAP_DIGESTS
+    assert {report.check_id: _digest(report) for report in run_all()} == DEFAULT_CAP_DIGESTS
+
+
+def test_raised_cap_certificates_are_pinned():
+    assert {report.check_id: _digest(report) for report in run_all(RAISED_CAPS)} == RAISED_CAP_DIGESTS
+
+
+NAMED_MAP_CHECKS = [
+    "box-gale-composite",
+    "durfee-product",
+    "grid-antichain-durfee",
+    "grid-antichain-split",
+    "ideal-heights-iso",
+    "spin-antichain-merge",
+    "weak-chain-shift-iso",
+]
+
+
+@pytest.mark.parametrize("check_id", [*NAMED_MAP_CHECKS, "root-complement-involution"])
+def test_named_map_checks_compare_cover_rows_without_labels(monkeypatch, check_id):
+    # the maps are named on index masks and entry tuples, so no grid point is
+    # parsed, no subset label joined and no label looked up on the way to the
+    # cover rows
+    def refuse(*args):
+        raise AssertionError("a label was built, parsed or looked up")
+
+    monkeypatch.setattr(posetforge.poset, "parse_point", refuse)
+    monkeypatch.setattr(Poset, "subset_label", refuse)
+    monkeypatch.setattr(Poset, "_index", property(refuse))
+    report = run_check(check_id)
+    assert report.verdict == "pass", report.to_json_dict()
+    assert _digest(report) == DEFAULT_CAP_DIGESTS[check_id]
 
 
 @pytest.fixture

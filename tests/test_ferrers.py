@@ -8,6 +8,7 @@ from posetforge import (
     NotAnAntichain,
     antichain_exchange_poset,
     diagrams_in_box,
+    discrete_poset,
     durfee_compose,
     durfee_decompose,
     durfee_length,
@@ -19,7 +20,7 @@ from posetforge import (
     split_grid_antichain,
 )
 from posetforge import ferrers
-from posetforge.poset import _componentwise_poset, grid_points, point_label
+from posetforge.poset import _componentwise_poset, grid_mask_points, grid_points, point_label
 from posetforge.sequences import WeakChain, weak_chain_to_ksubset
 
 
@@ -276,6 +277,42 @@ def test_split_preserves_covers_both_ways():
     assert set(label_map.values()) == set(prod.labels)
     mapped = {(label_map[a], label_map[b]) for a, b in E.covers()}
     assert mapped == set(prod.covers())
+
+
+def test_split_on_masks_matches_the_point_labels():
+    for a in range(1, 5):
+        for b in range(1, 5):
+            G = grid_poset(a, b)
+            for k in range(min(a, b) + 1):
+                for A in G.antichains_of_size(k):
+                    pts = sorted(grid_points(A))
+                    xs, ys = split_grid_antichain(a, b, A)
+                    assert ferrers.split_points(grid_mask_points(b, A.mask)) == (xs.entries, ys.entries)
+                    assert xs.entries == tuple(x for x, _ in pts)
+                    assert ys.entries == tuple(y for _, y in reversed(pts))
+
+
+def test_split_rejects_a_host_that_is_not_the_grid():
+    P = discrete_poset(4)
+    with pytest.raises(NotAnAntichain):
+        split_grid_antichain(2, 2, P.antichain([0, 1]))  # (1,1) and (1,2) share a row
+
+
+def test_merge_pairs_matches_the_pair_order_merge():
+    for n in range(1, 5):
+        P = gale_poset(n + 2, 2)
+        for k in range(P.width() + 1):
+            for A in P.antichains_of_size(k):
+                assert ferrers.merge_pairs(grid_points(A)) == spin_antichain_merge(n, A).entries
+
+
+def test_frobenius_is_the_tuple_core_of_frobenius_coordinates():
+    for a in range(5):
+        for b in range(5):
+            for d in diagrams_in_box(a, b):
+                xs, ys = ferrers.frobenius_coordinates(d)
+                assert ferrers.frobenius(d.heights) == (xs.entries, ys.entries)
+                assert len(xs.entries) == durfee_length(d)
 
 
 def test_merge_empty():

@@ -47,6 +47,9 @@ from posetforge.poset import (
     _initial_colours,
     _match,
     _refine,
+    grid_mask_points,
+    grid_points,
+    index_map_order_equal,
     mapped_order_equal,
     parse_point,
 )
@@ -950,6 +953,7 @@ def test_mapped_order_equal_matches_pair_test(corpus6):
             label_map = {P.labels[i]: Q.labels[img[i]] for i in range(P.n)}
             verdict = mapped_order_equal(P, Q, label_map)
             assert verdict == pair_test(P, Q, img)
+            assert index_map_order_equal(P, Q, img) == verdict
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -1012,6 +1016,33 @@ def test_mapped_order_equal_needs_a_bijection_onto_q(label_map, expected):
     P = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
     Q = P.relabeled(["x", "y", "z"])
     assert mapped_order_equal(P, Q, label_map) is expected
+
+
+@pytest.mark.parametrize(
+    "img, expected",
+    [
+        ([0, 1, 2], True),
+        ([0, 1], False),
+        ([0, None, 2], False),
+        ([0, 1, 3], False),
+        ([-1, 1, 0], False),
+        ([0, 0, 2], False),
+    ],
+    ids=["bijection", "short", "none-image", "out-of-range", "negative-index", "two-to-one"],
+)
+def test_index_map_order_equal_needs_a_bijection_onto_q(img, expected):
+    # a and b lie below c; sending both to a's image still carries every cover row onto Q's
+    P = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    Q = P.relabeled(["x", "y", "z"])
+    assert index_map_order_equal(P, Q, img) is expected
+
+
+def test_grid_mask_points_match_the_point_labels():
+    for a in range(4):
+        for b in range(1, 4):
+            G = grid_poset(a, b)
+            for A in [*G.ideals(), *(A for k in range(4) for A in G.antichains_of_size(k))]:
+                assert grid_mask_points(b, A.mask) == grid_points(A)
 
 
 def test_induced_matches_comprehension(corpus6):

@@ -15,7 +15,16 @@ from posetforge import (
     weak_chain_poset,
     weak_chain_to_ksubset,
 )
-from posetforge.sequences import ideal_from_heights, ksubset_to_weak_chain
+from posetforge.poset import grid_points
+from posetforge.sequences import (
+    gale_rank,
+    grid_ideal_heights,
+    grid_ideal_mask,
+    ideal_from_heights,
+    ksubset_to_weak_chain,
+    shifted,
+    weak_chain_entries,
+)
 
 
 def test_gale_4_2_shape():
@@ -125,6 +134,47 @@ def test_composite_map_is_an_isomorphism():
             for i in range(J.n):
                 for j in range(J.n):
                     assert J.lt[i, j] == C.lt[img[i], img[j]]
+
+
+def test_gale_rank_is_the_index_in_the_gale_order():
+    for n in range(9):
+        for k in range(n + 1):
+            P = gale_poset(n, k)
+            for i, x in enumerate(gale_elements(n, k)):
+                assert gale_rank(x.entries) == i
+                assert P.labels[i] == x.label
+
+
+def test_weak_chain_entries_are_the_weak_chain_order():
+    for a in range(5):
+        for b in range(5):
+            elems = weak_chain_elements(a, b)
+            assert weak_chain_entries(a, b) == [e.entries for e in elems]
+            assert list(weak_chain_poset(a, b).labels) == [e.label for e in elems]
+            assert [shifted(e.entries) for e in elems] == [
+                weak_chain_to_ksubset(e).entries for e in elems
+            ]
+
+
+def test_grid_ideal_heights_read_the_point_labels_and_invert():
+    # the mask route against the heights read from the ideal's point labels
+    for a in range(4):
+        for b in range(4):
+            G = grid_poset(a, b)
+            for I in G.ideals():
+                heights = [0] * (b + 1)
+                for i, j in grid_points(I):
+                    heights[j] = max(heights[j], i)
+                chain = grid_ideal_heights(b, I.mask)
+                assert chain == tuple(heights[b - p] for p in range(b))
+                assert grid_ideal_mask(b, chain) == I.mask
+
+
+def test_ideal_heights_reject_a_host_of_another_size():
+    with pytest.raises(BadParameters):
+        ideal_heights(2, 2, grid_poset(2, 3).ideal([]))
+    with pytest.raises(BadParameters):
+        ideal_from_heights(grid_poset(2, 3), 2, 2, WeakChain((0, 0), 2))
 
 
 def test_binomial_symmetry_up_to_iso():
