@@ -155,18 +155,20 @@ def run_all(overrides: dict | None = None) -> list[CheckReport]:
     refuse, is an error before any check runs, so a misspelt cap never
     runs the defaults silently.
 
-    The checks run in forked worker processes, one per CPU this process
-    may use (``_worker_count``).  This process is one of them, so on one
-    CPU, without ``os.fork`` or with a second thread alive the same loop
-    runs with nothing forked.  Workers read check indices one at a time
-    from one shared pipe until it is empty, so the load balances itself,
-    and send each report back, pickled, as soon as its check ends; the
-    reports come back in registry order, as a serial run gives them, and
-    an exception keeps its type.  A worker that dies takes only the check
-    it was running with it: that check gets an ``error`` verdict naming
-    the worker's exit code, and the others still run.  Each worker keeps
-    its own caches (two checks that build the corpus may each build one),
-    and what a tracer records inside a worker stays in that worker.
+    Where ``_worker_count`` allows more than one worker, the checks run in
+    that many forked worker processes and this process only collects
+    their reports.  Workers read check indices, in registry order, one at
+    a time from one shared pipe until it is empty, so the load balances
+    itself, and send each report back, pickled, as soon as its check
+    ends; the reports come back in registry order, as a serial run gives
+    them, and an exception keeps its type.  A worker that dies takes only
+    the check it was running with it: that check gets an ``error``
+    verdict naming the worker's exit code, and the others still run.
+    Each worker keeps its own caches (two checks that build the corpus
+    may each build one), and what a tracer records inside a worker stays
+    in that worker.  With one worker (one CPU, no ``os.fork`` or a
+    second thread alive) the checks run here, one after another, and
+    nothing is forked.
     """
     overrides = dict(overrides or {})
     known = {key for cdef in _REGISTRY.values() for key in cdef.defaults}
@@ -177,20 +179,36 @@ def run_all(overrides: dict | None = None) -> list[CheckReport]:
     for cdef in registered_checks():
         params = {k: v for k, v in overrides.items() if k in cdef.defaults}
         jobs.append((cdef.check_id, _merged_params(cdef.check_id, params)))
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        return [_execute(*job) for job in jobs]
     reports: list[CheckReport | None] = [None] * len(jobs)
     claimed_by, exit_codes = {}, {}  # check index -> worker pid, worker pid -> exit code
     results = {}  # read end of each running worker's result pipe -> its pid
-    # the checks that sweep the corpus (those taking max_size) are the longest,
-    # so they are claimed first and no worker starts one while the rest idle
-    order = sorted(range(len(jobs)), key=lambda i: "max_size" not in jobs[i][1])
     queue, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(2, "big") for i in order))
+    os.write(feed, b"".join(i.to_bytes(2, "big") for i in range(len(jobs))))
     os.close(feed)
-
-    def receive(timeout: float | None) -> None:
-        # the frames waiting now, or with no timeout every frame until each worker ends
-        while results and (ready := select.select(list(results), [], [], timeout)[0]):
-            for fd in ready:
+    try:
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker never returns, so no atexit handler or stdio flush runs twice
+                code = 1
+                try:
+                    for fd in (read_end, *results):  # so a worker's pipe breaks when the parent closes it
+                        os.close(fd)
+                    while claim := os.read(queue, 2):
+                        i = int.from_bytes(claim, "big")
+                        _send(write_end, i, None)
+                        _send(write_end, i, _execute(*jobs[i]))
+                    code = 0
+                finally:
+                    os._exit(code)
+            exit_codes[pid] = None
+            results[read_end] = pid
+            os.close(write_end)
+        while results:
+            for fd in select.select(list(results), [], [])[0]:
                 frame = _receive(fd)
                 if frame is None:
                     os.close(fd)
@@ -200,30 +218,6 @@ def run_all(overrides: dict | None = None) -> list[CheckReport]:
                 claimed_by[i] = results[fd]
                 if report is not None:
                     reports[i] = report
-
-    def keep(i: int, report: CheckReport | None) -> None:
-        if report is not None:
-            reports[i] = report
-        receive(0)
-
-    try:
-        for _ in range(_worker_count(len(jobs)) - 1):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # a worker never returns, so no atexit handler or stdio flush runs twice
-                code = 1
-                try:
-                    for fd in (read_end, *results):  # so a worker's pipe breaks when the parent closes it
-                        os.close(fd)
-                    _work(queue, jobs, lambda i, report: _send(write_end, i, report))
-                    code = 0
-                finally:
-                    os._exit(code)
-            exit_codes[pid] = None
-            results[read_end] = pid
-            os.close(write_end)
-        _work(queue, jobs, keep)
-        receive(None)
     finally:
         os.close(queue)
         for fd in results:
@@ -250,17 +244,6 @@ def _worker_count(checks: int) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, checks)
-
-
-def _work(queue: int, jobs: list[tuple[str, dict]], send: Callable) -> None:
-    """Claim check indices from ``queue`` one at a time until it is empty, and run each.
-
-    ``send(i, None)`` announces a claim and ``send(i, report)`` the result.
-    """
-    while claim := os.read(queue, 2):
-        i = int.from_bytes(claim, "big")
-        send(i, None)
-        send(i, _execute(*jobs[i]))
 
 
 def _send(fd: int, i: int, report: CheckReport | None) -> None:

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset, _componentwise_poset, _Frozen, grid_mask_points, grid_points
-from .sequences import KSubset
+from .poset import Antichain, Poset, _bits, _componentwise_poset, _Frozen, grid_mask_points
+from .sequences import KSubset, gale_elements
 
 
 class FerrersDiagram(_Frozen):
@@ -199,11 +200,13 @@ def spin_antichain_merge(n: int, A: Antichain) -> KSubset:
     Members are pairs (x, y) with x < y; sorting gives
     x_1 < ... < x_k < y_k < ... < y_1, and the concatenation
     (x_1..x_k, y_k..y_1) induces an isomorphism of the size-k antichains
-    onto the Gale order on 2k-subsets.
+    onto the Gale order on 2k-subsets.  The host is ``gale_poset(n + 2, 2)``,
+    and the pairs are read by index from ``gale_elements``.
     """
-    pts = _sorted_antichain_points(grid_points(A))
-    if any(x >= y for x, y in pts):
-        raise NotAnAntichain(f"members must be increasing pairs: {pts}")
+    if A.poset.n != comb(n + 2, 2):
+        raise BadParameters(f"host poset has {A.poset.n} elements, expected {comb(n + 2, 2)}")
+    pairs = [x.entries for x in gale_elements(n + 2, 2)]
+    pts = _sorted_antichain_points([pairs[i] for i in _bits(A.mask)])
     xs, ys = split_points(pts)
     if pts and xs[-1] >= ys[0]:
         raise NotAnAntichain(f"coordinates do not interleave: {pts}")

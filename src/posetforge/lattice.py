@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import NotALattice, SizeLimitExceeded
-from .poset import Poset, PosetIso, _bits, _Frozen, _image, _Record
+from .poset import Poset, PosetIso, _bits, _Frozen, _image, _Record, index_map_order_equal
 
 
 class MeetJoinTable(_Frozen):
@@ -136,7 +136,8 @@ def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
     The target is the containment order on ideals of the irreducible
     sub-poset.  A distributive lattice on n elements has exactly n such
     ideals, so enumeration stops past n: a non-lattice with many
-    irreducibles could otherwise have up to 2^|irr| of them.
+    irreducibles could otherwise have up to 2^|irr| of them.  The map is
+    checked on indices, and labelled only once it holds.
     """
     irr_idx = _join_irreducible_indices(P)
     irr = P.induced(irr_idx)
@@ -144,11 +145,15 @@ def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
         ideal_poset = irr.ideals_poset(cap=P.n)
     except SizeLimitExceeded:
         return None
-    # irr keeps P's labels in P's order, so its subsets are labelled as in P
-    keep = _image((1 << len(irr_idx)) - 1, irr_idx)
-    forward = {P.labels[x]: P.subset_label(_bits((P.down[x] | 1 << x) & keep)) for x in range(P.n)}
-    witness = PosetIso(forward, {v: k for k, v in forward.items()})
-    return (witness, irr) if witness.verify(P, ideal_poset) else None
+    # x -> the index of its irreducibles' mask, on irr's indices, among the ideals
+    keep, to = _image((1 << len(irr_idx)) - 1, irr_idx), dict(zip(irr_idx, range(len(irr_idx))))
+    index = {m: j for j, m in enumerate(ideal_poset._subsets[1])}
+    img = [index.get(_image((P.down[x] | 1 << x) & keep, to)) for x in range(P.n)]
+    if not index_map_order_equal(P, ideal_poset, img):
+        return None
+    # irr keeps P's labels in P's order, so its ideals are labelled as P's subsets
+    forward = {P.labels[x]: ideal_poset.labels[j] for x, j in enumerate(img)}
+    return PosetIso(forward, {v: k for k, v in forward.items()}), irr
 
 
 def is_distributive(P: Poset) -> DistributivityResult:

@@ -223,17 +223,6 @@ def point_label(i: int, j: int) -> str:
     return f"({i},{j})"
 
 
-def parse_point(label: str) -> tuple[int, int]:
-    """Inverse of :func:`point_label`; raises ValueError on other shapes."""
-    body = label.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"not a point label: {label!r}")
-    parts = body[1:-1].split(",")
-    if len(parts) != 2:
-        raise ValueError(f"not a point label: {label!r}")
-    return int(parts[0]), int(parts[1])
-
-
 class _view(cached_property):
     """A view computed on first use and kept in the instance ``__dict__``.
 
@@ -772,11 +761,6 @@ def _componentwise_poset(labels: Sequence[str], rows: Sequence[Sequence[int]]) -
 def grid_poset(a: int, b: int) -> Poset:
     """The a x b grid: product of two chains, labels "(i,j)"."""
     return chain_poset(a).product(chain_poset(b))
-
-
-def grid_points(subset: _Subset) -> list[tuple[int, int]]:
-    """Decode a subset of a grid poset into its (i, j) lattice points, from its labels."""
-    return [parse_point(lab) for lab in subset.member_labels]
 
 
 def grid_mask_points(b: int, mask: int) -> list[tuple[int, int]]:

@@ -31,6 +31,11 @@ def leq_matrix(P):
     return P.lt | np.eye(P.n, dtype=bool)
 
 
+def label_points(subset):
+    """The (i, j) points of a subset of a grid or pair order, read from its member labels "(i,j)"."""
+    return [tuple(int(v) for v in lab[1:-1].split(",")) for lab in subset.member_labels]
+
+
 def has_order_matching(P, A, B):
     """Whether A and B admit a perfect matching with each a_i <= b_i.
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import select
 import threading
 
 import pytest
@@ -243,7 +242,6 @@ def test_named_map_checks_compare_cover_rows_without_labels(monkeypatch, check_i
     def refuse(*args):
         raise AssertionError("a label was built, parsed or looked up")
 
-    monkeypatch.setattr(posetforge.poset, "parse_point", refuse)
     monkeypatch.setattr(Poset, "subset_label", refuse)
     monkeypatch.setattr(Poset, "_index", property(refuse))
     report = run_check(check_id)
@@ -537,42 +535,59 @@ def test_worker_count_is_one_per_cpu_and_one_without_fork_or_with_threads(monkey
     assert checks._worker_count(20) == 1
 
 
+def test_a_parallel_run_forks_one_worker_each_and_runs_no_check_here(monkeypatch):
+    parent, forked, fork = os.getpid(), [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def record_pid(**params):
+        return True, {"pid": os.getpid()}
+
+    for cdef in registered_checks():
+        recording = CheckDef(cdef.check_id, cdef.summary, cdef.defaults, record_pid)
+        monkeypatch.setitem(checks._REGISTRY, cdef.check_id, recording)
+    monkeypatch.setattr(checks, "_worker_count", lambda count: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    reports = run_all(TINY_CAPS)
+    _assert_no_worker_left()
+    assert len(forked) == 2
+    pids = {r.certificate["pid"] for r in reports}
+    assert parent not in pids and pids <= set(forked)
+
+
+def test_a_serial_run_forks_nothing_and_keeps_registry_order(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a serial run forked or opened a pipe")
+
+    monkeypatch.setattr(checks, "_worker_count", lambda count: 1)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "pipe", refuse)
+    reports = run_all(TINY_CAPS)
+    assert [r.check_id for r in reports] == [cdef.check_id for cdef in registered_checks()]
+    assert all(r.verdict == "pass" for r in reports)
+
+
 @pytest.fixture
 def run_in_a_worker(monkeypatch):
-    """Make the last registered check run ``fn`` in the forked worker of a two-worker run.
-
-    This process claims one of the first two checks before the worker can
-    reach the last one, and every check it runs waits until the worker has
-    started ``fn``, so the worker claims every other check.
-    """
-    parent, (started, starting) = os.getpid(), os.pipe()
+    """Make the last registered check run ``fn`` in a forked worker of a two-worker run."""
+    parent = os.getpid()
     monkeypatch.setattr(checks, "_worker_count", lambda count: 2)
 
-    def wait_then(run):
-        def waiting(**params):
-            if os.getpid() == parent:
-                select.select([started], [], [], 60)
-            return run(**params)
-
-        return waiting
-
     def patch(fn):
-        *first, last = registered_checks()
-        for cdef in first:
-            waiting = CheckDef(cdef.check_id, cdef.summary, cdef.defaults, wait_then(cdef.fn))
-            monkeypatch.setitem(checks._REGISTRY, cdef.check_id, waiting)
+        last = registered_checks()[-1]
 
         def in_the_worker(**params):
             assert os.getpid() != parent
-            os.write(starting, b".")
             return fn(**params)
 
         in_worker = CheckDef(last.check_id, last.summary, last.defaults, in_the_worker)
         monkeypatch.setitem(checks._REGISTRY, last.check_id, in_worker)
 
-    yield patch
-    os.close(started)
-    os.close(starting)
+    return patch
 
 
 class _TwoArgError(Exception):

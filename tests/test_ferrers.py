@@ -20,8 +20,10 @@ from posetforge import (
     split_grid_antichain,
 )
 from posetforge import ferrers
-from posetforge.poset import _componentwise_poset, grid_mask_points, grid_points, point_label
+from posetforge.poset import _componentwise_poset, grid_mask_points, point_label
 from posetforge.sequences import WeakChain, weak_chain_to_ksubset
+
+from conftest import label_points
 
 
 def durfee_oracle(d: FerrersDiagram) -> int:
@@ -217,8 +219,8 @@ def test_decompose_matches_the_grid_ideal_reference():
                 k, top, side = durfee_decompose(d)
                 ref_k, ref_top, ref_side = grid_ideal_decompose(d)
                 assert k == ref_k
-                assert sorted(top.cells()) == sorted(grid_points(ref_top)), d
-                assert sorted(side.cells()) == sorted(grid_points(ref_side)), d
+                assert sorted(top.cells()) == sorted(label_points(ref_top)), d
+                assert sorted(side.cells()) == sorted(label_points(ref_side)), d
                 assert top.box[0] * top.box[1] == ref_top.poset.n
                 assert side.box[0] * side.box[1] == ref_side.poset.n
 
@@ -285,7 +287,7 @@ def test_split_on_masks_matches_the_point_labels():
             G = grid_poset(a, b)
             for k in range(min(a, b) + 1):
                 for A in G.antichains_of_size(k):
-                    pts = sorted(grid_points(A))
+                    pts = sorted(label_points(A))
                     xs, ys = split_grid_antichain(a, b, A)
                     assert ferrers.split_points(grid_mask_points(b, A.mask)) == (xs.entries, ys.entries)
                     assert xs.entries == tuple(x for x, _ in pts)
@@ -303,7 +305,7 @@ def test_merge_pairs_matches_the_pair_order_merge():
         P = gale_poset(n + 2, 2)
         for k in range(P.width() + 1):
             for A in P.antichains_of_size(k):
-                assert ferrers.merge_pairs(grid_points(A)) == spin_antichain_merge(n, A).entries
+                assert ferrers.merge_pairs(label_points(A)) == spin_antichain_merge(n, A).entries
 
 
 def test_frobenius_is_the_tuple_core_of_frobenius_coordinates():
@@ -318,6 +320,14 @@ def test_frobenius_is_the_tuple_core_of_frobenius_coordinates():
 def test_merge_empty():
     P = gale_poset(4, 2)
     assert spin_antichain_merge(2, P.antichain([])).entries == ()
+
+
+def test_merge_rejects_a_host_of_another_size():
+    # the pairs are read by index from Gale(n+2, 2), so a host of any other size is refused
+    with pytest.raises(BadParameters):
+        spin_antichain_merge(3, gale_poset(4, 2).antichain(["(1,4)", "(2,3)"]))
+    with pytest.raises(BadParameters):
+        spin_antichain_merge(2, grid_poset(2, 2).antichain([]))
 
 
 def test_merge_crossing_pair():

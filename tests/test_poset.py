@@ -48,14 +48,12 @@ from posetforge.poset import (
     _match,
     _refine,
     grid_mask_points,
-    grid_points,
     index_map_order_equal,
     mapped_order_equal,
-    parse_point,
 )
 from posetforge.roots import positive_roots
 
-from conftest import leq_matrix, mask_rows, posets
+from conftest import label_points, leq_matrix, mask_rows, posets
 
 
 def bowtie():
@@ -1042,7 +1040,7 @@ def test_grid_mask_points_match_the_point_labels():
         for b in range(1, 4):
             G = grid_poset(a, b)
             for A in [*G.ideals(), *(A for k in range(4) for A in G.antichains_of_size(k))]:
-                assert grid_mask_points(b, A.mask) == grid_points(A)
+                assert grid_mask_points(b, A.mask) == label_points(A)
 
 
 def test_induced_matches_comprehension(corpus6):
@@ -1075,12 +1073,6 @@ def test_json_rejects_malformed():
         poset_from_dict({"elements": ["a"], "relations": [["a"]]})
     with pytest.raises(ValueError):
         poset_from_dict([1, 2])
-
-
-def test_parse_point():
-    assert parse_point("(3,12)") == (3, 12)
-    with pytest.raises(ValueError):
-        parse_point("{3,12}")
 
 
 def test_relabeled_defaults_to_p_labels():

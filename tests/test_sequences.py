@@ -15,7 +15,6 @@ from posetforge import (
     weak_chain_poset,
     weak_chain_to_ksubset,
 )
-from posetforge.poset import grid_points
 from posetforge.sequences import (
     gale_rank,
     grid_ideal_heights,
@@ -25,6 +24,8 @@ from posetforge.sequences import (
     shifted,
     weak_chain_entries,
 )
+
+from conftest import label_points
 
 
 def test_gale_4_2_shape():
@@ -163,7 +164,7 @@ def test_grid_ideal_heights_read_the_point_labels_and_invert():
             G = grid_poset(a, b)
             for I in G.ideals():
                 heights = [0] * (b + 1)
-                for i, j in grid_points(I):
+                for i, j in label_points(I):
                     heights[j] = max(heights[j], i)
                 chain = grid_ideal_heights(b, I.mask)
                 assert chain == tuple(heights[b - p] for p in range(b))
