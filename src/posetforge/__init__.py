@@ -40,8 +40,6 @@ _EXPORTS = {
         "durfee_decompose",
         "durfee_length",
         "durfee_poset",
-        "spin_antichain_merge",
-        "split_grid_antichain",
     ),
     "lattice": (
         "DistributivityResult",
@@ -75,18 +73,7 @@ _EXPORTS = {
         "poset_to_dict",
     ),
     "roots": ("Root", "narayana_table", "panyushev_complement", "type_a_root_poset"),
-    "sequences": (
-        "KSubset",
-        "WeakChain",
-        "box_ideal_to_ksubset",
-        "entry_sum",
-        "gale_elements",
-        "gale_poset",
-        "ideal_heights",
-        "weak_chain_elements",
-        "weak_chain_poset",
-        "weak_chain_to_ksubset",
-    ),
+    "sequences": ("gale_poset", "weak_chain_poset"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -341,11 +341,12 @@ def _check_gale_rank_covers(n: int) -> tuple[bool, dict]:
     pairs = 0
     for nn in range(n + 1):
         for k in range(nn + 1):
-            elems = seq.gale_elements(nn, k)
-            pairs += len(elems) * (len(elems) - 1)
-            mismatch = _bump_mismatch(seq.gale_poset(nn, k), [x.entries for x in elems])
+            P = seq.gale_poset(nn, k)
+            pairs += P.n * (P.n - 1)
+            entries = seq.gale_entries(nn, k)
+            mismatch = _bump_mismatch(P, entries)
             if mismatch:
-                x, y = (elems[i].label for i in mismatch)
+                x, y = (seq.tuple_label(entries[i]) for i in mismatch)
                 return False, {"counterexample": {"n": nn, "k": k, "x": x, "y": y}}
     return True, {"exhausted": {"max_n": n, "ordered_pairs": pairs}}
 
@@ -379,6 +380,7 @@ def _check_weak_chain_shift_iso(a: int, b: int) -> tuple[bool, dict]:
     b=4,
 )
 def _check_ideal_heights_iso(a: int, b: int) -> tuple[bool, dict]:
+    cover_counts = 0
     for aa in range(a + 1):
         for bb in range(b + 1):
             G = grid_poset(aa, bb)
@@ -395,7 +397,8 @@ def _check_ideal_heights_iso(a: int, b: int) -> tuple[bool, dict]:
                 img.append(index.get(chain))
             if not index_map_order_equal(J, S, img):
                 return False, {"counterexample": {"a": aa, "b": bb}}
-    return True, {"exhausted": {"max_a": a, "max_b": b}}
+            cover_counts += sum(c.bit_count() for c in J.cover_up)
+    return True, {"exhausted": {"max_a": a, "max_b": b, "covers_matched": cover_counts}}
 
 
 @_register(
@@ -460,8 +463,11 @@ def _check_durfee_product(a: int, b: int) -> tuple[bool, dict]:
                 gb = seq.gale_poset(bb, k)
                 img = []
                 for d in diagrams:
-                    dk, top, side = ferrers.durfee_decompose(d)
-                    if ferrers.durfee_compose(aa, bb, dk, top, side) != d:
+                    dk, top, side = ferrers.durfee_cut(d.heights)
+                    # h_k >= k > h_(k+1) pins k as the Durfee length, so the parts of a
+                    # diagram in the box fit their k x (b-k) and (a-k) x k boxes
+                    square = dk == k and min(side, default=0) >= 0 and max(top, default=0) <= k
+                    if not square or ferrers.durfee_stack(dk, top, side) != d.heights:
                         return False, {"counterexample": {"a": aa, "b": bb, "diagram": d.label}}
                     xs, ys = ferrers.frobenius(d.heights)
                     img.append(seq.gale_rank(xs) * gb.n + seq.gale_rank(ys))
@@ -651,7 +657,7 @@ def _check_grid_antichain_split(a: int, b: int) -> tuple[bool, dict]:
 )
 def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
     # A -> its coordinate split -> the diagram with those Frobenius coordinates
-    cases = 0
+    cases = cover_counts = 0
     for aa in range(1, a + 1):
         for bb in range(1, b + 1):
             G = grid_poset(aa, bb)
@@ -668,7 +674,10 @@ def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
                         "counterexample": {"a": aa, "b": bb, "k": k, "sizes": [E.n, D.n]}
                     }
                 cases += 1
-    return True, {"exhausted": {"max_a": a, "max_b": b, "isomorphisms": cases}}
+                cover_counts += sum(c.bit_count() for c in E.cover_up)
+    return True, {
+        "exhausted": {"max_a": a, "max_b": b, "isomorphisms": cases, "covers_matched": cover_counts}
+    }
 
 
 @_register(
@@ -678,12 +687,14 @@ def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
     n=6,
 )
 def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
+    cover_counts = 0  # over the base identification and every k
     for nn in range(1, n + 1):
         P = grid_poset(nn, 2).ideals_poset()
         pair_poset = seq.gale_poset(nn + 2, 2)
         pairs = [seq.shifted(seq.grid_ideal_heights(2, m)) for m in P._subsets[1]]
         if not index_map_order_equal(P, pair_poset, [seq.gale_rank(p) for p in pairs]):
             return False, {"counterexample": {"n": nn, "reason": "base identification"}}
+        cover_counts += sum(c.bit_count() for c in P.cover_up)
         w = P.width()
         if w != (nn + 2) // 2:
             return False, {"counterexample": {"n": nn, "width": w}}
@@ -697,7 +708,8 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
             ]
             if not index_map_order_equal(E, target, img):
                 return False, {"counterexample": {"n": nn, "k": k}}
-    return True, {"exhausted": {"max_n": n}}
+            cover_counts += sum(c.bit_count() for c in E.cover_up)
+    return True, {"exhausted": {"max_n": n, "covers_matched": cover_counts}}
 
 
 # -- minuscule families -------------------------------------------------------

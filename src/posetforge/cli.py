@@ -18,7 +18,7 @@ check in the run takes is a usage error (see `checks.run_all`).
 Each subcommand imports only the modules it runs, on top of `errors`
 and `poset`: `build`, `iso` and `export-dot` nothing more, `minuscule`
 the `minuscule` module, `ak` `antichains`, `check` `lattice`, `narayana`
-and `star` `roots`, and `durfee` `ferrers` with `sequences`.  Only
+and `star` `roots`, and `durfee` `ferrers`.  Only
 `verify` loads `checks`, and through it every module.  No command loads
 `dataclasses` (every record type derives from `poset._Record`) or numpy.
 """

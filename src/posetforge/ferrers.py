@@ -7,27 +7,25 @@ side of the largest square fitting inside the diagram (Andrews, *The
 Theory of Partitions*, 1976, ch. 2).  Cutting along the Durfee square
 splits a diagram into two smaller diagrams, the heights past the k-th
 and the first k heights less k, and stacking them back around a k x k
-square inverts the cut exactly; both directions are arithmetic on
-height vectors and build no poset.
+square inverts the cut exactly.  Both directions are arithmetic on
+height tuples (``durfee_cut``, ``durfee_stack``) and build no poset;
+``durfee_decompose`` and ``durfee_compose`` validate them into diagrams.
 
-Three explicit maps live here as well: a diagram's Frobenius
-coordinates, splitting an antichain of an a x b grid into its sorted x-
-and y-coordinate tuples, and flattening an antichain of the pair order
-into one long increasing tuple.  Each has a core on plain tuples
-(``frobenius``, ``split_points``, ``merge_pairs``), which the checks use
-on index masks; the functions on diagrams and antichains validate their
-arguments and wrap the core's result in ``KSubset``.
+Three explicit maps to Gale orders work on plain tuples, which the
+checks read from index masks: ``frobenius`` gives a diagram's Frobenius
+coordinates, ``split_points`` splits the sorted points of an antichain
+of an a x b grid into its x- and y-coordinate tuples, and
+``merge_pairs`` flattens an antichain of the pair order into one long
+increasing tuple.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
 
-from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset, _bits, _componentwise_poset, _Frozen, grid_mask_points
-from .sequences import KSubset, gale_elements
+from .errors import BadParameters
+from .poset import Poset, _componentwise_poset, _Frozen
 
 
 class FerrersDiagram(_Frozen):
@@ -40,12 +38,12 @@ class FerrersDiagram(_Frozen):
     __slots__ = ("heights", "box")
 
     def __init__(self, heights: tuple[int, ...], box: tuple[int, int]):
-        a, b = box
-        if a < 0 or b < 0:
-            raise BadParameters(f"box sides must be nonnegative: {a}x{b}")
         hs = tuple(heights)
         if any(h < 0 for h in hs):
             raise BadParameters(f"heights must be nonnegative: {hs}")
+        a, b = box  # checked after the heights, which a caller may have derived the box from
+        if a < 0 or b < 0:
+            raise BadParameters(f"box sides must be nonnegative: {a}x{b}")
         if any(x < y for x, y in zip(hs, hs[1:])):
             raise BadParameters(f"heights must be weakly decreasing: {hs}")
         while hs and hs[-1] == 0:
@@ -75,10 +73,12 @@ class FerrersDiagram(_Frozen):
 
 def durfee_length(d: FerrersDiagram) -> int:
     """Side of the largest square sub-grid contained in the diagram."""
-    k = 0
-    while d.height(k + 1) >= k + 1:
-        k += 1
-    return k
+    return _durfee_side(d.heights)
+
+
+def _durfee_side(heights: tuple[int, ...]) -> int:
+    # h_j - j falls strictly with j, so the j with h_j >= j are exactly the first k
+    return sum(h >= j for j, h in enumerate(heights, 1))
 
 
 def diagrams_in_box(a: int, b: int) -> list[FerrersDiagram]:
@@ -114,20 +114,28 @@ def durfee_poset(a: int, b: int, k: int) -> Poset:
     return _componentwise_poset([d.label for d in diagrams], padded)
 
 
-def durfee_decompose(d: FerrersDiagram) -> tuple[int, FerrersDiagram, FerrersDiagram]:
-    """Cut along the Durfee square.
+def durfee_cut(heights: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Cut weakly decreasing heights along their Durfee square: (k, top, side).
 
-    Returns (k, top, side) as diagrams.  ``top`` is the part above the
-    square shifted down: the heights past the k-th, ``d.heights[k:]``,
-    none above k, in a k x (b-k) box.  ``side`` is the part to its right
-    shifted left: each of the first k heights less k, in an (a-k) x k
-    box.  Both are slices of the height vector; no grid is built.
+    ``top`` is the part above the square shifted down: the heights past
+    the k-th, none above k.  ``side`` is the part to its right shifted
+    left: each of the first k heights less k, trailing zeros kept.  Both
+    are slices of the height tuple; no grid is built.
     """
+    k = _durfee_side(heights)
+    return k, heights[k:], tuple(h - k for h in heights[:k])
+
+
+def durfee_stack(k: int, top: tuple[int, ...], side: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of :func:`durfee_cut`: ``side``, padded with zeros to k heights, raised by k, then ``top``."""
+    return tuple(k + h for h in side) + (k,) * (k - len(side)) + top
+
+
+def durfee_decompose(d: FerrersDiagram) -> tuple[int, FerrersDiagram, FerrersDiagram]:
+    """:func:`durfee_cut` as diagrams: ``top`` in a k x (b-k) box, ``side`` in an (a-k) x k box."""
     a, b = d.box
-    k = durfee_length(d)
-    top = FerrersDiagram(d.heights[k:], (k, b - k))
-    side = FerrersDiagram(tuple(h - k for h in d.heights[:k]), (a - k, k))
-    return k, top, side
+    k, top, side = durfee_cut(d.heights)
+    return k, FerrersDiagram(top, (k, b - k)), FerrersDiagram(side, (a - k, k))
 
 
 def durfee_compose(
@@ -138,35 +146,16 @@ def durfee_compose(
         raise BadParameters(f"Durfee length {k} cannot fit in a {a}x{b} box")
     if top.box != (k, b - k) or side.box != (a - k, k):
         raise BadParameters("part boxes do not match the stated box and Durfee length")
-    heights = tuple(k + side.height(j) for j in range(1, k + 1)) + top.heights
-    return FerrersDiagram(heights, (a, b))
+    return FerrersDiagram(durfee_stack(k, top.heights, side.heights), (a, b))
 
 
 def frobenius(heights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Frobenius coordinates (h_j - j + 1) and (r_j - j + 1), j = k..1, of the weakly
     decreasing column heights h, with row lengths r and Durfee length k."""
-    k = sum(h >= j for j, h in enumerate(heights, 1))
+    k = _durfee_side(heights)
     xs = tuple(heights[j - 1] - j + 1 for j in range(k, 0, -1))
     ys = tuple(sum(h >= j for h in heights) - j + 1 for j in range(k, 0, -1))
     return xs, ys
-
-
-def frobenius_coordinates(d: FerrersDiagram) -> tuple[KSubset, KSubset]:
-    """Frobenius coordinates of a diagram: Durfee length k maps onto
-    Gale(a,k) x Gale(b,k), order and all."""
-    xs, ys = frobenius(d.heights)
-    return KSubset(xs, d.box[0]), KSubset(ys, d.box[1])
-
-
-def _sorted_antichain_points(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    pts = sorted(points)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    if any(x1 >= x2 for x1, x2 in zip(xs, xs[1:])):
-        raise NotAnAntichain(f"x-coordinates must be strictly increasing: {pts}")
-    if any(y1 <= y2 for y1, y2 in zip(ys, ys[1:])):
-        raise NotAnAntichain(f"y-coordinates must be strictly decreasing: {pts}")
-    return pts
 
 
 def split_points(points: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -178,36 +167,3 @@ def merge_pairs(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
     """The pairs sorted, then their split concatenated: x_1..x_k followed by y_k..y_1."""
     xs, ys = split_points(sorted(pairs))
     return xs + ys
-
-
-def split_grid_antichain(a: int, b: int, A: Antichain) -> tuple[KSubset, KSubset]:
-    """Coordinates of an antichain of ``grid_poset(a, b)`` as a pair of increasing tuples.
-
-    The points sort uniquely with x strictly increasing and y strictly
-    decreasing; the result is (x_1..x_k, y_k..y_1), and the induced map
-    on size-k antichains is an isomorphism onto the product of the two
-    Gale orders.  The points are read from the mask (``grid_mask_points``).
-    """
-    if A.poset.n != a * b:
-        raise BadParameters(f"host poset has {A.poset.n} elements, expected {a * b}")
-    xs, ys = split_points(_sorted_antichain_points(grid_mask_points(b, A.mask)))
-    return KSubset(xs, a), KSubset(ys, b)
-
-
-def spin_antichain_merge(n: int, A: Antichain) -> KSubset:
-    """Flatten an antichain of the pair order on {1..n+2} into a 2k-subset.
-
-    Members are pairs (x, y) with x < y; sorting gives
-    x_1 < ... < x_k < y_k < ... < y_1, and the concatenation
-    (x_1..x_k, y_k..y_1) induces an isomorphism of the size-k antichains
-    onto the Gale order on 2k-subsets.  The host is ``gale_poset(n + 2, 2)``,
-    and the pairs are read by index from ``gale_elements``.
-    """
-    if A.poset.n != comb(n + 2, 2):
-        raise BadParameters(f"host poset has {A.poset.n} elements, expected {comb(n + 2, 2)}")
-    pairs = [x.entries for x in gale_elements(n + 2, 2)]
-    pts = _sorted_antichain_points([pairs[i] for i in _bits(A.mask)])
-    xs, ys = split_points(pts)
-    if pts and xs[-1] >= ys[0]:
-        raise NotAnAntichain(f"coordinates do not interleave: {pts}")
-    return KSubset(xs + ys, n + 2)

@@ -7,11 +7,14 @@ with the (a+b choose b) subsets, and column heights identify the ideals
 of an a x b grid with the weak chains; composing the two turns the ideal
 lattice of a grid into a Gale order.
 
-Each map has an index-level core on plain tuples and masks
-(``grid_ideal_heights``, ``grid_ideal_mask``, ``shifted``, and
-``gale_rank`` for the index of a Gale element), which the checks use
-directly; the functions on ``Ideal``, ``WeakChain`` and ``KSubset``
-validate their arguments and wrap the core's result.
+Elements are plain tuples: ``gale_entries`` and ``weak_chain_entries``
+list them straight from ``itertools`` in element order, and
+``tuple_label`` names them "(1,3)".  Only the parameters (n, k) and
+(a, b) are validated; the tuples are increasing (weakly increasing) and
+in range by construction.  Each map works on tuples and index masks:
+``grid_ideal_heights`` and ``grid_ideal_mask`` between grid ideals and
+weak chains, ``shifted`` from weak chains to subsets, and ``gale_rank``
+for the index of an increasing tuple in its Gale order.
 """
 
 from __future__ import annotations
@@ -21,77 +24,24 @@ from math import comb
 from typing import Sequence
 
 from .errors import BadParameters
-from .poset import Ideal, Poset, _bits, _componentwise_poset, _Frozen, grid_mask_points
+from .poset import Poset, _componentwise_poset, grid_mask_points
 
 
-class KSubset(_Frozen):
-    """A k-subset of {1..n} as a strictly increasing tuple."""
-
-    __slots__ = ("entries", "n")
-
-    def __init__(self, entries: tuple[int, ...], n: int):
-        # checked as locals and set slot by slot: the ladder rebuilds its
-        # Gale targets on every witness op, so this runs hot
-        entries = tuple(entries)
-        if any(x >= y for x, y in zip(entries, entries[1:])):
-            raise BadParameters(f"entries must be strictly increasing: {entries}")
-        if entries and not (1 <= entries[0] and entries[-1] <= n):
-            raise BadParameters(f"entries must lie in 1..{n}: {entries}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-    @property
-    def label(self) -> str:
-        return "(" + ",".join(map(str, self.entries)) + ")"
-
-    def leq(self, other: "KSubset") -> bool:
-        return all(x <= y for x, y in zip(self.entries, other.entries))
+def tuple_label(entries: Sequence[int]) -> str:
+    """The label of a sequence-poset element: its entries, comma-separated in parentheses."""
+    return "(" + ",".join(map(str, entries)) + ")"
 
 
-class WeakChain(_Frozen):
-    """A weakly increasing tuple of length b with entries in [0, bound]."""
-
-    __slots__ = ("entries", "bound")
-
-    def __init__(self, entries: tuple[int, ...], bound: int):
-        entries = tuple(entries)
-        if any(x > y for x, y in zip(entries, entries[1:])):
-            raise BadParameters(f"entries must be weakly increasing: {entries}")
-        if entries and not (0 <= entries[0] and entries[-1] <= bound):
-            raise BadParameters(f"entries must lie in 0..{bound}: {entries}")
-        self._fill(entries, bound)
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
-    def label(self) -> str:
-        return "(" + ",".join(map(str, self.entries)) + ")"
-
-    def leq(self, other: "WeakChain") -> bool:
-        return all(x <= y for x, y in zip(self.entries, other.entries))
-
-
-def entry_sum(x: KSubset) -> int:
-    """Sum of the entries; the rank function of the Gale order."""
-    return sum(x.entries)
-
-
-def gale_elements(n: int, k: int) -> list[KSubset]:
-    """All k-subsets of {1..n} in colexicographic order, (1..k) first."""
+def gale_entries(n: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of {1..n} as increasing tuples in colexicographic order, (1..k) first:
+    the element order of ``gale_poset(n, k)``."""
     if k < 0 or n < 0 or k > n:
         raise BadParameters(f"need 0 <= k <= n, got k={k}, n={n}")
-    combos = sorted(combinations(range(1, n + 1), k), key=lambda t: t[::-1])
-    return [KSubset(t, n) for t in combos]
+    return sorted(combinations(range(1, n + 1), k), key=lambda t: t[::-1])
 
 
 def gale_rank(entries: Sequence[int]) -> int:
-    """The index of the increasing tuple ``entries`` in ``gale_elements(n, len(entries))``, any n.
+    """The index of the increasing tuple ``entries`` in ``gale_entries(n, len(entries))``, any n.
 
     Its colexicographic rank: the sum of C(x_p - 1, p) over the entries
     x_1 < ... < x_k, the combinatorial number system (Knuth, TAOCP
@@ -103,41 +53,31 @@ def gale_rank(entries: Sequence[int]) -> int:
 
 def gale_poset(n: int, k: int) -> Poset:
     """The Gale order: componentwise comparison of increasing k-tuples."""
-    elems = gale_elements(n, k)
-    return _componentwise_poset([e.label for e in elems], [e.entries for e in elems])
+    entries = gale_entries(n, k)
+    return _componentwise_poset([tuple_label(t) for t in entries], entries)
 
 
 def weak_chain_entries(a: int, b: int) -> list[tuple[int, ...]]:
-    """The entries of every weak chain, in the element order of ``weak_chain_poset(a, b)``."""
+    """The weakly increasing b-tuples over 0..a in lexicographic order: the element order of
+    ``weak_chain_poset(a, b)``."""
     if a < 0 or b < 0:
         raise BadParameters(f"need a, b >= 0, got a={a}, b={b}")
     return list(combinations_with_replacement(range(a + 1), b))
 
 
-def weak_chain_elements(a: int, b: int) -> list[WeakChain]:
-    return [WeakChain(t, a) for t in weak_chain_entries(a, b)]
-
-
 def weak_chain_poset(a: int, b: int) -> Poset:
     """Componentwise order on weakly increasing b-tuples bounded by a."""
-    elems = weak_chain_elements(a, b)
-    return _componentwise_poset([e.label for e in elems], [e.entries for e in elems])
+    entries = weak_chain_entries(a, b)
+    return _componentwise_poset([tuple_label(t) for t in entries], entries)
 
 
 def shifted(entries: Sequence[int]) -> tuple[int, ...]:
-    """The shift map on entries: position p (from 0) goes up by p+1."""
+    """The shift map on entries: position p (from 0) goes up by p+1.
+
+    It sends the weak chains of ``weak_chain_poset(a, b)`` onto the
+    increasing tuples of ``gale_poset(a + b, b)``.
+    """
     return tuple(v + p for p, v in enumerate(entries, 1))
-
-
-def weak_chain_to_ksubset(x: WeakChain) -> KSubset:
-    """Shift position p by p+1; lands in the (bound+length choose length) subsets."""
-    return KSubset(shifted(x.entries), x.bound + x.length)
-
-
-def ksubset_to_weak_chain(x: KSubset) -> WeakChain:
-    """Inverse shift; the ambient n splits as bound + length."""
-    b = x.k
-    return WeakChain(tuple(v - p - 1 for p, v in enumerate(x.entries)), x.n - b)
 
 
 def grid_ideal_heights(b: int, mask: int) -> tuple[int, ...]:
@@ -159,27 +99,3 @@ def grid_ideal_mask(b: int, entries: Sequence[int]) -> int:
         for i in range(h):
             mask |= 1 << (i * b + b - 1 - p)
     return mask
-
-
-def ideal_heights(a: int, b: int, ideal: Ideal) -> WeakChain:
-    """Column heights of a grid ideal, lowest column first.
-
-    The host poset must be ``grid_poset(a, b)``.  Entry p of the result
-    is the height of column b-p, so the tuple is weakly increasing and
-    the induced map onto weak chains is an isomorphism.
-    """
-    if ideal.poset.n != a * b:
-        raise BadParameters(f"host poset has {ideal.poset.n} elements, expected {a * b}")
-    return WeakChain(grid_ideal_heights(b, ideal.mask), a)
-
-
-def ideal_from_heights(grid: Poset, a: int, b: int, chain: WeakChain) -> Ideal:
-    """Rebuild the ideal of ``grid = grid_poset(a, b)`` with the given column heights."""
-    if grid.n != a * b or chain.length != b or chain.bound != a:
-        raise BadParameters("weak chain does not fit the grid dimensions")
-    return grid.ideal(_bits(grid_ideal_mask(b, chain.entries)))
-
-
-def box_ideal_to_ksubset(a: int, b: int, ideal: Ideal) -> KSubset:
-    """Column heights followed by the shift: grid ideals into the Gale order."""
-    return weak_chain_to_ksubset(ideal_heights(a, b, ideal))

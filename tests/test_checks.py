@@ -6,6 +6,7 @@ import threading
 import pytest
 
 import posetforge.antichains
+import posetforge.ferrers
 import posetforge.minuscule
 import posetforge.poset
 import posetforge.roots
@@ -168,15 +169,15 @@ DEFAULT_CAP_DIGESTS = {
     "exchange-order-basics": "11029e11728d79fe814f98fb540d006905f33e7eca41c0b15ba8018c4a324746",
     "five-element-example": "14a8eab46f3ec3d1089c4d726d84afb34946c8d0b68a6ef4d1d003f9da8c3761",
     "gale-rank-covers": "dd138bfdfe445bee2497212babee11e327cbe45b4b89b54f24775062cb7167e0",
-    "grid-antichain-durfee": "49f46606c4619f2fce3bf4a4d753e54099554eeb995781f18eac08f833b7a31c",
+    "grid-antichain-durfee": "41fe00ab946c8cf55d96e414e71100569ca6eec91b4ea1f7598d07fac1ef682b",
     "grid-antichain-split": "9116c2db10fc9cf55f929d42600b4d68c3bc0e691ed0f79f2af374a6c0dd2690",
-    "ideal-heights-iso": "61d2e9b6d48b19da722c6176bdb4fd663a0a0ce53cde15bd12600daf9ba2f30e",
+    "ideal-heights-iso": "5694e57ddf7ffbc8054fe82a609b362fe6bd8ecd20fbf67856968d6b21e32ab3",
     "minuscule-distributive": "77275ddda5ec02e8b5f3dc5d60dcfc849e547ccf0cdbf95baa4f0b365845fa41",
     "narayana-symmetry": "efdd90b53d33b78c1da7db8a43377e1464f781d85dbc3ad5cc6121e0609537b5",
     "natural-family-antichains": "7f88281bf05302835d3a9bfaa67443a3fe3d282fba66c4bb899bbe850e88acce",
     "root-complement-involution": "6aef82e79ece739e45b33c175dee96bc0fc331a5a6380661f86049fe6a0465c5",
     "sequence-lattices": "77e4ee6f13bc4e61f2d499d7d1b2f2565e6230a57cada195f41ffc245666a717",
-    "spin-antichain-merge": "aa3d21c6f27af918a750c0250417b76be8eb7da623b5ac69de2a6f274e8432aa",
+    "spin-antichain-merge": "5b13d7479585358016316e232f82fad111ecebcb5cfd501132b4b94f7f2b18e3",
     "weak-chain-shift-iso": "7a684995cc5a7f2d97e43147a3993474cedcad34919775397e2e02842a9546fa",
 }
 
@@ -196,15 +197,15 @@ RAISED_CAP_DIGESTS = {
     "exchange-order-basics": "f54bdb2f499b6505d18d8719c64cc8c01a727a5b99d7afe9ba0cb7960e492842",
     "five-element-example": "14a8eab46f3ec3d1089c4d726d84afb34946c8d0b68a6ef4d1d003f9da8c3761",
     "gale-rank-covers": "dd138bfdfe445bee2497212babee11e327cbe45b4b89b54f24775062cb7167e0",
-    "grid-antichain-durfee": "cdcacc3ddc347360324f2da1e2ecda676d66fcd70b0ef7b1c9e58854d5ffe368",
+    "grid-antichain-durfee": "9eda4daadd8b3000c58443c8fa95801c40f225c31450899ed9c73c1aeb0d8255",
     "grid-antichain-split": "8a05349fbe11ad3db45d16ebb2ae29c2ac51d650aba68cf3ab814205e8f197c5",
-    "ideal-heights-iso": "7a7b5bce709f32c518acc51169e9598ef9ab21d8fb759aa02d000c00210dbdc2",
+    "ideal-heights-iso": "10f5548278b34903db10e1d1ac80ee62533973850a77e9c0835de2289455feb3",
     "minuscule-distributive": "9cb6eec20c63affba4d042aa8038c51426ecf3eef4b46600fa53e898b1e182e6",
     "narayana-symmetry": "3c6385c28dfbcfdb0965e838cc9353879748bdda02efe016381610f297049885",
     "natural-family-antichains": "23cf2cd39500ba206cd273a87db4ff54ab0cb1d157b6cf1671b29fa45daa1447",
     "root-complement-involution": "f22e01154881ca0aa5b533846d95193e71fd959e3e5512517609dbd96dd7730f",
     "sequence-lattices": "cb03c2632bc9273a74ccafac0f92579ee2f0bcd53a99d06380d1edc0b9166a87",
-    "spin-antichain-merge": "26c5eae97fe71f03ebdaa1807129be77b89781744b82901934cac056c27d1042",
+    "spin-antichain-merge": "f294697f964cc506c00da1d4e5d6610ede3166983531e9c3eee84e30f4d5124e",
     "weak-chain-shift-iso": "7c3331a2c8e296286ddb7dc7a9b48262aae3e81fc073bc2baed220506439a9c6",
 }
 
@@ -474,6 +475,85 @@ def test_weak_chain_shift_iso_fails_on_a_dropped_cover(monkeypatch):
     report = run_check("weak-chain-shift-iso")
     assert report.verdict == "fail"
     assert report.certificate == {"counterexample": {"a": 1, "b": 1}}
+
+
+def _swap_values(fn, x, y):
+    """``fn`` of one argument with its values at x and y exchanged: one image moved onto another."""
+
+    def patched(arg):
+        return fn(y if arg == x else x if arg == y else arg)
+
+    return patched
+
+
+# one planted fault per named-map check: the module attribute the check reads,
+# with one image moved or one cover dropped, and the counterexample it must report
+PLANTED_FAULTS = [
+    pytest.param(
+        # (0,1) and (1,1) are the top two ideals of the 1x2 grid, so swapping
+        # their images keeps a bijection and reverses one cover
+        "box-gale-composite", posetforge.sequences, "shifted",
+        lambda shifted: _swap_values(shifted, (0, 1), (1, 1)),
+        {"a": 1, "b": 2},
+        id="box-gale-composite",
+    ),
+    pytest.param(
+        "durfee-product", posetforge.ferrers, "frobenius",
+        lambda frobenius: _swap_values(frobenius, (1,), (1, 1)),
+        {"a": 1, "b": 1, "k": 1, "sizes": [1, 1]},
+        id="durfee-product",
+    ),
+    pytest.param(
+        # the cut of (1,1) stacks back to (1,1), not to the (1) it was asked for
+        "durfee-product", posetforge.ferrers, "durfee_cut",
+        lambda durfee_cut: _swap_values(durfee_cut, (1,), (1, 1)),
+        {"a": 1, "b": 1, "diagram": "(1)"},
+        id="durfee-product-cut",
+    ),
+    pytest.param(
+        # (1) < (1,1) among the Durfee-length-1 diagrams of the 1x2 box
+        "grid-antichain-durfee", posetforge.ferrers, "durfee_poset",
+        _drop_first_cover,
+        {"a": 1, "b": 2, "k": 1, "sizes": [2, 2]},
+        id="grid-antichain-durfee",
+    ),
+    pytest.param(
+        "grid-antichain-split", posetforge.ferrers, "split_points",
+        lambda split_points: _swap_values(split_points, [(1, 1)], [(1, 2)]),
+        {"a": 1, "b": 1, "k": 1},
+        id="grid-antichain-split",
+    ),
+    pytest.param(
+        # (0) < (1) among the weak chains at a = b = 1
+        "ideal-heights-iso", posetforge.sequences, "weak_chain_poset",
+        _drop_first_cover,
+        {"a": 1, "b": 1},
+        id="ideal-heights-iso",
+    ),
+    pytest.param(
+        # the 1-antichains of the 3-chain at n = 1 map onto (1,2) < (1,3) < (2,3)
+        "spin-antichain-merge", posetforge.ferrers, "merge_pairs",
+        lambda merge_pairs: _swap_values(merge_pairs, [(1, 2)], [(1, 3)]),
+        {"n": 1, "k": 1},
+        id="spin-antichain-merge",
+    ),
+    pytest.param(
+        # Gale(2,1) without its one cover is a 2-antichain, no lattice
+        "sequence-lattices", posetforge.sequences, "gale_poset",
+        _drop_first_cover,
+        {"kind": "gale", "n": 2, "k": 1},
+        id="sequence-lattices",
+    ),
+]
+
+
+@pytest.mark.parametrize("check_id, module, name, plant, counterexample", PLANTED_FAULTS)
+def test_named_map_checks_fail_on_a_planted_fault(monkeypatch, check_id, module, name, plant, counterexample):
+    assert run_check(check_id).passed
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    report = run_check(check_id)
+    assert report.verdict == "fail", report.to_json_dict()
+    assert report.certificate == {"counterexample": counterexample}
 
 
 def test_natural_family_builds_one_level_from_the_last(monkeypatch):

@@ -227,6 +227,14 @@ def test_durfee_rejects_rubbish(capsys):
     assert main(["durfee", "3,x,1"]) == 2
 
 
+def test_durfee_reports_a_negative_height_not_a_box(capsys):
+    # the box is derived from the heights, so a box error would name one never given
+    for partition in [["-1"], ["2,-1"], ["--", "-1,-2"]]:
+        assert main(["durfee", *partition]) == 2
+        err = capsys.readouterr()[1]
+        assert "error: heights must be nonnegative" in err and "box" not in err, err
+
+
 def test_narayana_command(capsys):
     assert main(["narayana", "3"]) == 0
     out, _ = capsys.readouterr()

@@ -16,14 +16,12 @@ from posetforge import (
     E7Kind,
     FerrersDiagram,
     Grid,
-    KSubset,
     MeetJoinTable,
     NaturalD,
     PosetIso,
     RefinementReport,
     Root,
     SpinD,
-    WeakChain,
     BadParameters,
     chain_poset,
 )
@@ -60,8 +58,6 @@ EXPORTS = {
         "durfee_decompose",
         "durfee_length",
         "durfee_poset",
-        "spin_antichain_merge",
-        "split_grid_antichain",
     ],
     "lattice": [
         "DistributivityResult",
@@ -95,24 +91,13 @@ EXPORTS = {
         "poset_to_dict",
     ],
     "roots": ["Root", "narayana_table", "panyushev_complement", "type_a_root_poset"],
-    "sequences": [
-        "KSubset",
-        "WeakChain",
-        "box_ideal_to_ksubset",
-        "entry_sum",
-        "gale_elements",
-        "gale_poset",
-        "ideal_heights",
-        "weak_chain_elements",
-        "weak_chain_poset",
-        "weak_chain_to_ksubset",
-    ],
+    "sequences": ["gale_poset", "weak_chain_poset"],
 }
 ALL_NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 def test_every_export_is_the_object_its_module_defines():
-    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 69
+    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 59
     for module, names in EXPORTS.items():
         mod = importlib.import_module(f"posetforge.{module}")
         for name in names:
@@ -152,7 +137,6 @@ def test_records_of_different_types_are_never_equal():
     assert Grid(2, 3) != (2, 3)
     assert Grid(2, 3) == Grid(2, 3) and Grid(2, 3) != Grid(3, 2)
     assert Root(1, 2) != Grid(1, 2)
-    assert KSubset((1, 2), 3) != WeakChain((1, 2), 3)
 
 
 def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
@@ -160,7 +144,6 @@ def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
     assert kinds[Grid(2, 3)] == "g" and kinds[NaturalD(4)] == "n" and kinds[E7Kind()] == "e7"
     assert hash(Root(1, 4)) == hash(Root(1, 4))
     assert hash(MeetJoinTable(((0,),), ((0,),), True)) == hash(MeetJoinTable(((0,),), ((0,),), True))
-    assert hash(KSubset((1, 2), 3)) == hash(KSubset([1, 2], 3))
     assert hash(FerrersDiagram((2,), (2, 1))) == hash(FerrersDiagram([2, 0], [2, 1]))
     with pytest.raises(TypeError):
         hash(CheckDef("c", "s", {}, len))  # a dict field, as with a frozen dataclass
@@ -187,8 +170,6 @@ def test_record_reprs_name_their_fields():
         "RefinementReport(k=1, antichain_count=2, exchange_pairs=3, ideal_pairs=4, "
         "violations=[], coarsening_witnesses=[])"
     )
-    assert repr(KSubset([1, 3], 4)) == "KSubset(entries=(1, 3), n=4)"
-    assert repr(WeakChain(bound=2, entries=(0, 2))) == "WeakChain(entries=(0, 2), bound=2)"
     assert repr(FerrersDiagram((3, 1, 0), [3, 3])) == "FerrersDiagram(heights=(3, 1), box=(3, 3))"
     assert repr(CheckReport("c", {"a": 1}, True, None, 0.5)) == (
         "CheckReport(check_id='c', parameters={'a': 1}, passed=True, certificate=None, elapsed=0.5, error=None)"
@@ -203,8 +184,6 @@ def test_frozen_fields_cannot_be_assigned():
         (Root(1, 2), "j"),
         (PosetIso({}, {}), "forward"),
         (MeetJoinTable((), (), False), "complete"),
-        (KSubset((1,), 1), "n"),
-        (WeakChain((), 0), "entries"),
         (FerrersDiagram((), (0, 0)), "box"),
         (CheckDef("c", "s", {}, len), "fn"),
     ]:
@@ -265,8 +244,6 @@ def test_records_survive_copy_and_pickle():
         Root(1, 4),
         PosetIso({"a": "b"}, {"b": "a"}),
         RefinementReport(1, 2, 3, 4),
-        KSubset((1, 3), 4),
-        WeakChain((0, 0), 1),
         FerrersDiagram((2, 1), (2, 2)),
         CheckReport("c", {"a": 1}, True, {"exhausted": {}}, 0.5),
         CheckDef("c", "s", {"a": 1}, len),

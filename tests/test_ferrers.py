@@ -8,7 +8,6 @@ from posetforge import (
     NotAnAntichain,
     antichain_exchange_poset,
     diagrams_in_box,
-    discrete_poset,
     durfee_compose,
     durfee_decompose,
     durfee_length,
@@ -16,12 +15,10 @@ from posetforge import (
     find_isomorphism,
     gale_poset,
     grid_poset,
-    spin_antichain_merge,
-    split_grid_antichain,
 )
 from posetforge import ferrers
 from posetforge.poset import _componentwise_poset, grid_mask_points, point_label
-from posetforge.sequences import WeakChain, weak_chain_to_ksubset
+from posetforge.sequences import shifted, tuple_label
 
 from conftest import label_points
 
@@ -143,10 +140,11 @@ def test_frobenius_coordinates_are_the_weak_chain_route():
             for d in diagrams_in_box(a, b):
                 k, top, side = durfee_decompose(d)
                 rows = Counter(i for i, _ in top.cells())  # row i has rows[i] cells
-                x = weak_chain_to_ksubset(WeakChain([side.height(j) for j in range(k, 0, -1)], a - k))
-                y = weak_chain_to_ksubset(WeakChain([rows[i] for i in range(k, 0, -1)], b - k))
-                assert ferrers.frobenius_coordinates(d) == (x, y), d
-                images[k].add(f"({x.label},{y.label})")
+                x = shifted([side.height(j) for j in range(k, 0, -1)])
+                y = shifted([rows[i] for i in range(k, 0, -1)])
+                assert ferrers.frobenius(d.heights) == (x, y) and len(x) == durfee_oracle(d), d
+                assert x[-1:] <= (a,) and y[-1:] <= (b,), d
+                images[k].add(f"({tuple_label(x)},{tuple_label(y)})")
             for k, image in enumerate(images):
                 # one-to-one: as many images as diagrams, and every pair of the product
                 assert len(image) == durfee_poset(a, b, k).n
@@ -256,16 +254,19 @@ def test_decompose_roundtrip_exhaustive():
                 assert durfee_compose(a, b, k, top, side) == d
 
 
+def split_antichain(b, A):
+    """The split of an antichain of ``grid_poset(a, b)``, its points read from its index mask."""
+    return ferrers.split_points(grid_mask_points(b, A.mask))
+
+
 def test_split_unique_antichain_of_2x2():
     G = grid_poset(2, 2)
-    xs, ys = split_grid_antichain(2, 2, G.antichain(["(1,2)", "(2,1)"]))
-    assert xs.entries == (1, 2) and ys.entries == (1, 2)
+    assert split_antichain(2, G.antichain(["(1,2)", "(2,1)"])) == ((1, 2), (1, 2))
 
 
 def test_split_empty():
     G = grid_poset(2, 2)
-    xs, ys = split_grid_antichain(2, 2, G.antichain([]))
-    assert xs.entries == () and ys.entries == ()
+    assert split_antichain(2, G.antichain([])) == ((), ())
 
 
 def test_split_preserves_covers_both_ways():
@@ -274,8 +275,8 @@ def test_split_preserves_covers_both_ways():
     prod = gale_poset(3, 2).product(gale_poset(3, 2))
     label_map = {}
     for A in G.antichains_of_size(2):
-        xs, ys = split_grid_antichain(3, 3, A)
-        label_map[A.label] = f"({xs.label},{ys.label})"
+        xs, ys = split_antichain(3, A)
+        label_map[A.label] = f"({tuple_label(xs)},{tuple_label(ys)})"
     assert set(label_map.values()) == set(prod.labels)
     mapped = {(label_map[a], label_map[b]) for a, b in E.covers()}
     assert mapped == set(prod.covers())
@@ -288,51 +289,30 @@ def test_split_on_masks_matches_the_point_labels():
             for k in range(min(a, b) + 1):
                 for A in G.antichains_of_size(k):
                     pts = sorted(label_points(A))
-                    xs, ys = split_grid_antichain(a, b, A)
-                    assert ferrers.split_points(grid_mask_points(b, A.mask)) == (xs.entries, ys.entries)
-                    assert xs.entries == tuple(x for x, _ in pts)
-                    assert ys.entries == tuple(y for _, y in reversed(pts))
-
-
-def test_split_rejects_a_host_that_is_not_the_grid():
-    P = discrete_poset(4)
-    with pytest.raises(NotAnAntichain):
-        split_grid_antichain(2, 2, P.antichain([0, 1]))  # (1,1) and (1,2) share a row
+                    xs, ys = split_antichain(b, A)
+                    assert xs == tuple(x for x, _ in pts)
+                    assert ys == tuple(y for _, y in reversed(pts))
+                    # x strictly increasing and y strictly decreasing: two increasing tuples
+                    assert all(u < v for t in (xs, ys) for u, v in zip(t, t[1:]))
 
 
 def test_merge_pairs_matches_the_pair_order_merge():
+    # the pairs of an antichain nest, x_1 < ... < x_k < y_k < ... < y_1, so
+    # their merge is all their coordinates sorted
     for n in range(1, 5):
         P = gale_poset(n + 2, 2)
         for k in range(P.width() + 1):
             for A in P.antichains_of_size(k):
-                assert ferrers.merge_pairs(label_points(A)) == spin_antichain_merge(n, A).entries
-
-
-def test_frobenius_is_the_tuple_core_of_frobenius_coordinates():
-    for a in range(5):
-        for b in range(5):
-            for d in diagrams_in_box(a, b):
-                xs, ys = ferrers.frobenius_coordinates(d)
-                assert ferrers.frobenius(d.heights) == (xs.entries, ys.entries)
-                assert len(xs.entries) == durfee_length(d)
+                pairs = label_points(A)
+                assert ferrers.merge_pairs(pairs) == tuple(sorted(v for p in pairs for v in p))
 
 
 def test_merge_empty():
-    P = gale_poset(4, 2)
-    assert spin_antichain_merge(2, P.antichain([])).entries == ()
-
-
-def test_merge_rejects_a_host_of_another_size():
-    # the pairs are read by index from Gale(n+2, 2), so a host of any other size is refused
-    with pytest.raises(BadParameters):
-        spin_antichain_merge(3, gale_poset(4, 2).antichain(["(1,4)", "(2,3)"]))
-    with pytest.raises(BadParameters):
-        spin_antichain_merge(2, grid_poset(2, 2).antichain([]))
+    assert ferrers.merge_pairs([]) == ()
 
 
 def test_merge_crossing_pair():
-    P = gale_poset(4, 2)
-    assert spin_antichain_merge(2, P.antichain(["(1,4)", "(2,3)"])).entries == (1, 2, 3, 4)
+    assert ferrers.merge_pairs([(2, 3), (1, 4)]) == (1, 2, 3, 4)
 
 
 def test_comparable_pair_is_rejected_at_construction():

@@ -29,14 +29,12 @@ from posetforge import (
     durfee_length,
     durfee_poset,
     find_isomorphism,
-    gale_elements,
     gale_poset,
     grid_poset,
     minuscule_poset,
     poset_from_dict,
     poset_to_dict,
     type_a_root_poset,
-    weak_chain_elements,
     weak_chain_poset,
 )
 from posetforge.poset import (
@@ -52,6 +50,7 @@ from posetforge.poset import (
     mapped_order_equal,
 )
 from posetforge.roots import positive_roots
+from posetforge.sequences import gale_entries, tuple_label, weak_chain_entries
 
 from conftest import label_points, leq_matrix, mask_rows, posets
 
@@ -438,12 +437,12 @@ def componentwise_cases():
     """(poset, its element labels, its rows) for every componentwise family."""
     for n in range(10):
         for k in range(n + 1):
-            elems = gale_elements(n, k)
-            yield gale_poset(n, k), [e.label for e in elems], [e.entries for e in elems]
+            elems = gale_entries(n, k)
+            yield gale_poset(n, k), [tuple_label(e) for e in elems], elems
     for a in range(6):
         for b in range(6):
-            elems = weak_chain_elements(a, b)
-            yield weak_chain_poset(a, b), [e.label for e in elems], [e.entries for e in elems]
+            elems = weak_chain_entries(a, b)
+            yield weak_chain_poset(a, b), [tuple_label(e) for e in elems], elems
     for a in range(6):
         for b in range(6):
             for k in range(min(a, b) + 1):
