@@ -34,10 +34,7 @@ _EXPORTS = {
         "UnknownLabel",
     ),
     "ferrers": (
-        "FerrersDiagram",
         "diagrams_in_box",
-        "durfee_compose",
-        "durfee_decompose",
         "durfee_length",
         "durfee_poset",
     ),
@@ -72,7 +69,7 @@ _EXPORTS = {
         "poset_from_dict",
         "poset_to_dict",
     ),
-    "roots": ("Root", "narayana_table", "panyushev_complement", "type_a_root_poset"),
+    "roots": ("narayana_table", "panyushev_complement", "type_a_root_poset"),
     "sequences": ("gale_poset", "weak_chain_poset"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

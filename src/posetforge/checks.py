@@ -42,6 +42,7 @@ from .poset import (
     grid_mask_points,
     grid_poset,
     index_map_order_equal,
+    tuple_label,
 )
 
 
@@ -346,7 +347,7 @@ def _check_gale_rank_covers(n: int) -> tuple[bool, dict]:
             entries = seq.gale_entries(nn, k)
             mismatch = _bump_mismatch(P, entries)
             if mismatch:
-                x, y = (seq.tuple_label(entries[i]) for i in mismatch)
+                x, y = (tuple_label(entries[i]) for i in mismatch)
                 return False, {"counterexample": {"n": nn, "k": k, "x": x, "y": y}}
     return True, {"exhausted": {"max_n": n, "ordered_pairs": pairs}}
 
@@ -463,13 +464,13 @@ def _check_durfee_product(a: int, b: int) -> tuple[bool, dict]:
                 gb = seq.gale_poset(bb, k)
                 img = []
                 for d in diagrams:
-                    dk, top, side = ferrers.durfee_cut(d.heights)
+                    dk, top, side = ferrers.durfee_cut(d)
                     # h_k >= k > h_(k+1) pins k as the Durfee length, so the parts of a
                     # diagram in the box fit their k x (b-k) and (a-k) x k boxes
                     square = dk == k and min(side, default=0) >= 0 and max(top, default=0) <= k
-                    if not square or ferrers.durfee_stack(dk, top, side) != d.heights:
-                        return False, {"counterexample": {"a": aa, "b": bb, "diagram": d.label}}
-                    xs, ys = ferrers.frobenius(d.heights)
+                    if not square or ferrers.durfee_stack(dk, top, side) != d:
+                        return False, {"counterexample": {"a": aa, "b": bb, "diagram": tuple_label(d)}}
+                    xs, ys = ferrers.frobenius(d)
                     img.append(seq.gale_rank(xs) * gb.n + seq.gale_rank(ys))
                 D = ferrers.durfee_poset(aa, bb, k)
                 prod = seq.gale_poset(aa, k).product(gb)
@@ -664,7 +665,7 @@ def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
             for k, diagrams in enumerate(ferrers._diagrams_by_durfee_length(aa, bb)):
                 E = ac.antichain_exchange_poset(G, k)
                 D = ferrers.durfee_poset(aa, bb, k)
-                diagram_at = {ferrers.frobenius(d.heights): i for i, d in enumerate(diagrams)}
+                diagram_at = {ferrers.frobenius(d): i for i, d in enumerate(diagrams)}
                 img = [
                     diagram_at.get(ferrers.split_points(grid_mask_points(bb, mask)))
                     for mask in E._subsets[1]

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from .errors import PosetForgeError, SizeLimitExceeded
-from .poset import Poset, find_isomorphism, point_label, poset_from_dict, poset_to_dict
+from .errors import BadParameters, PosetForgeError, SizeLimitExceeded
+from .poset import Poset, find_isomorphism, poset_from_dict, poset_to_dict, tuple_label
 
 
 def _read_poset(path: str | None) -> Poset:
@@ -126,6 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("durfee", help="Durfee length of a partition")
     p.add_argument("partition", help="comma-separated column heights, e.g. 3,2,1")
     p.add_argument("--json", action="store_true", dest="as_json")
+    # argparse reads a word such as "-1,-2" as an unknown option, since it takes only a
+    # plain negative number for a positional; this parser has no option of that shape
+    p._negative_number_matcher = re.compile(r"^-\d")
 
     p = sub.add_parser("narayana", help="antichain counts of the type-A root poset")
     p.add_argument("n", type=int)
@@ -220,28 +224,36 @@ def _cmd_iso(args) -> int:
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
+    """Nonnegative, weakly decreasing column heights, trailing zeros dropped."""
     body = text.strip().strip("()")
-    if not body:
-        return ()
     try:
-        return tuple(int(part) for part in body.split(","))
+        heights = tuple(int(part) for part in body.split(",")) if body else ()
     except ValueError:
         raise _InputError(f"partition {text!r} is not comma-separated integers") from None
+    if any(h < 0 for h in heights):
+        raise BadParameters(f"heights must be nonnegative: {heights}")
+    if any(x < y for x, y in zip(heights, heights[1:])):
+        raise BadParameters(f"heights must be weakly decreasing: {heights}")
+    return tuple(h for h in heights if h)
+
+
+def _cell_labels(heights: tuple[int, ...]) -> list[str]:
+    """The cells "(row,column)" of the diagram with these column heights, sorted as strings."""
+    return sorted(tuple_label((i, j)) for j, h in enumerate(heights, 1) for i in range(1, h + 1))
 
 
 def _cmd_durfee(args) -> int:
-    from .ferrers import FerrersDiagram, durfee_decompose
+    from .ferrers import durfee_cut
 
     heights = _parse_partition(args.partition)
-    d = FerrersDiagram(heights, (heights[0] if heights else 0, len(heights)))
-    k, top, side = durfee_decompose(d)
+    k, top, side = durfee_cut(heights)
     if args.as_json:
         _emit_json(
             {
-                "heights": list(d.heights),
+                "heights": list(heights),
                 "durfee": k,
-                "above_square": sorted(point_label(*c) for c in top.cells()),
-                "right_of_square": sorted(point_label(*c) for c in side.cells()),
+                "above_square": _cell_labels(top),
+                "right_of_square": _cell_labels(side),
             }
         )
     else:
@@ -257,14 +269,14 @@ def _cmd_narayana(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    from .roots import panyushev_complement, parse_root_label, type_a_root_poset
+    from .roots import panyushev_complement, parse_root_label, root_label, type_a_root_poset
 
     P = type_a_root_poset(args.n)
     text = args.antichain.strip()
     labels = []
     if text and text != "{}":
         labels = [part.strip() for part in text.replace("],", "] ").split() if part.strip()]
-        labels = [parse_root_label(lab).label for lab in labels]
+        labels = [root_label(*parse_root_label(lab)) for lab in labels]
     image = panyushev_complement(P.antichain(labels))
     print(",".join(image.member_labels) if len(image) else "{}")
     return 0

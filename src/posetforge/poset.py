@@ -219,8 +219,9 @@ def _check_order(up: tuple[int, ...]) -> None:
         raise ValueError("strict order must be transitively closed")
 
 
-def point_label(i: int, j: int) -> str:
-    return f"({i},{j})"
+def tuple_label(entries: Sequence[int]) -> str:
+    """The label of a tuple of integers: its entries, comma-separated in parentheses, "(1,3)"."""
+    return "(" + ",".join(map(str, entries)) + ")"
 
 
 class _view(cached_property):

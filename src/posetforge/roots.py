@@ -1,53 +1,36 @@
 """The type-A positive-root poset and the antichain complement involution.
 
-Roots are intervals [i, j] with 1 <= i < j <= n; [i, j] is covered by
-[i, j+1] and [i-1, j], so the order is containment of intervals.  The
-complement involution sends a size-k antichain to the size-(n-1-k)
-antichain built from the complements of its shifted endpoint sets; it is
-validated on every call rather than trusted, since its well-definedness
-is itself one of the facts under test.
+Roots are intervals [i, j] with 1 <= i < j <= n, held as the pairs
+(i, j) of one table, ``_root_pairs(n)``, in element order and labelled
+"[i,j]" by ``root_label``; [i, j] is covered by [i, j+1] and [i-1, j],
+so the order is containment of intervals.  The table's pairs are valid
+by construction; only ``parse_root_label``, which reads a root from
+outside, checks 1 <= i < j.  The complement involution sends a size-k
+antichain to the size-(n-1-k) antichain built from the complements of
+its shifted endpoint sets; it is validated on every call rather than
+trusted, since its well-definedness is itself one of the facts under
+test.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from .errors import BadParameters, NotAnAntichain
-from .poset import Antichain, Poset, _bits, _componentwise_poset, _Frozen
+from .poset import Antichain, Poset, _bits, _componentwise_poset
 
 _ROOT_RE = re.compile(r"\[(\d+),(\d+)\]")
 
 
-@total_ordering
-class Root(_Frozen):
-    """The interval root [i, j], 1 <= i < j, ordered as the pair (i, j)."""
-
-    __slots__ = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        if not 1 <= i < j:
-            raise BadParameters(f"need 1 <= i < j, got [{i},{j}]")
-        self._fill(i, j)
-
-    def __lt__(self, other):
-        if type(other) is not Root:
-            return NotImplemented
-        return (self.i, self.j) < (other.i, other.j)
-
-    @property
-    def label(self) -> str:
-        return f"[{self.i},{self.j}]"
-
-
-def positive_roots(n: int) -> list[Root]:
-    return [Root(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+def root_label(i: int, j: int) -> str:
+    return f"[{i},{j}]"
 
 
 @lru_cache(maxsize=None)
 def _root_pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
     """The (i, j) of each index of ``type_a_root_poset(n)``, and the index of each (i, j)."""
-    pairs = [(r.i, r.j) for r in positive_roots(n)]
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     return pairs, {p: t for t, p in enumerate(pairs)}
 
 
@@ -56,16 +39,20 @@ def type_a_root_poset(n: int) -> Poset:
     """All intervals [i, j] inside [1, n], ordered by containment."""
     if n < 2:
         raise BadParameters(f"need n >= 2, got {n}")
-    roots = positive_roots(n)
+    pairs, _ = _root_pairs(n)
     # [i, j] lies inside [i', j'] exactly when (-i, j) <= (-i', j')
-    return _componentwise_poset([r.label for r in roots], [(-r.i, r.j) for r in roots])
+    return _componentwise_poset([root_label(i, j) for i, j in pairs], [(-i, j) for i, j in pairs])
 
 
-def parse_root_label(label: str) -> Root:
+def parse_root_label(label: str) -> tuple[int, int]:
+    """The (i, j) of a root label "[i,j]", checked to satisfy 1 <= i < j."""
     m = _ROOT_RE.fullmatch(label.strip())
     if not m:
         raise BadParameters(f"not a root label: {label!r}")
-    return Root(int(m.group(1)), int(m.group(2)))
+    i, j = int(m.group(1)), int(m.group(2))
+    if not 1 <= i < j:
+        raise BadParameters(f"need 1 <= i < j, got [{i},{j}]")
+    return i, j
 
 
 def _rank_of(P: Poset) -> int:

@@ -9,7 +9,7 @@ lattice of a grid into a Gale order.
 
 Elements are plain tuples: ``gale_entries`` and ``weak_chain_entries``
 list them straight from ``itertools`` in element order, and
-``tuple_label`` names them "(1,3)".  Only the parameters (n, k) and
+``poset.tuple_label`` names them "(1,3)".  Only the parameters (n, k) and
 (a, b) are validated; the tuples are increasing (weakly increasing) and
 in range by construction.  Each map works on tuples and index masks:
 ``grid_ideal_heights`` and ``grid_ideal_mask`` between grid ideals and
@@ -24,12 +24,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import BadParameters
-from .poset import Poset, _componentwise_poset, grid_mask_points
-
-
-def tuple_label(entries: Sequence[int]) -> str:
-    """The label of a sequence-poset element: its entries, comma-separated in parentheses."""
-    return "(" + ",".join(map(str, entries)) + ")"
+from .poset import Poset, _componentwise_poset, grid_mask_points, tuple_label
 
 
 def gale_entries(n: int, k: int) -> list[tuple[int, ...]]:

@@ -556,6 +556,66 @@ def test_named_map_checks_fail_on_a_planted_fault(monkeypatch, check_id, module,
     assert report.certificate == {"counterexample": counterexample}
 
 
+def _last_entry_raised(fn):
+    """``fn`` with the last entry of each list it returns raised by one."""
+
+    def patched(*args):
+        table = fn(*args)
+        return table[:-1] + [table[-1] + 1]
+
+    return patched
+
+
+# one planted fault for each check that is no named map: the module attribute the
+# check reads, changed so that the fact it certifies no longer holds
+FACT_FAULTS = [
+    pytest.param(
+        # [1, 1] at n = 2 becomes [1, 2], no palindrome
+        "narayana-symmetry", posetforge.roots, "narayana_table",
+        _last_entry_raised,
+        {"n": 2, "table": [1, 2]},
+        id="narayana-symmetry",
+    ),
+    pytest.param(
+        # the 1-antichains of the 2-chain lose their one cover, so they have no meet
+        "dilworth-max-antichains", posetforge.antichains, "antichain_ideal_poset",
+        _drop_first_cover,
+        {"poset": [("x0", "x1")], "failure": {"reason": "no meet", "pair": ["{x0}", "{x1}"]}},
+        id="dilworth-max-antichains",
+    ),
+    pytest.param(
+        # the same for the 1-antichains of the 1x2 grid
+        "minuscule-distributive", posetforge.antichains, "antichain_exchange_poset",
+        _drop_first_cover,
+        {"kind": "Grid(a=1, b=2)", "k": 1, "failure": {"reason": "no meet", "pair": ["{(1,1)}", "{(1,2)}"]}},
+        id="minuscule-distributive",
+    ),
+    pytest.param(
+        "five-element-example", posetforge.antichains, "ideal_leq",
+        lambda ideal_leq: lambda low, high: False,
+        {"reason": "{a,b} not below {d,e} in ideal order"},
+        id="five-element-example",
+    ),
+    pytest.param(
+        # a dropped cover keeps the sizes, the extremes and "not a lattice", so a
+        # lattice is planted: it has one maximal and one minimal element
+        "boolean-cube-example", posetforge.antichains, "antichain_exchange_poset",
+        lambda antichain_exchange_poset: lambda P, k: chain_poset(9),
+        {"maximal": ["9"], "minimal": ["1"]},
+        id="boolean-cube-example",
+    ),
+]
+
+
+@pytest.mark.parametrize("check_id, module, name, plant, counterexample", FACT_FAULTS)
+def test_fact_checks_fail_on_a_planted_fault(monkeypatch, check_id, module, name, plant, counterexample):
+    assert run_check(check_id).passed
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    report = run_check(check_id)
+    assert report.verdict == "fail", report.to_json_dict()
+    assert report.certificate == {"counterexample": counterexample}
+
+
 def test_natural_family_builds_one_level_from_the_last(monkeypatch):
     # level m is the ideal lattice of level m - 1: m ideals_poset calls, where building
     # every level from the 2x2 grid made m(m+1)/2, 210 at m = 20

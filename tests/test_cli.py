@@ -216,6 +216,8 @@ def test_durfee_json_is_pinned(capsys):
         },
         "3,3,3": {"heights": [3, 3, 3], "durfee": 3, "above_square": [], "right_of_square": []},
         "": {"heights": [], "durfee": 0, "above_square": [], "right_of_square": []},
+        # trailing zeros are dropped
+        "3,2,0": {"heights": [3, 2], "durfee": 2, "above_square": [], "right_of_square": ["(1,1)"]},
     }
     for partition, expected in pinned.items():
         assert main(["durfee", partition, "--json"]) == 0
@@ -225,11 +227,14 @@ def test_durfee_json_is_pinned(capsys):
 
 def test_durfee_rejects_rubbish(capsys):
     assert main(["durfee", "3,x,1"]) == 2
+    assert "not comma-separated integers" in capsys.readouterr()[1]
+    assert main(["durfee", "1,2"]) == 2
+    assert "error: heights must be weakly decreasing: (1, 2)" in capsys.readouterr()[1]
 
 
 def test_durfee_reports_a_negative_height_not_a_box(capsys):
     # the box is derived from the heights, so a box error would name one never given
-    for partition in [["-1"], ["2,-1"], ["--", "-1,-2"]]:
+    for partition in [["-1"], ["2,-1"], ["--", "-1,-2"], ["-1,-2"]]:
         assert main(["durfee", *partition]) == 2
         err = capsys.readouterr()[1]
         assert "error: heights must be nonnegative" in err and "box" not in err, err
@@ -251,6 +256,11 @@ def test_star_command(capsys):
     assert main(["star", "3", ""]) == 0
     out, _ = capsys.readouterr()
     assert out.strip() == "[1,2],[2,3]"
+    assert main(["star", "4", "[01,3]"]) == 0  # read as the root [1,3]
+    out, _ = capsys.readouterr()
+    assert out.strip() == "[1,3],[3,4]"
+    assert main(["star", "4", "[3,3]"]) == 2
+    assert "error: need 1 <= i < j, got [3,3]" in capsys.readouterr()[1]
 
 
 def test_export_dot(monkeypatch, capsys):

@@ -14,15 +14,12 @@ from posetforge import (
     DistributivityResult,
     E6Kind,
     E7Kind,
-    FerrersDiagram,
     Grid,
     MeetJoinTable,
     NaturalD,
     PosetIso,
     RefinementReport,
-    Root,
     SpinD,
-    BadParameters,
     chain_poset,
 )
 from posetforge.checks import CheckDef
@@ -52,10 +49,7 @@ EXPORTS = {
         "UnknownLabel",
     ],
     "ferrers": [
-        "FerrersDiagram",
         "diagrams_in_box",
-        "durfee_compose",
-        "durfee_decompose",
         "durfee_length",
         "durfee_poset",
     ],
@@ -90,14 +84,14 @@ EXPORTS = {
         "poset_from_dict",
         "poset_to_dict",
     ],
-    "roots": ["Root", "narayana_table", "panyushev_complement", "type_a_root_poset"],
+    "roots": ["narayana_table", "panyushev_complement", "type_a_root_poset"],
     "sequences": ["gale_poset", "weak_chain_poset"],
 }
 ALL_NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 def test_every_export_is_the_object_its_module_defines():
-    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 59
+    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 55
     for module, names in EXPORTS.items():
         mod = importlib.import_module(f"posetforge.{module}")
         for name in names:
@@ -136,15 +130,12 @@ def test_records_of_different_types_are_never_equal():
     assert E6Kind() != E7Kind()
     assert Grid(2, 3) != (2, 3)
     assert Grid(2, 3) == Grid(2, 3) and Grid(2, 3) != Grid(3, 2)
-    assert Root(1, 2) != Grid(1, 2)
 
 
 def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
     kinds = {Grid(2, 3): "g", SpinD(4): "s", NaturalD(4): "n", E6Kind(): "e6", E7Kind(): "e7"}
     assert kinds[Grid(2, 3)] == "g" and kinds[NaturalD(4)] == "n" and kinds[E7Kind()] == "e7"
-    assert hash(Root(1, 4)) == hash(Root(1, 4))
     assert hash(MeetJoinTable(((0,),), ((0,),), True)) == hash(MeetJoinTable(((0,),), ((0,),), True))
-    assert hash(FerrersDiagram((2,), (2, 1))) == hash(FerrersDiagram([2, 0], [2, 1]))
     with pytest.raises(TypeError):
         hash(CheckDef("c", "s", {}, len))  # a dict field, as with a frozen dataclass
     with pytest.raises(TypeError):
@@ -162,7 +153,6 @@ def test_record_reprs_name_their_fields():
     assert repr(SpinD(9)) == "SpinD(n=9)"
     assert repr(NaturalD(7)) == "NaturalD(m=7)"
     assert repr(E6Kind()) == "E6Kind()" and repr(E7Kind()) == "E7Kind()"
-    assert repr(Root(1, 3)) == "Root(i=1, j=3)"
     assert repr(PosetIso({"a": "b"}, {"b": "a"})) == "PosetIso(forward={'a': 'b'}, backward={'b': 'a'})"
     verdict = DistributivityResult(True, True, irreducibles=chain_poset(2))
     assert repr(verdict) == "DistributivityResult(distributive=True, is_lattice=True, failure=None, witness=None)"
@@ -170,7 +160,6 @@ def test_record_reprs_name_their_fields():
         "RefinementReport(k=1, antichain_count=2, exchange_pairs=3, ideal_pairs=4, "
         "violations=[], coarsening_witnesses=[])"
     )
-    assert repr(FerrersDiagram((3, 1, 0), [3, 3])) == "FerrersDiagram(heights=(3, 1), box=(3, 3))"
     assert repr(CheckReport("c", {"a": 1}, True, None, 0.5)) == (
         "CheckReport(check_id='c', parameters={'a': 1}, passed=True, certificate=None, elapsed=0.5, error=None)"
     )
@@ -181,10 +170,8 @@ def test_frozen_fields_cannot_be_assigned():
         (Grid(2, 3), "a"),
         (SpinD(3), "n"),
         (NaturalD(3), "m"),
-        (Root(1, 2), "j"),
         (PosetIso({}, {}), "forward"),
         (MeetJoinTable((), (), False), "complete"),
-        (FerrersDiagram((), (0, 0)), "box"),
         (CheckDef("c", "s", {}, len), "fn"),
     ]:
         with pytest.raises(AttributeError):
@@ -207,20 +194,8 @@ def test_mutable_records_assign_and_keep_their_own_lists():
     assert report.verdict == "fail"
 
 
-def test_root_orders_as_its_pair_and_validates():
-    assert sorted([Root(2, 3), Root(1, 4), Root(1, 2)]) == [Root(1, 2), Root(1, 4), Root(2, 3)]
-    assert Root(1, 2) < Root(1, 3) <= Root(1, 3) < Root(2, 3)
-    assert Root(2, 3) > Root(1, 9) and Root(2, 3) >= Root(2, 3)
-    with pytest.raises(TypeError):
-        Root(1, 2) < (1, 3)
-    for i, j in [(3, 3), (0, 2), (4, 2)]:
-        with pytest.raises(BadParameters):
-            Root(i, j)
-
-
 def test_constructor_signatures_take_keywords_and_defaults():
     assert Grid(b=3, a=2) == Grid(2, 3)
-    assert Root(j=5, i=2).label == "[2,5]"
     report = RefinementReport(k=1, antichain_count=2, exchange_pairs=3, ideal_pairs=4)
     assert report.violations == [] and report.coarsening_witnesses == [] and report.consistent
     verdict = DistributivityResult(distributive=False, is_lattice=True)
@@ -241,10 +216,8 @@ def test_records_survive_copy_and_pickle():
     for record in [
         Grid(2, 3),
         E7Kind(),
-        Root(1, 4),
         PosetIso({"a": "b"}, {"b": "a"}),
         RefinementReport(1, 2, 3, 4),
-        FerrersDiagram((2, 1), (2, 2)),
         CheckReport("c", {"a": 1}, True, {"exhausted": {}}, 0.5),
         CheckDef("c", "s", {"a": 1}, len),
     ]:

@@ -1,15 +1,13 @@
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 
 from posetforge import (
     BadParameters,
-    FerrersDiagram,
     NotAnAntichain,
     antichain_exchange_poset,
     diagrams_in_box,
-    durfee_compose,
-    durfee_decompose,
     durfee_length,
     durfee_poset,
     find_isomorphism,
@@ -17,34 +15,44 @@ from posetforge import (
     grid_poset,
 )
 from posetforge import ferrers
-from posetforge.poset import _componentwise_poset, grid_mask_points, point_label
-from posetforge.sequences import shifted, tuple_label
+from posetforge.ferrers import durfee_cut, durfee_stack
+from posetforge.poset import _componentwise_poset, grid_mask_points, tuple_label
+from posetforge.sequences import shifted
 
 from conftest import label_points
 
 
-def durfee_oracle(d: FerrersDiagram) -> int:
+def cells(heights):
+    """The cells (i, j) of the diagram with these column heights: row i of column j."""
+    return [(i, j) for j, h in enumerate(heights, 1) for i in range(1, h + 1)]
+
+
+def contains(outer, inner):
+    """Whether the diagram ``outer`` contains ``inner``: every column at least as high."""
+    return all(x >= y for x, y in zip_longest(outer, inner, fillvalue=0))
+
+
+def durfee_oracle(heights) -> int:
     """Scan every k and test the square inclusion cell by cell."""
-    cells = set(d.cells())
+    filled = set(cells(heights))
     k = 0
-    while all((i, j) in cells for i in range(1, k + 2) for j in range(1, k + 2)):
+    while all((i, j) in filled for i in range(1, k + 2) for j in range(1, k + 2)):
         k += 1
     return k
 
 
 def test_durfee_empty():
-    assert durfee_length(FerrersDiagram((), (3, 3))) == 0
+    assert durfee_length(()) == 0
 
 
 def test_durfee_staircase():
-    d = FerrersDiagram((3, 2, 1), (3, 3))
+    d = (3, 2, 1)
     assert durfee_length(d) == durfee_oracle(d) == 2
 
 
 def test_durfee_full_box():
     for a, b in [(2, 5), (4, 3), (3, 3)]:
-        d = FerrersDiagram((a,) * b, (a, b))
-        assert durfee_length(d) == min(a, b)
+        assert durfee_length((a,) * b) == min(a, b)
 
 
 def test_durfee_matches_oracle_exhaustively():
@@ -58,19 +66,19 @@ def test_diagram_counts_in_box():
     assert len(diagrams_in_box(0, 3)) == 1
 
 
-def recursive_diagrams_in_box(a: int, b: int) -> list[FerrersDiagram]:
+def recursive_diagrams_in_box(a: int, b: int) -> list[tuple[int, ...]]:
     """The recursive enumeration that diagrams_in_box replaced, kept as a reference."""
-    out: list[FerrersDiagram] = []
+    out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], limit: int, cols_left: int) -> None:
-        out.append(FerrersDiagram(tuple(prefix), (a, b)))
+        out.append(tuple(prefix))
         if cols_left == 0:
             return
         for h in range(1, limit + 1):
             extend(prefix + [h], h, cols_left - 1)
 
     extend([], a, b)
-    return sorted(out, key=lambda d: d.heights)
+    return sorted(out)
 
 
 def test_diagrams_in_box_match_the_recursive_reference():
@@ -83,21 +91,21 @@ def test_diagrams_in_box_do_not_recurse_per_column():
     # the recursive version raised RecursionError here
     diagrams = diagrams_in_box(1, 1100)
     assert len(diagrams) == 1101
-    assert diagrams[-1].heights == (1,) * 1100
+    assert diagrams[-1] == (1,) * 1100
 
 
 def test_diagram_validation():
-    with pytest.raises(BadParameters):
-        FerrersDiagram((1, 2), (3, 3))
-    with pytest.raises(BadParameters):
-        FerrersDiagram((4,), (3, 3))
-    assert FerrersDiagram((2, 0), (2, 2)).label == "(2)"
+    # diagrams are valid by construction: weakly decreasing, no zero heights, inside the box
+    for a in range(6):
+        for b in range(6):
+            for d in diagrams_in_box(a, b):
+                assert list(d) == sorted(d, reverse=True) and 0 not in d, d
+                assert len(d) <= b and all(h <= a for h in d), (a, b, d)
+    assert tuple_label((2,)) == "(2)" and tuple_label(()) == "()"
 
 
 @pytest.mark.parametrize("box", [(-1, 0), (0, -1), (-2, 3), (3, -2)], ids=str)
 def test_negative_box_sides_are_rejected(box):
-    with pytest.raises(BadParameters, match="nonnegative"):
-        FerrersDiagram((), box)
     # (-2, 3) and (3, -2) enumerate no diagram at all, so the box is checked up front
     with pytest.raises(BadParameters, match="nonnegative"):
         diagrams_in_box(*box)
@@ -138,11 +146,11 @@ def test_frobenius_coordinates_are_the_weak_chain_route():
         for b in range(7):
             images = [set() for _ in range(min(a, b) + 1)]
             for d in diagrams_in_box(a, b):
-                k, top, side = durfee_decompose(d)
-                rows = Counter(i for i, _ in top.cells())  # row i has rows[i] cells
-                x = shifted([side.height(j) for j in range(k, 0, -1)])
+                k, top, side = durfee_cut(d)
+                rows = Counter(i for i, _ in cells(top))  # row i has rows[i] cells
+                x = shifted([side[j - 1] for j in range(k, 0, -1)])
                 y = shifted([rows[i] for i in range(k, 0, -1)])
-                assert ferrers.frobenius(d.heights) == (x, y) and len(x) == durfee_oracle(d), d
+                assert ferrers.frobenius(d) == (x, y) and len(x) == durfee_oracle(d), d
                 assert x[-1:] <= (a,) and y[-1:] <= (b,), d
                 images[k].add(f"({tuple_label(x)},{tuple_label(y)})")
             for k, image in enumerate(images):
@@ -158,11 +166,11 @@ def test_durfee_poset_matches_containment_oracle():
             for k in range(min(a, b) + 1):
                 level = [d for d in diagrams if durfee_oracle(d) == k]
                 up = tuple(
-                    sum(1 << j for j, e in enumerate(level) if j != i and e.contains(d))
+                    sum(1 << j for j, e in enumerate(level) if j != i and contains(e, d))
                     for i, d in enumerate(level)
                 )
                 D = durfee_poset(a, b, k)
-                assert D.labels == tuple(d.label for d in level)
+                assert D.labels == tuple(map(tuple_label, level))
                 assert D.up == up, (a, b, k)
 
 
@@ -176,82 +184,56 @@ def test_durfee_poset_enumerates_each_box_once(monkeypatch):
             for k in range(min(a, b) + 1):
                 # the per-k filter over the whole box
                 level = [d for d in enumerate_box(a, b) if durfee_length(d) == k]
-                rows = [[d.height(j) for j in range(1, b + 1)] for d in level]
-                expected = _componentwise_poset([d.label for d in level], rows)
+                rows = [d + (0,) * (b - len(d)) for d in level]
+                expected = _componentwise_poset([tuple_label(d) for d in level], rows)
                 D = durfee_poset(a, b, k)
                 assert (D.labels, D.up) == (expected.labels, expected.up), (a, b, k)
     assert calls == Counter({(a, b): 1 for a in range(6) for b in range(6)})
 
 
 def test_decompose_full_square():
-    k, top, side = durfee_decompose(FerrersDiagram((3, 3, 3), (3, 3)))
-    assert k == 3
-    assert top == FerrersDiagram((), (3, 0)) and side == FerrersDiagram((), (0, 3))
+    # no cell above the square, and a side of k zero heights
+    assert durfee_cut((3, 3, 3)) == (3, (), (0, 0, 0))
+    assert durfee_stack(3, (), (0, 0, 0)) == durfee_stack(3, (), ()) == (3, 3, 3)
 
 
 def test_decompose_staircase():
-    d = FerrersDiagram((3, 2, 1), (3, 3))
-    k, top, side = durfee_decompose(d)
+    d = (3, 2, 1)
+    k, top, side = durfee_cut(d)
     assert k == 2
-    assert top == FerrersDiagram((1,), (2, 1)) and top.cells() == [(1, 1)]
-    assert side == FerrersDiagram((1,), (1, 2)) and side.cells() == [(1, 1)]
-    assert durfee_compose(3, 3, k, top, side) == d
+    assert top == (1,) and cells(top) == [(1, 1)]
+    assert side == (1, 0) and cells(side) == [(1, 1)]
+    assert durfee_stack(k, top, side) == d
 
 
-def grid_ideal_decompose(d: FerrersDiagram):
+def grid_ideal_decompose(d, a: int, b: int):
     """The cut as it was made on grid ideals, kept as a reference: the
     cells past column k shifted left into [k] x [b-k], and the cells
     above row k shifted down into [a-k] x [k], each an ideal of a fresh
     grid poset."""
-    a, b = d.box
     k = durfee_length(d)
-    top = [point_label(i, j - k) for (i, j) in d.cells() if j > k]
-    side = [point_label(i - k, j) for (i, j) in d.cells() if i > k]
+    top = [tuple_label((i, j - k)) for (i, j) in cells(d) if j > k]
+    side = [tuple_label((i - k, j)) for (i, j) in cells(d) if i > k]
     return k, grid_poset(k, b - k).ideal(top), grid_poset(a - k, k).ideal(side)
 
 
 def test_decompose_matches_the_grid_ideal_reference():
+    # the reference's grids reject a cell outside them, so each part fits its box
     for a in range(6):
         for b in range(6):
             for d in diagrams_in_box(a, b):
-                k, top, side = durfee_decompose(d)
-                ref_k, ref_top, ref_side = grid_ideal_decompose(d)
+                k, top, side = durfee_cut(d)
+                ref_k, ref_top, ref_side = grid_ideal_decompose(d, a, b)
                 assert k == ref_k
-                assert sorted(top.cells()) == sorted(label_points(ref_top)), d
-                assert sorted(side.cells()) == sorted(label_points(ref_side)), d
-                assert top.box[0] * top.box[1] == ref_top.poset.n
-                assert side.box[0] * side.box[1] == ref_side.poset.n
-
-
-def test_compose_rejects_parts_in_the_wrong_boxes():
-    k, top, side = durfee_decompose(FerrersDiagram((3, 2, 1), (3, 3)))
-    assert durfee_compose(3, 3, k, top, side).heights == (3, 2, 1)
-    bad = [
-        (3, 3, k, side, top),  # parts swapped: (1, 2) and (2, 1) boxes
-        (3, 4, k, top, side),  # top box is (2, 1), not (2, 2)
-        (4, 3, k, top, side),  # side box is (1, 2), not (2, 2)
-        (3, 3, 1, top, side),
-        (3, 3, 4, top, side),  # no 4 x 4 square fits
-        (3, 3, -1, top, side),
-    ]
-    for a, b, kk, t, s in bad:
-        with pytest.raises(BadParameters):
-            durfee_compose(a, b, kk, t, s)
-
-
-def test_diagram_given_as_a_list_is_stored_as_a_tuple():
-    d = FerrersDiagram([3, 2, 1, 0], [3, 4])
-    assert d == FerrersDiagram((3, 2, 1), (3, 4))
-    assert isinstance(d.heights, tuple) and isinstance(d.box, tuple)
-    assert hash(d) == hash(FerrersDiagram((3, 2, 1), (3, 4)))
+                assert sorted(cells(top)) == sorted(label_points(ref_top)), d
+                assert sorted(cells(side)) == sorted(label_points(ref_side)), d
 
 
 def test_decompose_roundtrip_exhaustive():
     for a in range(5):
         for b in range(5):
             for d in diagrams_in_box(a, b):
-                k, top, side = durfee_decompose(d)
-                assert durfee_compose(a, b, k, top, side) == d
+                assert durfee_stack(*durfee_cut(d)) == d
 
 
 def split_antichain(b, A):

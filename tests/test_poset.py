@@ -48,9 +48,10 @@ from posetforge.poset import (
     grid_mask_points,
     index_map_order_equal,
     mapped_order_equal,
+    tuple_label,
 )
-from posetforge.roots import positive_roots
-from posetforge.sequences import gale_entries, tuple_label, weak_chain_entries
+from posetforge.roots import _root_pairs, root_label
+from posetforge.sequences import gale_entries, weak_chain_entries
 
 from conftest import label_points, leq_matrix, mask_rows, posets
 
@@ -447,11 +448,11 @@ def componentwise_cases():
         for b in range(6):
             for k in range(min(a, b) + 1):
                 ds = [d for d in diagrams_in_box(a, b) if durfee_length(d) == k]
-                rows = [[d.height(j) for j in range(1, b + 1)] for d in ds]
-                yield durfee_poset(a, b, k), [d.label for d in ds], rows
+                rows = [d + (0,) * (b - len(d)) for d in ds]
+                yield durfee_poset(a, b, k), [tuple_label(d) for d in ds], rows
     for n in range(2, 9):
-        roots = positive_roots(n)
-        yield type_a_root_poset(n), [r.label for r in roots], [(-r.i, r.j) for r in roots]
+        roots, _ = _root_pairs(n)
+        yield type_a_root_poset(n), [root_label(i, j) for i, j in roots], [(-i, j) for i, j in roots]
 
 
 def test_componentwise_builder_matches_broadcast_reference():

@@ -8,7 +8,7 @@ from posetforge import (
     panyushev_complement,
     type_a_root_poset,
 )
-from posetforge.roots import Root, parse_root_label, positive_roots
+from posetforge.roots import _root_pairs, parse_root_label, root_label
 
 
 def catalan_oracle(m: int) -> int:
@@ -33,14 +33,14 @@ def test_three_roots_with_top():
 def test_order_is_closure_of_the_two_cover_families():
     # independent route: generate from covers and compare to the direct build
     for n in range(2, 7):
-        roots = positive_roots(n)
+        roots, _ = _root_pairs(n)
         rels = []
-        for r in roots:
-            if r.j + 1 <= n:
-                rels.append((r.label, Root(r.i, r.j + 1).label))
-            if r.i - 1 >= 1:
-                rels.append((r.label, Root(r.i - 1, r.j).label))
-        rebuilt = build_poset([r.label for r in roots], rels)
+        for i, j in roots:
+            if j + 1 <= n:
+                rels.append((root_label(i, j), root_label(i, j + 1)))
+            if i - 1 >= 1:
+                rels.append((root_label(i, j), root_label(i - 1, j)))
+        rebuilt = build_poset([root_label(i, j) for i, j in roots], rels)
         assert rebuilt == type_a_root_poset(n)
 
 
@@ -103,8 +103,10 @@ def test_narayana_palindromic_catalan():
 
 
 def test_root_label_parsing():
-    assert parse_root_label("[2,5]") == Root(2, 5)
-    with pytest.raises(BadParameters):
+    assert parse_root_label("[2,5]") == (2, 5)
+    assert parse_root_label(" [01,3] ") == (1, 3)
+    with pytest.raises(BadParameters, match="not a root label"):
         parse_root_label("(2,5)")
-    with pytest.raises(BadParameters):
-        Root(3, 3)
+    for text in ["[3,3]", "[0,2]", "[4,2]"]:
+        with pytest.raises(BadParameters, match="need 1 <= i < j"):
+            parse_root_label(text)
