@@ -26,7 +26,6 @@ _EXPORTS = {
         "DuplicateLabel",
         "NotALattice",
         "NotAnAntichain",
-        "NotAnIdeal",
         "PosetForgeError",
         "SizeLimitExceeded",
         "SizeMismatch",
@@ -58,7 +57,6 @@ _EXPORTS = {
     ),
     "poset": (
         "Antichain",
-        "Ideal",
         "Poset",
         "PosetIso",
         "build_poset",

@@ -42,7 +42,6 @@ have avoided it.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 from .poset import Poset, _bits, _initial_colours, _match
@@ -95,8 +94,3 @@ def small_posets(max_size: int) -> list[Poset]:
     for n in range(max_size + 1):
         out.extend(_posets_of_size(n))
     return out
-
-
-def corpus_census(max_size: int) -> Counter:
-    """Class counts by element count; handy for sanity checks."""
-    return Counter(P.n for P in small_posets(max_size))

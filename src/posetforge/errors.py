@@ -29,10 +29,6 @@ class BadParameters(PosetForgeError):
     """Arguments are outside the domain of the requested construction."""
 
 
-class NotAnIdeal(PosetForgeError):
-    """The given member set is not downward closed."""
-
-
 class NotAnAntichain(PosetForgeError):
     """The given member set contains a comparable pair."""
 

@@ -35,13 +35,15 @@ which would load ``inspect``, ``ast``, ``dis`` and ``tokenize``.
 
 Labels are opaque at the API boundary.  All internal computation runs on
 indices, with subsets handled as Python int bitmasks, so every relation
-test is exact at any size.  Every object is immutable after
+test is exact at any size.  An ideal is its mask (``ideal_masks``,
+``_ideal_tops``); ``Antichain`` is the one validated subset type, for
+antichains named from outside.  Every object is immutable after
 construction, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -51,7 +53,6 @@ from .errors import (
     CycleDetected,
     DuplicateLabel,
     NotAnAntichain,
-    NotAnIdeal,
     SizeLimitExceeded,
     UnknownLabel,
 )
@@ -447,9 +448,6 @@ class Poset:
     def antichain(self, members: Iterable[int | str]) -> "Antichain":
         return Antichain(self, members)
 
-    def ideal(self, members: Iterable[int | str]) -> "Ideal":
-        return Ideal(self, members)
-
     def _antichain_masks(self, k: int) -> list[int]:
         """All size-k antichains as bitmasks, in index-lexicographic order.
 
@@ -526,9 +524,6 @@ class Poset:
         out = sorted(seen, key=lambda m: format(m, fmt)[::-1], reverse=True)
         out.sort(key=int.bit_count)
         return out
-
-    def ideals(self) -> list["Ideal"]:
-        return [Ideal._from_mask(self, m) for m in self.ideal_masks()]
 
     def ideals_poset(self, cap: int = DEFAULT_IDEAL_CAP) -> "Poset":
         """The poset of all ideals ordered by containment."""
@@ -617,23 +612,26 @@ class Poset:
         return Poset._from_up(labels, self.up)
 
 
-class _Subset:
-    """A subset of a host poset, stored as a bitmask."""
+class Antichain:
+    """A pairwise-incomparable subset of a host poset, stored as a bitmask.
+
+    Iterating it yields the member indices in increasing order.
+    """
 
     def __init__(self, poset: Poset, members: Iterable[int | str]):
         self.poset = poset
         self.mask = poset._resolve(members)
+        for i in self:
+            if clash := (poset.up[i] | poset.down[i]) & self.mask:
+                j = next(_bits(clash))
+                raise NotAnAntichain(f"{poset.labels[i]!r} and {poset.labels[j]!r} are comparable")
 
     @classmethod
-    def _from_mask(cls, poset: Poset, mask: int) -> "_Subset":
-        """Wrap a mask that the caller's construction proves valid, unchecked."""
-        S = cls.__new__(cls)
-        S.poset, S.mask = poset, mask
-        return S
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
+    def _from_mask(cls, poset: Poset, mask: int) -> "Antichain":
+        """Wrap a mask that the caller's construction proves an antichain, unchecked."""
+        A = cls.__new__(cls)
+        A.poset, A.mask = poset, mask
+        return A
 
     @property
     def member_labels(self) -> tuple[str, ...]:
@@ -650,48 +648,15 @@ class _Subset:
         return _bits(self.mask)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Subset):
+        if not isinstance(other, Antichain):
             return NotImplemented
-        return type(self) is type(other) and self.mask == other.mask and self.poset == other.poset
+        return self.mask == other.mask and self.poset == other.poset
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.mask, self.poset.labels))
+        return hash((self.mask, self.poset.labels))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.label})"
-
-
-class Antichain(_Subset):
-    """A pairwise-incomparable subset of a host poset."""
-
-    def __init__(self, poset: Poset, members: Iterable[int | str]):
-        super().__init__(poset, members)
-        for i in self:
-            if clash := (poset.up[i] | poset.down[i]) & self.mask:
-                j = next(_bits(clash))
-                raise NotAnAntichain(f"{poset.labels[i]!r} and {poset.labels[j]!r} are comparable")
-
-    def ideal(self) -> "Ideal":
-        """The ideal generated by this antichain (downward closure)."""
-        down = self.poset.down
-        return Ideal._from_mask(self.poset, reduce(or_, (down[i] for i in self), self.mask))
-
-
-class Ideal(_Subset):
-    """A downward-closed subset of a host poset."""
-
-    def __init__(self, poset: Poset, members: Iterable[int | str]):
-        super().__init__(poset, members)
-        for i in self:
-            if missing := poset.down[i] & ~self.mask:
-                j = next(_bits(missing))
-                raise NotAnIdeal(
-                    f"{poset.labels[j]!r} lies below member {poset.labels[i]!r} but is missing"
-                )
-
-    def max_elements(self) -> Antichain:
-        """The maximal members; inverse of :meth:`Antichain.ideal`."""
-        return Antichain._from_mask(self.poset, self.poset._ideal_tops(self.mask))
+        return f"Antichain({self.label})"
 
 
 # -- constructors ----------------------------------------------------------

@@ -1,10 +1,13 @@
+from functools import reduce
+from operator import or_
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from posetforge import SizeMismatch, build_poset, checks
 from posetforge.corpus import small_posets
-from posetforge.poset import _matching_size
+from posetforge.poset import _bits, _matching_size
 
 
 @st.composite
@@ -31,9 +34,14 @@ def leq_matrix(P):
     return P.lt | np.eye(P.n, dtype=bool)
 
 
-def label_points(subset):
-    """The (i, j) points of a subset of a grid or pair order, read from its member labels "(i,j)"."""
-    return [tuple(int(v) for v in lab[1:-1].split(",")) for lab in subset.member_labels]
+def label_points(P, mask):
+    """The (i, j) points of a subset of a grid or pair order P, read from its member labels "(i,j)"."""
+    return [tuple(int(v) for v in P.labels[t][1:-1].split(",")) for t in _bits(mask)]
+
+
+def closure(P, mask):
+    """The ideal generated by a subset of P: the mask ORed with the down-sets of its members."""
+    return reduce(or_, (P.down[i] for i in _bits(mask)), mask)
 
 
 def has_order_matching(P, A, B):

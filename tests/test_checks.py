@@ -7,12 +7,14 @@ import pytest
 
 import posetforge.antichains
 import posetforge.ferrers
+import posetforge.lattice
 import posetforge.minuscule
 import posetforge.poset
 import posetforge.roots
 import posetforge.sequences
 from posetforge import (
     BadParameters,
+    DistributivityResult,
     Poset,
     SizeLimitExceeded,
     UnknownCheck,
@@ -566,6 +568,11 @@ def _last_entry_raised(fn):
     return patched
 
 
+def _a_lattice(is_distributive):
+    """``is_distributive`` that calls every poset a lattice, and not a distributive one."""
+    return lambda P: DistributivityResult(False, True, failure={"reason": "planted"})
+
+
 # one planted fault for each check that is no named map: the module attribute the
 # check reads, changed so that the fact it certifies no longer holds
 FACT_FAULTS = [
@@ -603,6 +610,19 @@ FACT_FAULTS = [
         lambda antichain_exchange_poset: lambda P, k: chain_poset(9),
         {"maximal": ["9"], "minimal": ["1"]},
         id="boolean-cube-example",
+    ),
+    pytest.param(
+        # every clause before the lattice verdict passes, so only that clause catches it
+        "five-element-example", posetforge.lattice, "is_distributive",
+        _a_lattice,
+        {"reason": "exchange order unexpectedly a lattice"},
+        id="five-element-example-lattice",
+    ),
+    pytest.param(
+        "boolean-cube-example", posetforge.lattice, "is_distributive",
+        _a_lattice,
+        {"reason": "unexpectedly a lattice"},
+        id="boolean-cube-example-lattice",
     ),
 ]
 

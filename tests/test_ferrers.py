@@ -19,7 +19,7 @@ from posetforge.ferrers import durfee_cut, durfee_stack
 from posetforge.poset import _componentwise_poset, grid_mask_points, tuple_label
 from posetforge.sequences import shifted
 
-from conftest import label_points
+from conftest import closure, label_points
 
 
 def cells(heights):
@@ -210,11 +210,16 @@ def grid_ideal_decompose(d, a: int, b: int):
     """The cut as it was made on grid ideals, kept as a reference: the
     cells past column k shifted left into [k] x [b-k], and the cells
     above row k shifted down into [a-k] x [k], each an ideal of a fresh
-    grid poset."""
+    grid poset, returned as (grid, mask) pairs."""
     k = durfee_length(d)
     top = [tuple_label((i, j - k)) for (i, j) in cells(d) if j > k]
     side = [tuple_label((i - k, j)) for (i, j) in cells(d) if i > k]
-    return k, grid_poset(k, b - k).ideal(top), grid_poset(a - k, k).ideal(side)
+    parts = []
+    for G, members in ((grid_poset(k, b - k), top), (grid_poset(a - k, k), side)):
+        mask = G._resolve(members)  # a cell outside the grid names no element
+        assert closure(G, mask) == mask, (d, members)
+        parts.append((G, mask))
+    return k, *parts
 
 
 def test_decompose_matches_the_grid_ideal_reference():
@@ -225,8 +230,8 @@ def test_decompose_matches_the_grid_ideal_reference():
                 k, top, side = durfee_cut(d)
                 ref_k, ref_top, ref_side = grid_ideal_decompose(d, a, b)
                 assert k == ref_k
-                assert sorted(cells(top)) == sorted(label_points(ref_top)), d
-                assert sorted(cells(side)) == sorted(label_points(ref_side)), d
+                assert sorted(cells(top)) == sorted(label_points(*ref_top)), d
+                assert sorted(cells(side)) == sorted(label_points(*ref_side)), d
 
 
 def test_decompose_roundtrip_exhaustive():
@@ -270,7 +275,7 @@ def test_split_on_masks_matches_the_point_labels():
             G = grid_poset(a, b)
             for k in range(min(a, b) + 1):
                 for A in G.antichains_of_size(k):
-                    pts = sorted(label_points(A))
+                    pts = sorted(label_points(G, A.mask))
                     xs, ys = split_antichain(b, A)
                     assert xs == tuple(x for x, _ in pts)
                     assert ys == tuple(y for _, y in reversed(pts))
@@ -285,7 +290,7 @@ def test_merge_pairs_matches_the_pair_order_merge():
         P = gale_poset(n + 2, 2)
         for k in range(P.width() + 1):
             for A in P.antichains_of_size(k):
-                pairs = label_points(A)
+                pairs = label_points(P, A.mask)
                 assert ferrers.merge_pairs(pairs) == tuple(sorted(v for p in pairs for v in p))
 
 

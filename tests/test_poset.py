@@ -15,9 +15,7 @@ from posetforge import (
     CycleDetected,
     DuplicateLabel,
     Grid,
-    Ideal,
     NotAnAntichain,
-    NotAnIdeal,
     SizeLimitExceeded,
     SpinD,
     UnknownLabel,
@@ -53,7 +51,7 @@ from posetforge.poset import (
 from posetforge.roots import _root_pairs, root_label
 from posetforge.sequences import gale_entries, weak_chain_entries
 
-from conftest import label_points, leq_matrix, mask_rows, posets
+from conftest import closure, label_points, leq_matrix, mask_rows, posets
 
 
 def bowtie():
@@ -509,13 +507,6 @@ def test_ideal_cap():
         discrete_poset(12).ideals_poset(cap=100)
 
 
-def test_ideal_validation():
-    P = bowtie()
-    with pytest.raises(NotAnIdeal):
-        Ideal(P, ["c"])  # a, b missing below c
-    assert len(Ideal(P, ["a", "b", "c"])) == 3
-
-
 # -- antichains --------------------------------------------------------------
 
 
@@ -545,7 +536,7 @@ def test_antichain_validation():
 @settings(deadline=None, max_examples=60)
 def test_antichain_enumeration_matches_oracle(P):
     for k in range(P.n + 1):
-        got = [frozenset(A.indices) for A in P.antichains_of_size(k)]
+        got = [frozenset(A) for A in P.antichains_of_size(k)]
         assert sorted(got, key=sorted) == sorted(antichains_oracle(P, k), key=sorted)
 
 
@@ -629,40 +620,43 @@ def test_width_is_last_nonempty_size(corpus6):
 def test_empty_roundtrip():
     P = bowtie()
     A = Antichain(P, [])
-    assert A.ideal().max_elements() == A
+    assert closure(P, A.mask) == 0
+    assert P._ideal_tops(closure(P, A.mask)) == A.mask
 
 
 def test_grid_antichain_closure():
     G = grid_poset(2, 2)
     A = Antichain(G, ["(1,2)", "(2,1)"])
-    I = A.ideal()
-    assert len(I) == 3
-    assert I.max_elements() == A
+    ideal = closure(G, A.mask)
+    assert ideal.bit_count() == 3 and ideal in G.ideal_masks()
+    assert G._ideal_tops(ideal) == A.mask
 
 
 def test_enumerated_subsets_pass_validation(corpus6):
     for P in corpus6:
-        assert all(Ideal(P, I.indices) == I for I in P.ideals())
+        assert all(closure(P, m) == m for m in P.ideal_masks())
         for k in range(P.width() + 1):
-            assert all(Antichain(P, A.indices) == A for A in P.antichains_of_size(k))
+            assert all(Antichain(P, A) == A for A in P.antichains_of_size(k))
 
 
 def test_roundtrip_exhaustive_up_to_8_points(corpus8):
     for P in corpus8:
         for mask in P.ideal_masks():
-            I = Ideal(P, [i for i in range(P.n) if (mask >> i) & 1])
-            assert I.max_elements().ideal() == I
+            assert closure(P, mask) == mask
+            assert closure(P, P._ideal_tops(mask)) == mask
         for k in range(P.width() + 1):
             for A in P.antichains_of_size(k):
-                assert A.ideal().max_elements() == A
+                assert P._ideal_tops(closure(P, A.mask)) == A.mask
 
 
 @given(posets(max_size=8))
 @settings(deadline=None, max_examples=40)
 def test_roundtrip_on_random_posets(P):
+    for mask in P.ideal_masks():
+        assert closure(P, mask) == mask == closure(P, P._ideal_tops(mask))
     for k in range(P.width() + 1):
         for A in P.antichains_of_size(k):
-            assert A.ideal().max_elements() == A
+            assert P._ideal_tops(closure(P, A.mask)) == A.mask
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -1039,8 +1033,8 @@ def test_grid_mask_points_match_the_point_labels():
     for a in range(4):
         for b in range(1, 4):
             G = grid_poset(a, b)
-            for A in [*G.ideals(), *(A for k in range(4) for A in G.antichains_of_size(k))]:
-                assert grid_mask_points(b, A.mask) == label_points(A)
+            for mask in [*G.ideal_masks(), *(A.mask for k in range(4) for A in G.antichains_of_size(k))]:
+                assert grid_mask_points(b, mask) == label_points(G, mask)
 
 
 def test_induced_matches_comprehension(corpus6):

@@ -33,10 +33,10 @@ def tuple_label(entries):
     return "(" + ",".join(str(v) for v in entries) + ")"
 
 
-def label_heights(I, b):
-    """The column heights of a grid ideal, lowest column first, read from its point labels."""
+def label_heights(G, mask, b):
+    """The column heights of an ideal of the grid G, lowest column first, read from its point labels."""
     heights = [0] * (b + 1)
-    for i, j in label_points(I):
+    for i, j in label_points(G, mask):
         heights[j] = max(heights[j], i)
     return tuple(heights[b - p] for p in range(b))
 
@@ -124,14 +124,14 @@ def test_shift_is_an_isomorphism_pairwise():
 
 
 def test_ideal_heights_of_empty():
-    G = grid_poset(3, 2)
-    assert grid_ideal_heights(2, G.ideal([]).mask) == (0, 0)
+    assert grid_ideal_heights(2, 0) == (0, 0)  # in grid_poset(3, 2)
 
 
 def test_ideal_heights_example():
     G = grid_poset(2, 2)
-    I = G.ideal(["(1,1)", "(2,1)", "(1,2)"])
-    assert grid_ideal_heights(2, I.mask) == (1, 2)
+    mask = G._resolve(["(1,1)", "(2,1)", "(1,2)"])
+    assert mask in G.ideal_masks()
+    assert grid_ideal_heights(2, mask) == (1, 2)
 
 
 def test_ideal_heights_roundtrip():
@@ -139,9 +139,8 @@ def test_ideal_heights_roundtrip():
     for a in range(4):
         for b in range(4):
             G = grid_poset(a, b)
-            for I in G.ideals():
-                chain = grid_ideal_heights(b, I.mask)
-                assert G.ideal(list(_bits(grid_ideal_mask(b, chain)))) == I
+            for mask in G.ideal_masks():
+                assert grid_ideal_mask(b, grid_ideal_heights(b, mask)) == mask
 
 
 def test_composite_map_is_an_isomorphism():
@@ -152,8 +151,9 @@ def test_composite_map_is_an_isomorphism():
             J = G.ideals_poset()
             C = gale_poset(a + b, b)
             label_map = {
-                I.label: tuple_label(h + p for p, h in enumerate(label_heights(I, b), 1))
-                for I in G.ideals()
+                G.subset_label(_bits(mask)):
+                    tuple_label(h + p for p, h in enumerate(label_heights(G, mask, b), 1))
+                for mask in G.ideal_masks()
             }
             assert set(label_map.values()) == set(C.labels)
             img = [C.index(label_map[lab]) for lab in J.labels]
@@ -215,10 +215,10 @@ def test_grid_ideal_heights_read_the_point_labels_and_invert():
     for a in range(4):
         for b in range(4):
             G = grid_poset(a, b)
-            for I in G.ideals():
-                chain = grid_ideal_heights(b, I.mask)
-                assert chain == label_heights(I, b)
-                assert grid_ideal_mask(b, chain) == I.mask
+            for mask in G.ideal_masks():
+                chain = grid_ideal_heights(b, mask)
+                assert chain == label_heights(G, mask, b)
+                assert grid_ideal_mask(b, chain) == mask
 
 
 def test_binomial_symmetry_up_to_iso():
