@@ -24,7 +24,6 @@ _EXPORTS = {
         "BadParameters",
         "CycleDetected",
         "DuplicateLabel",
-        "NotALattice",
         "NotAnAntichain",
         "PosetForgeError",
         "SizeLimitExceeded",
@@ -41,7 +40,6 @@ _EXPORTS = {
         "DistributivityResult",
         "MeetJoinTable",
         "is_distributive",
-        "join_irreducibles",
         "meet_join_table",
     ),
     "minuscule": (

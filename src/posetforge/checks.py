@@ -33,6 +33,7 @@ from . import sequences as seq
 from .errors import BadParameters, UnknownCheck
 from .poset import (
     Poset,
+    PosetIso,
     _bits,
     _Frozen,
     _Record,
@@ -418,7 +419,7 @@ def _check_box_gale_composite(a: int, b: int) -> tuple[bool, dict]:
             if not index_map_order_equal(J, C, img):
                 return False, {"counterexample": {"a": aa, "b": bb}}
             if aa == a and bb == b:
-                sample = {lab: C.labels[j] for lab, j in zip(J.labels, img)}
+                sample = PosetIso(J, C, img).forward
     return True, {
         "exhausted": {"max_a": a, "max_b": b},
         "witness_at_caps": sample,
@@ -824,7 +825,7 @@ def _check_e7_self_map() -> tuple[bool, dict]:
     if P.n != 27 or E.n != 27:
         return False, {"counterexample": {"sizes": [P.n, E.n]}}
     iso = find_isomorphism(P, E)
-    if iso is None or not iso.verify(P, E):
+    if iso is None or not iso.verify():
         return False, {"counterexample": {"reason": "no verified isomorphism"}}
     return True, {"witness": iso.to_json_dict(), "elements": 27}
 

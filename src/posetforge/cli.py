@@ -95,11 +95,31 @@ def _int_pairs(items: list[str]) -> dict[str, int]:
     return pairs
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, taking its positionals before, between or after its options.
+
+    Plain argparse fills ``ak``'s and ``check``'s ``file`` (nargs="?") with its default
+    when an option follows the positional before it, then rejects the file after the
+    option.  The top-level parser, which has subparsers, cannot parse intermixed.
+    """
+
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._intermixing:  # the two passes of the intermixed parse
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posetforge", description="finite poset combinatorics toolkit"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("build", help="validate a JSON poset and re-emit it canonically")
     p.add_argument("file", nargs="?", default=None)
@@ -218,8 +238,9 @@ def _cmd_iso(args) -> int:
     if args.as_json:
         _emit_json({"isomorphic": True, **iso.to_json_dict()})
     else:
+        forward = iso.forward
         for src in A.labels:
-            print(f"{src} -> {iso.forward[src]}")
+            print(f"{src} -> {forward[src]}")
     return 0
 
 

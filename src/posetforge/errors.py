@@ -21,10 +21,6 @@ class SizeLimitExceeded(PosetForgeError):
     """An enumeration or search grew past its configured cap."""
 
 
-class NotALattice(PosetForgeError):
-    """An operation that needs meets and joins was given a non-lattice."""
-
-
 class BadParameters(PosetForgeError):
     """Arguments are outside the domain of the requested construction."""
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import NotALattice, SizeLimitExceeded
-from .poset import Poset, PosetIso, _bits, _Frozen, _image, _Record, index_map_order_equal
+from .errors import SizeLimitExceeded
+from .poset import Poset, PosetIso, _bits, _Frozen, _image, _Record
 
 
 class MeetJoinTable(_Frozen):
@@ -91,13 +91,6 @@ def _join_irreducible_indices(P: Poset) -> list[int]:
     return [i for i, c in enumerate(P.cover_down) if c.bit_count() == 1]
 
 
-def join_irreducibles(P: Poset) -> Poset:
-    """Induced sub-poset of elements covering exactly one element."""
-    if not meet_join_table(P).complete:
-        raise NotALattice("join-irreducibles need a lattice")
-    return P.induced(_join_irreducible_indices(P))
-
-
 class DistributivityResult(_Record):
     """Verdict plus certificate material for a distributivity check."""
 
@@ -137,7 +130,7 @@ def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
     sub-poset.  A distributive lattice on n elements has exactly n such
     ideals, so enumeration stops past n: a non-lattice with many
     irreducibles could otherwise have up to 2^|irr| of them.  The map is
-    checked on indices, and labelled only once it holds.
+    checked and kept on indices, so nothing is labelled until it is read.
     """
     irr_idx = _join_irreducible_indices(P)
     irr = P.induced(irr_idx)
@@ -149,11 +142,9 @@ def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
     keep, to = _image((1 << len(irr_idx)) - 1, irr_idx), dict(zip(irr_idx, range(len(irr_idx))))
     index = {m: j for j, m in enumerate(ideal_poset._subsets[1])}
     img = [index.get(_image((P.down[x] | 1 << x) & keep, to)) for x in range(P.n)]
-    if not index_map_order_equal(P, ideal_poset, img):
-        return None
-    # irr keeps P's labels in P's order, so its ideals are labelled as P's subsets
-    forward = {P.labels[x]: ideal_poset.labels[j] for x, j in enumerate(img)}
-    return PosetIso(forward, {v: k for k, v in forward.items()}), irr
+    # irr keeps P's labels in P's order, so the target's labels name sets of P's elements
+    witness = PosetIso(P, ideal_poset, img)
+    return (witness, irr) if witness.verify() else None
 
 
 def is_distributive(P: Poset) -> DistributivityResult:

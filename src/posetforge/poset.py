@@ -21,12 +21,12 @@ builds its "{a,b}" labels, and reads the host's, on the first read of
 ``labels``; most of these orders are only compared by their rows.
 Products, the componentwise builder and the check of a map run on
 Python ints too: ``index_map_order_equal`` compares the cover rows of a
-map given on indices, and ``mapped_order_equal``, its label form, looks
-the labels up first.  The checks name their maps on indices (the points
-of a grid subset come from its mask, ``grid_mask_points``), so they
-build no label to compare rows.  numpy is imported only to build the
-read-only matrix views ``lt`` and ``cover_matrix``, which nothing in the
-package reads.
+map given as an index list ``img``, the one form of every map.  The
+checks build such lists (the points of a grid subset come from its mask,
+``grid_mask_points``), and a witness ``PosetIso`` holds its source, its
+target and ``img``, and builds its label maps only when they are read.
+numpy is imported only to build the read-only matrix views ``lt`` and
+``cover_matrix``, which nothing in the package reads.
 Every CLI command loads this module (``import posetforge`` itself loads
 no submodule until one of its names is used), so it keeps its imports
 to the standard library's cheapest.  Every record type of the package
@@ -746,23 +746,6 @@ def grid_mask_points(b: int, mask: int) -> list[tuple[int, int]]:
 # -- isomorphism search ----------------------------------------------------
 
 
-def mapped_order_equal(P: Poset, Q: Poset, label_map: dict[str, str]) -> bool:
-    """Whether ``label_map`` is a bijection carrying the order of P exactly onto Q's.
-
-    The labels are turned into indices and the map is checked by
-    :func:`index_map_order_equal`; n keys that include P's n labels are
-    exactly P's labels.
-    """
-    if len(label_map) != P.n:
-        return False
-    index = Q._index
-    try:
-        img = [index[label_map[lab]] for lab in P.labels]
-    except KeyError:
-        return False
-    return index_map_order_equal(P, Q, img)
-
-
 def index_map_order_equal(P: Poset, Q: Poset, img: Sequence[int | None]) -> bool:
     """Whether i -> ``img[i]`` is a bijection of P's indices onto Q's carrying P's order exactly onto Q's.
 
@@ -834,21 +817,33 @@ class _Frozen(_Record):
 
 
 class PosetIso(_Frozen):
-    """A witness isomorphism: label maps in both directions."""
+    """A witness map: element i of ``source`` goes to element ``img[i]`` of ``target``.
 
-    __slots__ = ("forward", "backward")
+    ``forward`` (keyed in source order) and its inverse ``backward`` are
+    label views, built on each read.
+    """
 
-    def __init__(self, forward: dict[str, str], backward: dict[str, str]):
-        self._fill(forward, backward)
+    __slots__ = ("source", "target", "img")
 
-    def verify(self, P: Poset, Q: Poset) -> bool:
-        """Direct check: bijective and order-preserving both ways."""
-        if self.backward != {v: k for k, v in self.forward.items()}:
-            return False
-        return mapped_order_equal(P, Q, self.forward)
+    def __init__(self, source: Poset, target: Poset, img: Sequence[int]):
+        self._fill(source, target, tuple(img))
+
+    @property
+    def forward(self) -> dict[str, str]:
+        names = self.target.labels
+        return {lab: names[j] for lab, j in zip(self.source.labels, self.img)}
+
+    @property
+    def backward(self) -> dict[str, str]:
+        return {v: k for k, v in self.forward.items()}
+
+    def verify(self) -> bool:
+        """Direct check: a bijection carrying the source order exactly onto the target's."""
+        return index_map_order_equal(self.source, self.target, self.img)
 
     def to_json_dict(self) -> dict:
-        return {"forward": dict(self.forward), "backward": dict(self.backward)}
+        forward = self.forward
+        return {"forward": forward, "backward": {v: k for k, v in forward.items()}}
 
 
 def _rank(sig: list) -> tuple[tuple, list[int]]:
@@ -949,10 +944,7 @@ def _match(P: Poset, colP: list[int], Q: Poset, colQ: list[int]) -> PosetIso | N
         else:
             tried[t] = 0
             t -= 1
-    if t < 0:
-        return None
-    forward = {P.labels[i]: Q.labels[mapping[i]] for i in range(n)}
-    return PosetIso(forward, {v: k for k, v in forward.items()})
+    return None if t < 0 else PosetIso(P, Q, mapping)
 
 
 def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> PosetIso | None:
@@ -971,7 +963,7 @@ def find_isomorphism(P: Poset, Q: Poset, max_size: int = DEFAULT_ISO_CAP) -> Pos
     if P.n > max_size or Q.n > max_size:
         raise SizeLimitExceeded(f"isomorphism search capped at {max_size} elements")
     if P.n == 0:
-        return PosetIso({}, {})
+        return PosetIso(P, Q, ())
     keyP, colP = _refine(P)
     keyQ, colQ = _refine(Q)
     if keyP != keyQ:

@@ -109,6 +109,20 @@ def test_ak_negative_size_is_a_usage_error(monkeypatch, capsys):
         assert json.loads(out) == {"elements": ["{}"], "relations": []}
 
 
+def test_file_may_follow_or_precede_the_options(tmp_path, capsys):
+    # an optional file positional after the options was once left over as unrecognized
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps(BOWTIE))
+    for before, after in (
+        (["ak", "2", "--order", "j"], ["ak", "2", str(path), "--order", "j"]),
+        (["check", "distributive", "--json"], ["check", "distributive", str(path), "--json"]),
+    ):
+        results = [run_main(argv, capsys=capsys) for argv in (before + [str(path)], after)]
+        assert results[0] == results[1]
+        assert results[0][1] and not results[0][2]
+    assert json.loads(results[0][1])["failure"] == {"reason": "no meet", "pair": ["a", "b"]}
+
+
 def test_check_lattice_verdicts(monkeypatch, capsys):
     chain = {"elements": ["1", "2"], "relations": [["1", "2"]]}
     code, out, _ = run_main(["check", "lattice"], json.dumps(chain), monkeypatch, capsys)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from posetforge import (
-    NotALattice,
-    PosetIso,
     antichain_exchange_poset,
     antichain_ideal_poset,
     build_poset,
@@ -15,7 +13,6 @@ from posetforge import (
     gale_poset,
     grid_poset,
     is_distributive,
-    join_irreducibles,
     meet_join_table,
 )
 from posetforge.poset import _bits
@@ -87,23 +84,23 @@ def test_gale_poset_distributive():
 
 
 def test_join_irreducibles_of_chain():
-    irr = join_irreducibles(chain_poset(5))
+    irr = is_distributive(chain_poset(5)).irreducibles
     assert irr.n == 4 and irr.width() == 1
 
 
 def test_join_irreducibles_of_grid_ideals():
-    irr = join_irreducibles(grid_poset(2, 2).ideals_poset())
+    irr = is_distributive(grid_poset(2, 2).ideals_poset()).irreducibles
     assert find_isomorphism(irr, grid_poset(2, 2)) is not None
 
 
 def test_join_irreducibles_of_cube_are_atoms():
-    irr = join_irreducibles(discrete_poset(3).ideals_poset())
+    irr = is_distributive(discrete_poset(3).ideals_poset()).irreducibles
     assert irr.n == 3 and irr.width() == 3
 
 
 def test_join_irreducibles_needs_lattice():
-    with pytest.raises(NotALattice):
-        join_irreducibles(discrete_poset(2))
+    verdict = is_distributive(discrete_poset(2))
+    assert not verdict.is_lattice and verdict.irreducibles is None
 
 
 def test_ideal_lattices_distributive_with_verified_witness(corpus6):
@@ -111,9 +108,9 @@ def test_ideal_lattices_distributive_with_verified_witness(corpus6):
         J = Q.ideals_poset()
         verdict = is_distributive(J)
         assert verdict.distributive, Q.covers()
-        # re-verify the witness independently of the internal check
-        target = verdict.irreducibles.ideals_poset()
-        assert verdict.witness.verify(J, target)
+        # re-verify the witness, onto a target rebuilt from the irreducibles
+        assert verdict.witness.source is J and verdict.witness.verify()
+        assert verdict.witness.target == verdict.irreducibles.ideals_poset()
 
 
 def test_singleton_distributive():
@@ -198,14 +195,17 @@ def table_first_verdict(P):
                 if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
                     failure = {"reason": "distributivity fails", "triple": [P.labels[v] for v in (x, y, z)]}
                     return {"distributive": False, "is_lattice": True, "failure": failure}
-    irr, leq = join_irreducibles(P), leq_matrix(P)
-    forward = {
-        lab: irr.subset_label(p for p, q in enumerate(irr.labels) if leq[P.index(q), x])
-        for x, lab in enumerate(P.labels)
-    }
-    witness = PosetIso(forward, {v: k for k, v in forward.items()})
-    assert witness.verify(P, irr.ideals_poset())
-    return {"distributive": True, "is_lattice": True, "witness": witness.to_json_dict()}
+    # the join-irreducibles cover exactly one element; x goes to the set of those below it,
+    # which carries the order onto inclusion
+    leq = leq_matrix(P)
+    lt = leq & ~np.eye(P.n, dtype=bool)
+    covers = lt & ~(lt.astype(int) @ lt.astype(int)).astype(bool)
+    irr = np.flatnonzero(covers.sum(axis=0) == 1)
+    below = leq[irr]
+    assert np.array_equal((below[:, :, None] <= below[:, None, :]).all(axis=0), leq)
+    forward = {lab: "{" + ",".join(P.labels[q] for q in irr if leq[q, x]) + "}" for x, lab in enumerate(P.labels)}
+    witness = {"forward": forward, "backward": {v: k for k, v in forward.items()}}
+    return {"distributive": True, "is_lattice": True, "witness": witness}
 
 
 def test_witness_first_agrees_with_table_route(corpus5):

@@ -29,6 +29,7 @@ from posetforge import (
     find_isomorphism,
     gale_poset,
     grid_poset,
+    is_distributive,
     minuscule_poset,
     poset_from_dict,
     poset_to_dict,
@@ -45,7 +46,6 @@ from posetforge.poset import (
     _refine,
     grid_mask_points,
     index_map_order_equal,
-    mapped_order_equal,
     tuple_label,
 )
 from posetforge.roots import _root_pairs, root_label
@@ -665,7 +665,8 @@ def test_roundtrip_on_random_posets(P):
 def test_iso_identity():
     P = bowtie()
     iso = find_isomorphism(P, P)
-    assert iso is not None and iso.verify(P, P)
+    assert iso is not None and iso.verify()
+    assert iso.source is P and iso.target is P
 
 
 def test_iso_chain_vs_antichain_absent():
@@ -674,7 +675,7 @@ def test_iso_chain_vs_antichain_absent():
 
 def test_iso_grid_transpose():
     iso = find_isomorphism(grid_poset(2, 3), grid_poset(3, 2))
-    assert iso is not None and iso.verify(grid_poset(2, 3), grid_poset(3, 2))
+    assert iso is not None and iso.verify()
 
 
 def test_iso_symmetric_and_verified(corpus5):
@@ -686,7 +687,8 @@ def test_iso_symmetric_and_verified(corpus5):
         bwd = find_isomorphism(Q, P)
         assert (fwd is None) == (bwd is None)
         if fwd is not None:
-            assert fwd.verify(P, Q) and bwd.verify(Q, P)
+            assert fwd.verify() and bwd.verify()
+            assert (fwd.source, fwd.target, bwd.source, bwd.target) == (P, Q, Q, P)
 
 
 def test_iso_rejects_equal_size_different_shape():
@@ -700,19 +702,34 @@ def test_iso_size_cap():
         find_isomorphism(chain_poset(10), chain_poset(10), max_size=5)
 
 
-def test_verify_rejects_backward_map_that_is_not_the_inverse():
+def test_verify_rejects_a_map_that_is_not_an_isomorphism():
     P = chain_poset(3)
     iso = find_isomorphism(P, P)
-    assert iso.verify(P, P)
-    assert not PosetIso(iso.forward, {**iso.backward, "zzz": "1"}).verify(P, P)
-    assert not PosetIso(iso.forward, {"1": "1", "2": "2"}).verify(P, P)
-    assert not PosetIso(iso.forward, {"1": "1", "2": "3", "3": "2"}).verify(P, P)
+    assert iso.verify() and iso.img == (0, 1, 2)
+    assert iso.backward == {v: k for k, v in iso.forward.items()}
+    assert not PosetIso(P, P, (0, 0, 2)).verify()  # two-to-one
+    assert not PosetIso(P, P, (0, 1)).verify()
+    assert not PosetIso(P, P, (0, 2, 1)).verify()  # a bijection that breaks the order
+
+
+def test_witnesses_label_nothing_until_read():
+    # the exchange orders of the transposed grids are isomorphic, and label themselves lazily
+    E1 = antichain_exchange_poset(grid_poset(2, 3), 2)
+    E2 = antichain_exchange_poset(grid_poset(3, 2), 2)
+    iso = find_isomorphism(E1, E2)
+    assert iso is not None and iso.verify()
+    assert "labels" not in E1.__dict__ and "labels" not in E2.__dict__
+    assert iso.forward == {E1.labels[i]: E2.labels[j] for i, j in enumerate(iso.img)}
+    E = antichain_exchange_poset(grid_poset(3, 3), 2)
+    verdict = is_distributive(E)
+    assert verdict.distributive and "labels" not in verdict.witness.target.__dict__
+    assert verdict.to_json_dict()["witness"]["backward"] == verdict.witness.backward
 
 
 def test_iso_search_needs_no_recursion():
     P, Q = chain_poset(3000), chain_poset(3000)
     iso = find_isomorphism(P, Q, max_size=5000)
-    assert iso is not None and iso.verify(P, Q)
+    assert iso is not None and iso.verify()
 
 
 def test_iso_empty():
@@ -763,7 +780,7 @@ def test_refinement_is_invariant_under_relabelling(corpus6):
         assert keyP == keyQ
         assert all(colQ[perm[i]] == colP[i] for i in range(P.n))
         iso = find_isomorphism(P, Q)
-        assert iso is not None and iso.verify(P, Q)
+        assert iso is not None and iso.verify()
 
 
 def test_initial_colours_are_invariant_under_relabelling(corpus6):
@@ -790,7 +807,7 @@ def test_match_on_initial_colours_agrees_with_find_isomorphism(corpus5):
             for Q, colQ in group:
                 iso = _match(P, colP, Q, colQ)
                 assert (iso is None) == (find_isomorphism(P, Q) is None)
-                assert iso is None or iso.verify(P, Q)
+                assert iso is None or iso.verify()
                 pairs += 1
                 found += iso is not None
     # 1, 1, 2, 5, 16 and 63 classes on 0..5 points, each with a shuffled copy;
@@ -831,7 +848,7 @@ def test_iso_found_on_shuffled_copy(P, perm):
             lt[order[i], order[j]] = P.lt[i, j]
     Q = Poset([f"y{i}" for i in range(P.n)], mask_rows(lt))
     iso = find_isomorphism(P, Q)
-    assert iso is not None and iso.verify(P, Q)
+    assert iso is not None and iso.verify()
 
 
 def recursive_match(P, colP, Q, colQ):
@@ -934,7 +951,7 @@ def pair_test(P, Q, img):
     return all(P.lt[i, j] == Q.lt[img[i], img[j]] for i in range(P.n) for j in range(P.n))
 
 
-def test_mapped_order_equal_matches_pair_test(corpus6):
+def test_index_map_order_equal_matches_pair_test(corpus6):
     rng = random.Random(6)
     verdicts = []
     for P in [antichain_exchange_poset(minuscule_poset(Grid(5, 5)), 2), *corpus6]:
@@ -942,23 +959,20 @@ def test_mapped_order_equal_matches_pair_test(corpus6):
         other = list(range(P.n))
         rng.shuffle(other)
         for img in (perm, other):
-            label_map = {P.labels[i]: Q.labels[img[i]] for i in range(P.n)}
-            verdict = mapped_order_equal(P, Q, label_map)
+            verdict = index_map_order_equal(P, Q, img)
             assert verdict == pair_test(P, Q, img)
-            assert index_map_order_equal(P, Q, img) == verdict
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
 
-def bulk_map_reference(P, Q, label_map):
+def bulk_map_reference(P, Q, img):
     """The bijection tests, then Q's relation matrix permuted onto P's rows and columns."""
-    if P.n != Q.n or set(label_map) != set(P.labels) or set(label_map.values()) != set(Q.labels):
+    if P.n != Q.n or sorted(img) != list(range(Q.n)):
         return False
-    img = [Q.index(label_map[lab]) for lab in P.labels]
     return mask_rows(Q.lt[np.ix_(img, img)]) == P.up
 
 
-def test_mapped_order_equal_matches_bulk_reference(corpus6):
+def test_index_map_order_equal_matches_bulk_reference(corpus6):
     rng = random.Random(37)
     orders = [
         antichain_exchange_poset(minuscule_poset(Grid(5, 5)), 2),
@@ -974,40 +988,22 @@ def test_mapped_order_equal_matches_bulk_reference(corpus6):
             swapped[i], swapped[j] = swapped[j], swapped[i]
         other = rng.sample(range(P.n), P.n)
         for img in (perm, swapped, other):
-            label_map = {P.labels[i]: Q.labels[img[i]] for i in range(P.n)}
-            verdict = mapped_order_equal(P, Q, label_map)
-            assert verdict == bulk_map_reference(P, Q, label_map)
+            verdict = index_map_order_equal(P, Q, img)
+            assert verdict == bulk_map_reference(P, Q, img)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
 
-def test_mapped_order_equal_rejects_swapped_images():
+def test_index_map_order_equal_rejects_swapped_images():
     E = antichain_exchange_poset(minuscule_poset(Grid(5, 5)), 2)
-    identity = {lab: lab for lab in E.labels}
-    assert mapped_order_equal(E, E, identity)
-    lo, hi = E.covers()[0]
-    assert not mapped_order_equal(E, E, {**identity, lo: hi, hi: lo})
+    identity = list(range(E.n))
+    assert index_map_order_equal(E, E, identity)
+    lo = next(i for i, c in enumerate(E.cover_up) if c)
+    hi = next(_bits(E.cover_up[lo]))
+    identity[lo], identity[hi] = hi, lo
+    assert not index_map_order_equal(E, E, identity)
     P = chain_poset(3)
-    assert not mapped_order_equal(P, P, {"1": "2", "2": "1", "3": "3"})
-
-
-@pytest.mark.parametrize(
-    "label_map, expected",
-    [
-        ({"a": "x", "b": "y", "c": "z"}, True),
-        ({"b": "y", "c": "z"}, False),
-        ({"d": "x", "b": "y", "c": "z"}, False),
-        ({"a": "x", "b": "y", "c": "z", "d": "x"}, False),
-        ({"a": "x", "b": "x", "c": "z"}, False),
-        ({"a": "w", "b": "y", "c": "z"}, False),
-    ],
-    ids=["bijection", "missing-label", "missing-label-same-size", "extra-key", "two-to-one", "image-not-in-Q"],
-)
-def test_mapped_order_equal_needs_a_bijection_onto_q(label_map, expected):
-    # a and b lie below c; sending both to x still carries every cover row onto Q's
-    P = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    Q = P.relabeled(["x", "y", "z"])
-    assert mapped_order_equal(P, Q, label_map) is expected
+    assert not index_map_order_equal(P, P, [1, 0, 2])
 
 
 @pytest.mark.parametrize(
@@ -1027,6 +1023,27 @@ def test_index_map_order_equal_needs_a_bijection_onto_q(img, expected):
     P = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
     Q = P.relabeled(["x", "y", "z"])
     assert index_map_order_equal(P, Q, img) is expected
+
+
+@pytest.mark.parametrize(
+    "label_map, expected",
+    [
+        ({"a": "x", "b": "y", "c": "z"}, True),
+        ({"b": "y", "c": "z"}, False),
+        ({"a": "x", "b": "x", "c": "z"}, False),
+        ({"a": "w", "b": "y", "c": "z"}, False),
+    ],
+    ids=["bijection", "missing-label", "two-to-one", "image-not-in-Q"],
+)
+def test_mapped_order_equal_needs_a_bijection_onto_q(label_map, expected):
+    # a label-keyed map, read back into indices, verifies as a witness only if it is a bijection onto Q
+    P = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    Q = P.relabeled(["x", "y", "z"])
+    where = {lab: j for j, lab in enumerate(Q.labels)}
+    iso = PosetIso(P, Q, [where.get(label_map.get(lab)) for lab in P.labels])
+    assert iso.verify() is expected
+    if expected:
+        assert iso.forward == label_map
 
 
 def test_grid_mask_points_match_the_point_labels():
