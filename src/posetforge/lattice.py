@@ -9,6 +9,13 @@ map proves the claim outright.  Only when the map fails are the meet/join
 table and the triple scan of x ^ (y v z) = (x ^ y) v (x ^ z) computed,
 to name the missing bound or the failing triple.
 
+The certificate reads P's cover rows alone.  The join-irreducibles are
+the elements with exactly one lower cover, each element's irreducibles
+are a small mask ORed up the covers, and the target ideal lattice is a
+cover-first order: its cover rows are generated (an ideal is covered by
+each ideal one element larger) and its dense ``up`` is closed only if it
+is read.  No down-set of P is built, and no label of either order.
+
 Everything here runs on Python ints: the certificate on bitsets, the
 meet/join table as tuples of int rows.
 """
@@ -18,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import SizeLimitExceeded
-from .poset import Poset, PosetIso, _bits, _Frozen, _image, _Record
+from .poset import Poset, PosetIso, _bits, _Frozen, _Record
 
 
 class MeetJoinTable(_Frozen):
@@ -86,11 +93,6 @@ def meet_join_table(P: Poset) -> MeetJoinTable:
     return MeetJoinTable(tuple(map(tuple, meet)), tuple(map(tuple, join)), complete)
 
 
-def _join_irreducible_indices(P: Poset) -> list[int]:
-    """Elements covering exactly one element (the join-irreducibles of a lattice)."""
-    return [i for i, c in enumerate(P.cover_down) if c.bit_count() == 1]
-
-
 class DistributivityResult(_Record):
     """Verdict plus certificate material for a distributivity check."""
 
@@ -123,27 +125,92 @@ class DistributivityResult(_Record):
         return out
 
 
+def _irreducible_masks(P: Poset) -> tuple[list[int], list[int]]:
+    """P's join-irreducibles, and for each element the mask of those at or below it.
+
+    Reads P's cover rows alone.  Counting upper-cover bits gives each
+    element's number of lower covers, and the join-irreducibles are the
+    elements with exactly one.  Bit t of a mask stands for the t-th
+    irreducible in index order.  Each element ORs its mask into its upper
+    covers' once all of its own lower covers have done so (Kahn's walk up
+    a linear extension), so every mask is complete when it is passed on.
+    """
+    n, cover_up = P.n, P.cover_up
+    lower = [0] * n
+    for c in cover_up:
+        while c:
+            low = c & -c
+            lower[low.bit_length() - 1] += 1
+            c ^= low
+    irr = [j for j in range(n) if lower[j] == 1]
+    below = [0] * n
+    for t, j in enumerate(irr):
+        below[j] = 1 << t
+    order = [i for i in range(n) if not lower[i]]
+    for i in order:  # grows while it is read
+        m, c = below[i], cover_up[i]
+        while c:
+            low = c & -c
+            j = low.bit_length() - 1
+            below[j] |= m
+            lower[j] -= 1
+            if not lower[j]:
+                order.append(j)
+            c ^= low
+    return irr, below
+
+
+def _ideal_covers(strict: Sequence[int], masks: Sequence[int], index: dict[int, int]) -> list[int]:
+    """Cover rows of the containment order on ``masks``, every ideal of an order.
+
+    ``strict[t]`` is the strict down-set of element t and ``index`` takes
+    each ideal to its position in ``masks``.  Ideal I is covered by I + t
+    for each t outside I whose strict down-set lies in I: those are the
+    ideals one element larger.
+    """
+    full = (1 << len(strict)) - 1
+    rows = []
+    for m in masks:
+        row, free = 0, full & ~m
+        while free:
+            low = free & -free
+            if strict[low.bit_length() - 1] & ~m == 0:
+                row |= 1 << index[m | low]
+            free ^= low
+        rows.append(row)
+    return rows
+
+
 def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
     """The map x -> {join-irreducibles below x} with its irreducibles, if it verifies.
 
-    The target is the containment order on ideals of the irreducible
-    sub-poset.  A distributive lattice on n elements has exactly n such
-    ideals, so enumeration stops past n: a non-lattice with many
-    irreducibles could otherwise have up to 2^|irr| of them.  The map is
-    checked and kept on indices, so nothing is labelled until it is read.
+    Works from P's cover rows alone: neither P's down-sets nor its labels
+    are built.  The irreducibles' order comes from their masks, and the
+    target, the containment order on the ideals of the irreducible
+    sub-poset, is built cover-first from the rows ``_ideal_covers``
+    generates; its ideals come in ``ideal_masks`` order, so it equals
+    ``irr.ideals_poset()``.  A distributive lattice on n elements has
+    exactly n such ideals, so enumeration stops past n: a non-lattice with
+    many irreducibles could otherwise have up to 2^|irr| of them.  The map
+    is checked and kept on indices, and the irreducibles read P's labels
+    only when their own are read, so nothing is labelled until it is read.
     """
-    irr_idx = _join_irreducible_indices(P)
-    irr = P.induced(irr_idx)
+    irr_idx, below = _irreducible_masks(P)
+    strict = [below[j] ^ 1 << t for t, j in enumerate(irr_idx)]
+    up = [0] * len(irr_idx)
+    for t, d in enumerate(strict):
+        for s in _bits(d):
+            up[s] |= 1 << t
+    irr = Poset._on_elements(P, irr_idx, up)
     try:
-        ideal_poset = irr.ideals_poset(cap=P.n)
+        masks = irr.ideal_masks(cap=P.n)
     except SizeLimitExceeded:
         return None
-    # x -> the index of its irreducibles' mask, on irr's indices, among the ideals
-    keep, to = _image((1 << len(irr_idx)) - 1, irr_idx), dict(zip(irr_idx, range(len(irr_idx))))
-    index = {m: j for j, m in enumerate(ideal_poset._subsets[1])}
-    img = [index.get(_image((P.down[x] | 1 << x) & keep, to)) for x in range(P.n)]
+    index = {m: j for j, m in enumerate(masks)}
     # irr keeps P's labels in P's order, so the target's labels name sets of P's elements
-    witness = PosetIso(P, ideal_poset, img)
+    target = Poset._on_subsets(irr, masks, cover_up=_ideal_covers(strict, masks, index))
+    # x -> the index of its irreducibles' mask among the ideals
+    witness = PosetIso(P, target, [index.get(m) for m in below])
     return (witness, irr) if witness.verify() else None
 
 

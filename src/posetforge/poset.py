@@ -10,15 +10,22 @@ on distinct rows, inclusion of distinct sets) is trusted, because its
 construction already proves it is an order.
 Upper covers are derived from ``up`` on first use and cached; down-sets,
 lower covers, heights and depths then come together from one pass up the
-covers, on Python ints.  A poset grown by one new maximal element
-(``_add_maximal``, how the corpus is built) instead gets these views
-handed down from its parent, changed only where the new element reaches.
+covers, on Python ints.  A cover-first order (``_on_subsets`` given
+trusted ``cover_up`` rows, as the distributivity certificate builds its
+ideal lattice) turns this round: ``up`` is the closure of its cover rows,
+taken on first read, and ``n`` counts the rows, so an order that is only
+compared by its covers never builds its dense rows.  A poset grown by
+one new maximal element (``_add_maximal``, how the corpus is built)
+instead gets these views handed down from its parent, changed only where
+the new element reaches.
 The views are cached in the instance ``__dict__`` without a lock.
 The size-k antichains of the size asked for last are kept there too, so
 the orders built at one k share one enumeration.  An order on subsets of
 a host (``_on_subsets``: the antichain orders and ``ideals_poset``)
 builds its "{a,b}" labels, and reads the host's, on the first read of
-``labels``; most of these orders are only compared by their rows.
+``labels``; most of these orders are only compared by their rows.  So
+does a sub-poset made by ``_on_elements`` (the certificate's
+join-irreducibles), which keeps the host's labels.
 Products, the componentwise builder and the check of a map run on
 Python ints too: ``index_map_order_equal`` compares the cover rows of a
 map given as an index list ``img``, the one form of every map.  The
@@ -284,17 +291,42 @@ class Poset:
         return P
 
     @classmethod
-    def _on_subsets(cls, host: "Poset", masks: Sequence[int], up: Sequence[int]) -> "Poset":
-        """An order on subsets of ``host``, given as bitmasks, from trusted up-set rows.
+    def _on_subsets(
+        cls,
+        host: "Poset",
+        masks: Sequence[int],
+        up: Sequence[int] | None = None,
+        *,
+        cover_up: Sequence[int] | None = None,
+    ) -> "Poset":
+        """An order on subsets of ``host``, given as bitmasks, from trusted up-set or cover rows.
 
         Element i is labelled ``host.subset_label(_bits(masks[i]))``, from
         the host's labels, only on the first read of ``labels``: most orders
         are compared by their rows alone.  Host labels with commas can give
         two subsets one label ("a" with "b,c" and "a,b" with "c" both read
-        "{a,b,c}"), which raises DuplicateLabel on that first read.
+        "{a,b,c}"), which raises DuplicateLabel on that first read.  Given
+        trusted ``cover_up`` rows in place of ``up``, the order is
+        cover-first: ``up`` is closed from them on its first read.
+        """
+        if cover_up is None:
+            P = cls.__new__(cls)
+            P.up = tuple(up)
+        else:
+            P = _CoverFirstPoset.__new__(_CoverFirstPoset)
+            P.cover_up = tuple(cover_up)
+        P._subsets = (host, masks)
+        return P
+
+    @classmethod
+    def _on_elements(cls, host: "Poset", indices: Sequence[int], up: Sequence[int]) -> "Poset":
+        """The order ``up`` (trusted rows) on the elements of ``host`` at ``indices``.
+
+        The elements keep the host's labels, read only on the first read of
+        ``labels``.
         """
         P = cls.__new__(cls)
-        P._subsets = (host, masks)
+        P._elements = (host, indices)
         P.up = tuple(up)
         return P
 
@@ -302,7 +334,11 @@ class Poset:
 
     @_view
     def labels(self) -> tuple[str, ...]:
-        """Element labels; built here only for an order made by ``_on_subsets``."""
+        """Element labels; built here only for an order made by ``_on_subsets`` or ``_on_elements``."""
+        if "_elements" in self.__dict__:
+            host, indices = self._elements
+            names = host.labels
+            return tuple(names[i] for i in indices)
         host, masks = self._subsets
         names = host.labels
         out = []
@@ -610,6 +646,23 @@ class Poset:
         if len(labels) != self.n:
             raise ValueError("need exactly one new label per element")
         return Poset._from_up(labels, self.up)
+
+
+class _CoverFirstPoset(Poset):
+    """A poset built from trusted cover rows, which its construction proves.
+
+    ``up`` is their transitive closure, taken on first read; ``n`` counts
+    the cover rows, so reading it builds no closure.  A subclass, so that
+    every other poset keeps ``up`` a plain attribute, the fastest read.
+    """
+
+    @_view
+    def up(self) -> tuple[int, ...]:
+        return transitive_closure(self.cover_up)
+
+    @property
+    def n(self) -> int:
+        return len(self.cover_up)
 
 
 class Antichain:

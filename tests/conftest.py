@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from posetforge import SizeMismatch, build_poset, checks
+from posetforge import SizeLimitExceeded, SizeMismatch, build_poset, checks
 from posetforge.corpus import small_posets
-from posetforge.poset import _bits, _matching_size
+from posetforge.poset import PosetIso, _bits, _image, _matching_size
 
 
 @st.composite
@@ -56,6 +56,27 @@ def has_order_matching(P, A, B):
         raise ValueError("antichains do not live in the given poset")
     adj = {u: (P.up[u] | 1 << u) & B.mask for u in A}
     return _matching_size(P.n, adj) == len(A)
+
+
+def dense_ideal_witness(P):
+    """The Birkhoff certificate by the dense route: (witness, irreducibles), or None.
+
+    The irreducibles are ``P.induced`` on the elements with one lower
+    cover, the target is their ``ideals_poset()`` and x goes to the mask
+    of the irreducibles in its closed down-set, read from ``P.down``.  The
+    reference the cover-first ``lattice._ideal_witness`` is compared with.
+    """
+    irr_idx = [i for i, c in enumerate(P.cover_down) if c.bit_count() == 1]
+    irr = P.induced(irr_idx)
+    try:
+        target = irr.ideals_poset(cap=P.n)
+    except SizeLimitExceeded:
+        return None
+    keep, to = _image((1 << len(irr_idx)) - 1, irr_idx), dict(zip(irr_idx, range(len(irr_idx))))
+    index = {m: j for j, m in enumerate(target._subsets[1])}
+    img = [index.get(_image((P.down[x] | 1 << x) & keep, to)) for x in range(P.n)]
+    witness = PosetIso(P, target, img)
+    return (witness, irr) if witness.verify() else None
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from posetforge import (
+    SpinD,
     antichain_exchange_poset,
     antichain_ideal_poset,
     build_poset,
@@ -13,11 +14,13 @@ from posetforge import (
     gale_poset,
     grid_poset,
     is_distributive,
+    lattice,
     meet_join_table,
+    minuscule_poset,
 )
 from posetforge.poset import _bits
 
-from conftest import leq_matrix
+from conftest import dense_ideal_witness, leq_matrix
 
 
 def pentagon():
@@ -81,6 +84,14 @@ def test_gale_poset_distributive():
     verdict = is_distributive(gale_poset(5, 2))
     assert verdict.distributive
     assert verdict.witness is not None
+
+
+def bounded_two_plus_two():
+    """Two 2-chains between a bottom and a top: a lattice, not distributive."""
+    return build_poset(
+        ["0", "a1", "a2", "b1", "b2", "1"],
+        [("0", "a1"), ("a1", "a2"), ("a2", "1"), ("0", "b1"), ("b1", "b2"), ("b2", "1")],
+    )
 
 
 def test_join_irreducibles_of_chain():
@@ -278,3 +289,100 @@ def test_ideal_cap_stops_non_lattice_with_many_irreducibles():
     assert time.perf_counter() - start < 1.0
     assert not verdict.is_lattice
     assert verdict.failure["reason"] == "no join"
+
+
+def assert_matches_dense_route(P):
+    """The cover-first certificate and ``dense_ideal_witness`` give one verdict, map, target and irreducibles."""
+    new = is_distributive(P)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_ideal_witness", dense_ideal_witness)
+        old = is_distributive(P)
+    assert new.to_json_dict() == old.to_json_dict()
+    assert (new.distributive, new.is_lattice, new.failure) == (old.distributive, old.is_lattice, old.failure)
+    if old.witness is None:
+        assert new.witness is None and new.irreducibles is None
+        return
+    got, want = new.witness.target, old.witness.target
+    assert new.witness.img == old.witness.img
+    assert got.labels == want.labels and got.cover_up == want.cover_up and got.up == want.up
+    assert new.irreducibles == old.irreducibles
+
+
+def test_cover_first_certificate_matches_dense_route(corpus6):
+    orders = 0
+    for Q in corpus6:
+        assert_matches_dense_route(Q)
+        # k = width gives the Dilworth lattice, the ideal order on the maximum antichains
+        for k in range(Q.width() + 1):
+            for E in (antichain_exchange_poset(Q, k), antichain_ideal_poset(Q, k)):
+                assert_matches_dense_route(E)
+                orders += 1
+    assert orders == 3182
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        pentagon(),
+        diamond(),
+        bounded_two_plus_two(),
+        discrete_poset(3),
+        discrete_poset(0),
+        antichain_exchange_poset(grid_poset(5, 5), 2),
+        antichain_exchange_poset(minuscule_poset(SpinD(8)), 2),
+    ],
+    ids=["N5", "M3", "bounded-2+2", "discrete3", "empty", "grid5x5-k2", "spin8-k2"],
+)
+def test_cover_first_certificate_matches_dense_route_on_named_orders(P):
+    assert_matches_dense_route(P)
+
+
+def test_certificate_labels_nothing_and_reads_no_down_sets():
+    E = antichain_exchange_poset(grid_poset(3, 3), 2)
+    verdict = is_distributive(E)
+    assert verdict.distributive
+    assert "labels" not in E.__dict__ and "_cover_pass" not in E.__dict__
+    # the irreducibles are named by E's labels, read when theirs are
+    irr_idx = [i for i, c in enumerate(E.cover_down) if c.bit_count() == 1]
+    assert verdict.irreducibles.labels == tuple(E.labels[i] for i in irr_idx)
+    assert verdict.witness.to_json_dict() == dense_ideal_witness(E)[0].to_json_dict()
+
+
+def _first_cover_dropped(ideal_covers):
+    """``_ideal_covers`` with the lowest cover of the first row that has one dropped."""
+
+    def planted(*args):
+        rows = ideal_covers(*args)
+        i = next(i for i, row in enumerate(rows) if row)
+        rows[i] &= rows[i] - 1
+        return rows
+
+    return planted
+
+
+def _last_mask_flipped(irreducible_masks):
+    """``_irreducible_masks`` with bit 0 of the last element's mask flipped."""
+
+    def planted(P):
+        irr, below = irreducible_masks(P)
+        below[-1] ^= 1
+        return irr, below
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "name, plant",
+    [("_ideal_covers", _first_cover_dropped), ("_irreducible_masks", _last_mask_flipped)],
+    ids=["target-cover-dropped", "irreducible-mask-flipped"],
+)
+def test_certificate_fails_on_a_planted_fault(monkeypatch, name, plant):
+    E = antichain_exchange_poset(grid_poset(3, 3), 2)
+    assert is_distributive(E).distributive
+    monkeypatch.setattr(lattice, name, plant(getattr(lattice, name)))
+    # the map check must catch the fault; the triple scan then finds the law holding
+    assert is_distributive(E).to_json_dict() == {
+        "distributive": False,
+        "is_lattice": True,
+        "failure": {"reason": "ideal-representation witness failed verification"},
+    }

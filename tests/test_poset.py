@@ -41,6 +41,7 @@ from posetforge.poset import (
     PosetIso,
     _bits,
     _image,
+    _inclusion_up,
     _initial_colours,
     _match,
     _refine,
@@ -724,6 +725,17 @@ def test_witnesses_label_nothing_until_read():
     verdict = is_distributive(E)
     assert verdict.distributive and "labels" not in verdict.witness.target.__dict__
     assert verdict.to_json_dict()["witness"]["backward"] == verdict.witness.backward
+
+
+def test_cover_first_order_closes_up_only_when_read():
+    # the certificate's target is built from its cover rows alone
+    verdict = is_distributive(antichain_exchange_poset(grid_poset(3, 3), 2))
+    T, irr = verdict.witness.target, verdict.irreducibles
+    assert T.n == 9 and len(T.labels) == 9 and len(T.cover_up) == 9 and repr(T)
+    assert "up" not in T.__dict__
+    masks = T._subsets[1]
+    assert T.up == tuple(_inclusion_up(irr.n, masks, masks)) and "up" in T.__dict__
+    assert T == irr.ideals_poset()
 
 
 def test_iso_search_needs_no_recursion():
