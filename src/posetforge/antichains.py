@@ -5,12 +5,12 @@ containment of the ideals they generate.  The exchange order is the
 reflexive transitive closure of single-element replacement: A steps to B
 when B = A \\ {a} u {b} for a strictly below b.  The exchange order is
 coarser than the ideal order in general, and its covering pairs are
-exactly the single replacements along covering pairs of the host poset;
-that characterization drives the default edge generation, whose steps are
-handed to the result as its covers, with the all-replacements closure,
-whose covers are derived from it, kept alongside as an independent route.
-Both orders at one k share the host's one enumeration of the size-k
-antichains, and their "{a,b}" labels are built on first read.
+exactly the single replacements along covering pairs of the host poset.
+So the default route's swap rows are the covers of a cover-first order,
+closed only when ``up`` is read; the all-replacements route, closed at
+once, is kept as an independent reference.  Both orders at one k share
+the host's one enumeration of the size-k antichains, and their "{a,b}"
+labels are built on first read.
 """
 
 from __future__ import annotations
@@ -83,21 +83,21 @@ def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Pose
     an independent cross-check.  Empty poset when k exceeds the width.
 
     With ``edges="covers"`` the generated steps are exactly the covers of
-    the result, so they are kept as its ``cover_up``.  A step from A to
-    B = A - a + b, with a covered by b, cannot be split: composing the
-    order-compatible matchings along a chain A < C < B gives one from A
-    to B, which must fix A's other members (they form an antichain with
-    a) and send a to b, so C is A with a replaced by an element between
-    a and b, which is a or b.  Labels are built on first read.
+    the result, which is cover-first: ``up`` is closed from them on first
+    read.  A step from A to B = A - a + b, with a covered by b, cannot be
+    split: composing the order-compatible matchings along a chain
+    A < C < B gives one from A to B, which must fix A's other members
+    (they form an antichain with a) and send a to b, so C is A with a
+    replaced by an element between a and b, which is a or b.  The steps
+    are acyclic by construction: a swap of a for an upper cover b strictly
+    raises the sum of the members' heights.  Labels are built on first read.
     """
     if edges not in ("covers", "all"):
         raise ValueError(f"edges must be 'covers' or 'all', not {edges!r}")
     masks = P._antichain_masks(k)
-    succ = _exchange_edges(P, masks, covers_only=(edges == "covers"))
-    E = Poset._on_subsets(P, masks, transitive_closure(succ))
     if edges == "covers":
-        E.cover_up = tuple(succ)
-    return E
+        return Poset._on_subsets(P, masks, cover_up=_exchange_edges(P, masks, covers_only=True))
+    return Poset._on_subsets(P, masks, transitive_closure(_exchange_edges(P, masks, covers_only=False)))
 
 
 def antichain_ideal_poset(P: Poset, k: int) -> Poset:

@@ -11,13 +11,13 @@ construction already proves it is an order.
 Upper covers are derived from ``up`` on first use and cached; down-sets,
 lower covers, heights and depths then come together from one pass up the
 covers, on Python ints.  A cover-first order (``_on_subsets`` given
-trusted ``cover_up`` rows, as the distributivity certificate builds its
-ideal lattice) turns this round: ``up`` is the closure of its cover rows,
-taken on first read, and ``n`` counts the rows, so an order that is only
-compared by its covers never builds its dense rows.  A poset grown by
-one new maximal element (``_add_maximal``, how the corpus is built)
-instead gets these views handed down from its parent, changed only where
-the new element reaches.
+trusted ``cover_up`` rows: the default exchange order's swap rows, the
+distributivity certificate's ideal lattice) turns this round: ``up`` is
+the closure of its cover rows, taken on first read, and ``n`` counts the
+rows, so an order only compared by its covers never builds dense rows.
+A poset grown by one new maximal element (``_add_maximal``, how the
+corpus is built) instead gets these views handed down from its parent,
+changed only where the new element reaches.
 The views are cached in the instance ``__dict__`` without a lock.
 The size-k antichains of the size asked for last are kept there too, so
 the orders built at one k share one enumeration.  An order on subsets of
@@ -651,9 +651,10 @@ class Poset:
 class _CoverFirstPoset(Poset):
     """A poset built from trusted cover rows, which its construction proves.
 
-    ``up`` is their transitive closure, taken on first read; ``n`` counts
-    the cover rows, so reading it builds no closure.  A subclass, so that
-    every other poset keeps ``up`` a plain attribute, the fastest read.
+    The default exchange order and the certificate's Birkhoff target are
+    built so.  ``up`` is the closure of the rows, taken on first read; ``n``
+    counts them, so reading it builds no closure.  A subclass, so that every
+    other poset keeps ``up`` a plain attribute, the fastest read.
     """
 
     @_view

@@ -18,6 +18,7 @@ from posetforge import (
     ideal_leq,
     is_distributive,
     is_exchange_cover,
+    poset_to_dict,
     refinement_report,
 )
 from posetforge.minuscule import E6Kind, E7Kind, Grid, NaturalD, SpinD, minuscule_poset
@@ -420,6 +421,41 @@ def test_handed_down_covers_match_derived_covers_on_large_orders(kind):
     E = antichain_exchange_poset(minuscule_poset(kind), 3)
     assert E.n > 300
     assert handed_down_covers_match_derived(E)
+
+
+@pytest.mark.parametrize("P, k", [(grid_poset(3, 3), 2), (bowtie(), 2)], ids=["grid3x3", "bowtie"])
+def test_default_exchange_order_is_closed_only_when_up_is_read(P, k):
+    E = antichain_exchange_poset(P, k)
+    assert E.n == len(E.labels) == len(E.cover_up)
+    E.covers()
+    poset_to_dict(E)
+    if P.n == 9:  # the bowtie's order is no lattice, and the meet/join fallback reads up
+        assert is_distributive(E).distributive
+    assert "up" not in vars(E)
+    assert E.up == antichain_exchange_poset(P, k, edges="all").up
+
+
+def height_sum_rises_along_every_swap(P):
+    heights = P.heights
+    for k in range(P.width() + 1):
+        masks = P._antichain_masks(k)
+        sums = [sum(heights[i] for i in _bits(m)) for m in masks]
+        E = antichain_exchange_poset(P, k)
+        for i, row in enumerate(E.cover_up):
+            if any(sums[j] <= sums[i] for j in _bits(row)):
+                return False
+    return True
+
+
+def test_swap_rows_raise_the_height_sum_on_corpus6(corpus6):
+    # why the swap rows can be trusted as the covers of an order: no cycle can
+    # climb a sum that every step strictly raises
+    assert all(height_sum_rises_along_every_swap(P) for P in corpus6)
+
+
+@pytest.mark.parametrize("kind", LADDER_KINDS, ids=repr)
+def test_swap_rows_raise_the_height_sum_on_ladder_hosts(kind):
+    assert height_sum_rises_along_every_swap(minuscule_poset(kind))
 
 
 def test_antichain_masks_in_any_order_of_sizes_match_a_fresh_enumeration(corpus6):

@@ -252,6 +252,44 @@ def test_named_map_checks_compare_cover_rows_without_labels(monkeypatch, check_i
     assert _digest(report) == DEFAULT_CAP_DIGESTS[check_id]
 
 
+# every check but boolean-cube-example, five-element-example (through
+# refinement_report and the meet/join fallback), e6-antichains and
+# e7-self-map (search), which read the full relation on purpose
+COVER_ONLY_CHECKS = [
+    "box-gale-composite",
+    "dilworth-max-antichains",
+    "durfee-product",
+    "e7-antichains",
+    "exchange-order-basics",
+    "gale-rank-covers",
+    "grid-antichain-durfee",
+    "grid-antichain-split",
+    "ideal-heights-iso",
+    "minuscule-distributive",
+    "narayana-symmetry",
+    "natural-family-antichains",
+    "root-complement-involution",
+    "sequence-lattices",
+    "spin-antichain-merge",
+    "weak-chain-shift-iso",
+]
+
+
+@pytest.mark.parametrize("check_id", COVER_ONLY_CHECKS)
+def test_checks_do_not_close_an_exchange_order(monkeypatch, check_id):
+    # the default exchange order and the Birkhoff target are cover-first; these
+    # checks compare them by their cover rows alone, so neither is ever closed
+    def refuse(*args):
+        raise AssertionError("a cover-first order was closed")
+
+    monkeypatch.setattr(posetforge.poset._CoverFirstPoset, "up", property(refuse))
+    with pytest.raises(AssertionError, match="closed"):
+        posetforge.antichains.antichain_exchange_poset(chain_poset(2), 1).up
+    report = run_check(check_id)
+    assert report.verdict == "pass", report.to_json_dict()
+    assert _digest(report) == DEFAULT_CAP_DIGESTS[check_id]
+
+
 @pytest.fixture
 def five_element_only(monkeypatch):
     """Run the corpus-driven checks on the five-element example alone."""
