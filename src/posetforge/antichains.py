@@ -6,20 +6,25 @@ reflexive transitive closure of single-element replacement: A steps to B
 when B = A \\ {a} u {b} for a strictly below b.  The exchange order is
 coarser than the ideal order in general, and its covering pairs are
 exactly the single replacements along covering pairs of the host poset.
-So the default route's swap rows are the covers of a cover-first order,
-closed only when ``up`` is read; the all-replacements route, closed at
-once, is kept as an independent reference.  Both orders at one k share
-the host's one enumeration of the size-k antichains, and their "{a,b}"
-labels are built on first read.
+One swap rule, ``_swaps``, lists an antichain's covers from its mask.  It
+gives the default route's swap rows, the covers of a cover-first order
+closed only when ``up`` is read, and ``swap_map_covers`` checks a named
+map from the masks with it, building no order.  The all-replacements
+route, closed at once, is kept as an independent reference.  Both orders
+at one k share the host's one enumeration of the size-k antichains, and
+their "{a,b}" labels are built on first read.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import SizeMismatch
 from .poset import (
     Antichain,
     Poset,
     _bits,
+    _comparable,
     _inclusion_up,
     _Record,
     transitive_closure,
@@ -52,26 +57,58 @@ def is_exchange_cover(A: Antichain, B: Antichain) -> bool:
     return bool(A.poset.cover_up[a] >> b & 1)
 
 
+def _swaps(mask: int, steps_of: Sequence[int], comp: Sequence[int]) -> Iterator[int]:
+    """The antichains A - a + b, for a in the antichain A = ``mask`` and b in ``steps_of[a]``.
+
+    ``comp`` holds the host's ``_comparable`` rows.  With the host's upper
+    covers as ``steps_of`` these are A's exchange covers.
+    """
+    members = mask
+    while members:
+        low = members & -members
+        rest = mask ^ low
+        steps = steps_of[low.bit_length() - 1]
+        while steps:
+            high = steps & -steps
+            if comp[high.bit_length() - 1] & rest == 0:
+                yield rest | high
+            steps ^= high
+        members ^= low
+
+
 def _exchange_edges(P: Poset, masks: list[int], *, covers_only: bool) -> list[int]:
     """Successor bitsets of the single-replacement steps between antichains."""
     pos = {m: i for i, m in enumerate(masks)}
-    step_from = P.cover_up if covers_only else P.up
-    comp = [u | d for u, d in zip(P.up, P.down)]
+    steps_of, comp = (P.cover_up if covers_only else P.up), _comparable(P)
     succ = []
     for m in masks:
-        out, members = 0, m
-        while members:
-            low = members & -members
-            rest = m ^ low
-            steps = step_from[low.bit_length() - 1]
-            while steps:
-                high = steps & -steps
-                if comp[high.bit_length() - 1] & rest == 0:
-                    out |= 1 << pos[rest | high]
-                steps ^= high
-            members ^= low
+        out = 0
+        for s in _swaps(m, steps_of, comp):
+            out |= 1 << pos[s]
         succ.append(out)
     return succ
+
+
+def swap_map_covers(
+    P: Poset, images: dict[int, int | None], targets: Collection[int], covers_of: Callable[[int], Iterable[int]]
+) -> int | None:
+    """How many exchange covers mask -> ``images[mask]`` carries onto covers, or None if no isomorphism.
+
+    ``images`` holds every size-k antichain of P, as a mask, and its image;
+    ``covers_of(t)`` lists the upper covers of target t.  The local form
+    of ``index_map_order_equal``: a bijection onto ``targets`` that maps
+    each antichain's swaps exactly onto its image's covers.  No order is built.
+    """
+    if len(images) != len(targets) or set(images.values()) != set(targets):
+        return None
+    cover_up, comp = P.cover_up, _comparable(P)
+    matched = 0
+    for m, t in images.items():
+        up = {images[s] for s in _swaps(m, cover_up, comp)}
+        if up != set(covers_of(t)):
+            return None
+        matched += len(up)
+    return matched
 
 
 def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Poset:

@@ -9,8 +9,12 @@ exhaustion statement (what was enumerated); a failing check carries a
 counterexample.  Caps are overridable per run.  No check searches for a
 map it can name ({x} -> x is A_1(P) = P, a swap is its own matching,
 Frobenius coordinates are the Durfee maps) or tests pairs that cover rows
-settle; only e6-antichains and e7-self-map search.  No clause re-derives
-what a passing one already implies: e7-antichains states sizes and leaves
+settle; only e6-antichains and e7-self-map search.  A named map on an
+exchange order is checked from the antichain masks, with no order built:
+the swap rule that builds the exchange order gives each antichain's
+covers, and Gale cover rows, one-entry bumps or the same swap rule give
+the target's (``antichains.swap_map_covers``).  No clause re-derives what
+a passing one already implies: e7-antichains states sizes and leaves
 A_2(E7) = E7 to e7-self-map.
 """
 
@@ -35,6 +39,7 @@ from .poset import (
     Poset,
     PosetIso,
     _bits,
+    _comparable,
     _Frozen,
     _Record,
     build_poset,
@@ -312,15 +317,15 @@ def _is_singleton_copy(A1: Poset, P: Poset) -> bool:
     )
 
 
-def _bump_mismatch(P: Poset, entries: list[tuple[int, ...]]) -> tuple[int, int] | None:
-    """The first (i, j) where i's upper covers in P are not ``entries[i]`` with one entry raised."""
-    index = {e: j for j, e in enumerate(entries)}
-    for i, e in enumerate(entries):
-        bumps = (e[:p] + (v + 1,) + e[p + 1:] for p, v in enumerate(e))
-        mismatch = sum(1 << index[t] for t in bumps if t in index) ^ P.cover_up[i]
-        if mismatch:
-            return i, next(_bits(mismatch))
-    return None
+def _bumps(index: dict[tuple[int, ...], int], e: tuple[int, ...]) -> list[int]:
+    """The indices in ``index`` of the tuples that raise one entry of ``e`` by one.
+
+    These are the covers of a Gale order, and of the box's diagrams of one
+    Durfee length as padded heights: a diagram between two of them has their
+    Durfee length, so a cover adds one box.
+    """
+    bumped = (e[:p] + (v + 1,) + e[p + 1:] for p, v in enumerate(e))
+    return [index[t] for t in bumped if t in index]
 
 
 def _corpus_and_minuscule(max_size: int, a: int, b: int, n: int, m: int) -> list[Poset]:
@@ -346,10 +351,11 @@ def _check_gale_rank_covers(n: int) -> tuple[bool, dict]:
             P = seq.gale_poset(nn, k)
             pairs += P.n * (P.n - 1)
             entries = seq.gale_entries(nn, k)
-            mismatch = _bump_mismatch(P, entries)
-            if mismatch:
-                x, y = (tuple_label(entries[i]) for i in mismatch)
-                return False, {"counterexample": {"n": nn, "k": k, "x": x, "y": y}}
+            index = {e: j for j, e in enumerate(entries)}
+            for i, e in enumerate(entries):
+                if mismatch := sum(1 << j for j in _bumps(index, e)) ^ P.cover_up[i]:
+                    x, y = (tuple_label(entries[t]) for t in (i, next(_bits(mismatch))))
+                    return False, {"counterexample": {"n": nn, "k": k, "x": x, "y": y}}
     return True, {"exhausted": {"max_n": n, "ordered_pairs": pairs}}
 
 
@@ -637,16 +643,21 @@ def _check_grid_antichain_split(a: int, b: int) -> tuple[bool, dict]:
         for bb in range(1, b + 1):
             G = grid_poset(aa, bb)
             for k in range(min(aa, bb) + 1):
-                E = ac.antichain_exchange_poset(G, k)
-                gb = seq.gale_poset(bb, k)
-                prod = seq.gale_poset(aa, k).product(gb)
-                img = []
-                for mask in E._subsets[1]:
+                up_a, up_b = seq.gale_poset(aa, k).cover_up, seq.gale_poset(bb, k).cover_up
+                nb = len(up_b)
+                images = {}
+                for mask in G._antichain_masks(k):
                     xs, ys = ferrers.split_points(grid_mask_points(bb, mask))
-                    img.append(seq.gale_rank(xs) * gb.n + seq.gale_rank(ys))
-                if not index_map_order_equal(E, prod, img):
+                    images[mask] = seq.gale_rank(xs) * nb + seq.gale_rank(ys)
+
+                def covers_of(t):  # (x, y) -> (x', y) and (x, y') for Gale covers x' and y'
+                    x, y = divmod(t, nb)
+                    return [*(u * nb + y for u in _bits(up_a[x])), *(x * nb + v for v in _bits(up_b[y]))]
+
+                matched = ac.swap_map_covers(G, images, range(len(up_a) * nb), covers_of)
+                if matched is None:
                     return False, {"counterexample": {"a": aa, "b": bb, "k": k}}
-                cover_counts += sum(c.bit_count() for c in E.cover_up)
+                cover_counts += matched
     return True, {"exhausted": {"max_a": a, "max_b": b, "covers_matched": cover_counts}}
 
 
@@ -663,19 +674,20 @@ def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
         for bb in range(1, b + 1):
             G = grid_poset(aa, bb)
             for k, diagrams in enumerate(ferrers._diagrams_by_durfee_length(aa, bb)):
-                E = ac.antichain_exchange_poset(G, k)
-                D = ferrers.durfee_poset(aa, bb, k)
+                padded = [d + (0,) * (bb - len(d)) for d in diagrams]
+                padded_at = {h: i for i, h in enumerate(padded)}
                 diagram_at = {ferrers.frobenius(d): i for i, d in enumerate(diagrams)}
-                img = [
-                    diagram_at.get(ferrers.split_points(grid_mask_points(bb, mask)))
-                    for mask in E._subsets[1]
-                ]
-                if not index_map_order_equal(E, D, img):
+                masks = G._antichain_masks(k)
+                images = {m: diagram_at.get(ferrers.split_points(grid_mask_points(bb, m))) for m in masks}
+                matched = ac.swap_map_covers(
+                    G, images, range(len(diagrams)), lambda i: _bumps(padded_at, padded[i])
+                )
+                if matched is None:
                     return False, {
-                        "counterexample": {"a": aa, "b": bb, "k": k, "sizes": [E.n, D.n]}
+                        "counterexample": {"a": aa, "b": bb, "k": k, "sizes": [len(masks), len(diagrams)]}
                     }
                 cases += 1
-                cover_counts += sum(c.bit_count() for c in E.cover_up)
+                cover_counts += matched
     return True, {
         "exhausted": {"max_a": a, "max_b": b, "isomorphisms": cases, "covers_matched": cover_counts}
     }
@@ -700,16 +712,16 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
         if w != (nn + 2) // 2:
             return False, {"counterexample": {"n": nn, "width": w}}
         for k in range(w + 1):
-            E = ac.antichain_exchange_poset(P, k)
-            target = seq.gale_poset(nn + 2, 2 * k)
+            target_up = seq.gale_poset(nn + 2, 2 * k).cover_up
             # the base map is an isomorphism, so antichains go to antichains of pairs
-            img = [
-                seq.gale_rank(ferrers.merge_pairs([pairs[t] for t in _bits(mask)]))
-                for mask in E._subsets[1]
-            ]
-            if not index_map_order_equal(E, target, img):
+            images = {
+                mask: seq.gale_rank(ferrers.merge_pairs([pairs[t] for t in _bits(mask)]))
+                for mask in P._antichain_masks(k)
+            }
+            matched = ac.swap_map_covers(P, images, range(len(target_up)), lambda t: _bits(target_up[t]))
+            if matched is None:
                 return False, {"counterexample": {"n": nn, "k": k}}
-            cover_counts += sum(c.bit_count() for c in E.cover_up)
+            cover_counts += matched
     return True, {"exhausted": {"max_n": n, "covers_matched": cover_counts}}
 
 
@@ -839,42 +851,28 @@ def _check_e7_self_map() -> tuple[bool, dict]:
     n=6,
 )
 def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
-    # one complement per antichain, and each size's table is built right before
-    # its exchange order, which reuses the one enumeration of that size; the
-    # complement raises on an image of the wrong size, and the tables of sizes
-    # k and n-1-k show it an involution, so the second is the inverse of the
-    # first, an isomorphism when the first is: each pair of sizes is compared
-    # once, from the smaller side
+    # one complement per antichain of sizes k and n-1-k, kept by mask (it raises
+    # on an image of the wrong size); a bijection (swap_map_covers) that the
+    # second table undoes has that table for its inverse, so each pair of sizes
+    # is compared once, with the swap rule giving both sides' covers
     checked = 0
     for nn in range(2, n + 1):
         P = roots.type_a_root_poset(nn)
+        cover_up, comp = P.cover_up, _comparable(P)
         for k in range((nn + 1) // 2):
-            images, E = _complement_table(P, k)
-            back_images, F = (images, E) if 2 * k == nn - 1 else _complement_table(P, nn - 1 - k)
-            star = _indices_in(F, images)
-            inverse = star if F is E else _indices_in(E, back_images)
-            tables = [(E, star, inverse)] if F is E else [(E, star, inverse), (F, inverse, star)]
-            for X, there, back in tables:
-                for i, j in enumerate(there):
-                    if back[j] != i:
-                        A, twice = (P.subset_label(_bits(X._subsets[1][t])) for t in (i, back[j]))
-                        return False, {"counterexample": {"n": nn, "A": A, "twice": twice}}
-            checked += sum(len(there) for _, there, _ in tables)
-            if not index_map_order_equal(E, F, star):
+            tables = [
+                {A.mask: roots.panyushev_complement(A).mask for A in P.antichains_of_size(size)}
+                for size in sorted({k, nn - 1 - k})
+            ]
+            star, back = tables[0], tables[-1]
+            for A, B in star.items():
+                if back[B] != A:
+                    A, twice = (P.subset_label(_bits(m)) for m in (A, back[B]))
+                    return False, {"counterexample": {"n": nn, "A": A, "twice": twice}}
+            checked += sum(map(len, tables))
+            if ac.swap_map_covers(P, star, back, lambda B: ac._swaps(B, cover_up, comp)) is None:
                 return False, {"counterexample": {"n": nn, "k": k, "reason": "not an iso"}}
     return True, {"exhausted": {"max_n": n, "antichains": checked}}
-
-
-def _complement_table(P: Poset, k: int) -> tuple[list[int], Poset]:
-    """The mask of the complement of each k-antichain of P, in index order, and their exchange order."""
-    images = [roots.panyushev_complement(A).mask for A in P.antichains_of_size(k)]
-    return images, ac.antichain_exchange_poset(P, k)
-
-
-def _indices_in(E: Poset, masks: list[int]) -> list[int]:
-    """The index in E, an order on subsets, of each of ``masks``."""
-    index = {m: i for i, m in enumerate(E._subsets[1])}
-    return [index[m] for m in masks]
 
 
 @_register(

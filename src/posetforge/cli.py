@@ -290,14 +290,15 @@ def _cmd_narayana(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    from .roots import panyushev_complement, parse_root_label, root_label, type_a_root_poset
+    from .roots import _ROOT_RE, panyushev_complement, parse_root_label, root_label, type_a_root_poset
 
     P = type_a_root_poset(args.n)
+    # roots in one or no pair of braces, split by commas or spaces; anything else is refused
     text = args.antichain.strip()
-    labels = []
-    if text and text != "{}":
-        labels = [part.strip() for part in text.replace("],", "] ").split() if part.strip()]
-        labels = [root_label(*parse_root_label(lab)) for lab in labels]
+    text = text[1:-1] if text[:1] == "{" and text[-1:] == "}" else text
+    if leftover := _ROOT_RE.sub(",", text).replace(",", " ").split():
+        raise BadParameters(f"not a root label: {leftover[0]!r}")
+    labels = [root_label(*parse_root_label(m.group())) for m in _ROOT_RE.finditer(text)]
     image = panyushev_complement(P.antichain(labels))
     print(",".join(image.member_labels) if len(image) else "{}")
     return 0

@@ -90,6 +90,11 @@ def _image(mask: int, to: Sequence[int] | dict[int, int]) -> int:
     return out
 
 
+def _comparable(P: "Poset") -> list[int]:
+    """The bitset of the elements comparable to each element of P, itself left out."""
+    return [u | d for u, d in zip(P.up, P.down)]
+
+
 def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
     """Read-only square boolean matrix with the given row bitsets."""
     import numpy as np
@@ -506,7 +511,7 @@ class Poset:
     def _enumerate_antichains(self, k: int) -> list[int]:
         if k == 0:
             return [0]
-        comp = [u | d for u, d in zip(self.up, self.down)]
+        comp = _comparable(self)
         out: list[int] = []
         # depth-first with an explicit stack: masks[-1] is the antichain so
         # far and cands[-1] the larger indices still incomparable to all of it
@@ -632,13 +637,6 @@ class Poset:
         up = [(b * c) ^ 1 << (m * p + q) for p, b in enumerate(blocks) for q, c in enumerate(closed)]
         labels = [f"({p},{q})" for p in self.labels for q in other.labels]
         return Poset._from_up(labels, up)
-
-    def induced(self, indices: Sequence[int]) -> "Poset":
-        """Sub-poset on the given indices, keeping their labels."""
-        idx = list(indices)
-        keep, to = _image((1 << len(idx)) - 1, idx), dict(zip(idx, range(len(idx))))
-        up = [_image(self.up[i] & keep, to) for i in idx]
-        return Poset._from_up([self.labels[i] for i in idx], up)
 
     def relabeled(self, labels: Sequence[str] | None = None) -> "Poset":
         if labels is None:

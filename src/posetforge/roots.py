@@ -20,7 +20,7 @@ from functools import lru_cache
 from .errors import BadParameters, NotAnAntichain
 from .poset import Antichain, Poset, _bits, _componentwise_poset
 
-_ROOT_RE = re.compile(r"\[(\d+),(\d+)\]")
+_ROOT_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 
 
 def root_label(i: int, j: int) -> str:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posetforge import SizeLimitExceeded, SizeMismatch, build_poset, checks
 from posetforge.corpus import small_posets
-from posetforge.poset import PosetIso, _bits, _image, _matching_size
+from posetforge.poset import Poset, PosetIso, _bits, _image, _matching_size
 
 
 @st.composite
@@ -58,16 +58,24 @@ def has_order_matching(P, A, B):
     return _matching_size(P.n, adj) == len(A)
 
 
+def induced(P, indices):
+    """The sub-poset of P on the given indices, keeping their labels."""
+    idx = list(indices)
+    keep, to = _image((1 << len(idx)) - 1, idx), dict(zip(idx, range(len(idx))))
+    up = [_image(P.up[i] & keep, to) for i in idx]
+    return Poset._from_up([P.labels[i] for i in idx], up)
+
+
 def dense_ideal_witness(P):
     """The Birkhoff certificate by the dense route: (witness, irreducibles), or None.
 
-    The irreducibles are ``P.induced`` on the elements with one lower
+    The irreducibles are ``induced`` on the elements of P with one lower
     cover, the target is their ``ideals_poset()`` and x goes to the mask
     of the irreducibles in its closed down-set, read from ``P.down``.  The
     reference the cover-first ``lattice._ideal_witness`` is compared with.
     """
     irr_idx = [i for i, c in enumerate(P.cover_down) if c.bit_count() == 1]
-    irr = P.induced(irr_idx)
+    irr = induced(P, irr_idx)
     try:
         target = irr.ideals_poset(cap=P.n)
     except SizeLimitExceeded:

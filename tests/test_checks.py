@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -21,9 +22,11 @@ from posetforge import (
     build_poset,
     chain_poset,
     checks,
+    grid_poset,
     minuscule_poset,
 )
 from posetforge.checks import CheckDef, check_defaults, registered_checks, run_all, run_check
+from posetforge.poset import _bits, grid_mask_points, index_map_order_equal
 
 TINY_CAPS = {"a": 1, "b": 1, "n": 1, "m": 0, "max_size": 2}
 
@@ -290,6 +293,123 @@ def test_checks_do_not_close_an_exchange_order(monkeypatch, check_id):
     assert _digest(report) == DEFAULT_CAP_DIGESTS[check_id]
 
 
+# the checks of named maps on exchange orders: each reads an antichain's covers
+# from its mask through the one swap rule (antichains._swaps)
+LOCAL_MAP_CHECKS = [
+    "grid-antichain-durfee",
+    "grid-antichain-split",
+    "root-complement-involution",
+    "spin-antichain-merge",
+]
+
+
+@pytest.mark.parametrize("check_id", LOCAL_MAP_CHECKS)
+def test_exchange_order_map_checks_build_no_order(monkeypatch, check_id):
+    # no exchange order, no Durfee order and no product but the grid's own
+    # (of two chains): the target covers come from Gale cover rows, the bump
+    # rule or the swap rule
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order was built")
+
+    product = Poset.product
+
+    def chains_only(P, Q):
+        if any(c.bit_count() > 1 for R in (P, Q) for c in R.cover_up):
+            raise AssertionError("a product order was built")
+        return product(P, Q)
+
+    monkeypatch.setattr(posetforge.antichains, "antichain_exchange_poset", refuse)
+    monkeypatch.setattr(posetforge.antichains, "_exchange_edges", refuse)
+    monkeypatch.setattr(posetforge.ferrers, "durfee_poset", refuse)
+    monkeypatch.setattr(Poset, "product", chains_only)
+    report = run_check(check_id)
+    assert report.verdict == "pass", report.to_json_dict()
+    assert _digest(report) == DEFAULT_CAP_DIGESTS[check_id]
+
+
+def _compare_routes(P, k, image_of, target):
+    """Whether a map from P's k-antichains onto ``target`` is an isomorphism, by
+    both routes: ``swap_map_covers`` on masks and ``index_map_order_equal`` on
+    the built exchange order, which must agree, also with two images exchanged."""
+    E = posetforge.antichains.antichain_exchange_poset(P, k)
+    masks = E._subsets[1]
+    img = [image_of(m) for m in masks]
+    verdicts = []
+    for trial in [img, [*img[1:2], *img[:1], *img[2:]]]:
+        local = posetforge.antichains.swap_map_covers(
+            P, dict(zip(masks, trial)), range(target.n), lambda t: _bits(target.cover_up[t])
+        )
+        built = index_map_order_equal(E, target, trial)
+        assert (local is not None) == built, (P, k, len(verdicts))
+        if built:
+            assert local == sum(c.bit_count() for c in E.cover_up)
+        verdicts.append(built)
+    return verdicts[0]
+
+
+def test_swap_map_covers_agrees_with_the_built_orders_up_to_raised_caps():
+    seq, ferrers = posetforge.sequences, posetforge.ferrers
+    a, b, n = RAISED_CAPS["a"], RAISED_CAPS["b"], RAISED_CAPS["n"]
+    cases = 0
+    for aa in range(1, a + 1):
+        for bb in range(1, b + 1):
+            G = grid_poset(aa, bb)
+            for k in range(min(aa, bb) + 1):
+                gb = seq.gale_poset(bb, k)
+
+                def split_rank(m):
+                    xs, ys = ferrers.split_points(grid_mask_points(bb, m))
+                    return seq.gale_rank(xs) * gb.n + seq.gale_rank(ys)
+
+                assert _compare_routes(G, k, split_rank, seq.gale_poset(aa, k).product(gb))
+                diagrams = ferrers._diagrams_by_durfee_length(aa, bb)[k]
+                diagram_at = {ferrers.frobenius(d): i for i, d in enumerate(diagrams)}
+
+                def diagram_index(m):
+                    return diagram_at.get(ferrers.split_points(grid_mask_points(bb, m)))
+
+                assert _compare_routes(G, k, diagram_index, ferrers.durfee_poset(aa, bb, k))
+                cases += 2
+    for nn in range(1, n + 1):
+        P = grid_poset(nn, 2).ideals_poset()
+        pairs = [seq.shifted(seq.grid_ideal_heights(2, m)) for m in P._subsets[1]]
+        for k in range(P.width() + 1):
+
+            def merged_rank(m):
+                return seq.gale_rank(ferrers.merge_pairs([pairs[t] for t in _bits(m)]))
+
+            assert _compare_routes(P, k, merged_rank, seq.gale_poset(nn + 2, 2 * k))
+            cases += 1
+    for nn in range(2, n + 1):
+        P = posetforge.roots.type_a_root_poset(nn)
+        for k in range(nn):
+            F = posetforge.antichains.antichain_exchange_poset(P, nn - 1 - k)
+            index = {m: j for j, m in enumerate(F._subsets[1])}
+
+            def complement_index(m):
+                return index[posetforge.roots.panyushev_complement(P.antichain(_bits(m))).mask]
+
+            assert _compare_routes(P, k, complement_index, F)
+            cases += 1
+    # 127 grid cases, each by both maps, 32 spin and 35 root cases
+    assert cases == 2 * 127 + 32 + 35
+
+
+def test_durfee_bump_rule_gives_the_durfee_order_covers():
+    # for a, b <= 7 and every k: the covers of durfee_poset are the one-entry
+    # bumps of the padded heights that stay among the Durfee-length-k diagrams
+    cases = 0
+    for a in range(8):
+        for b in range(8):
+            for k, diagrams in enumerate(posetforge.ferrers._diagrams_by_durfee_length(a, b)):
+                D = posetforge.ferrers.durfee_poset(a, b, k)
+                padded = [d + (0,) * (b - len(d)) for d in diagrams]
+                index = {h: i for i, h in enumerate(padded)}
+                assert [sum(1 << j for j in checks._bumps(index, h)) for h in padded] == list(D.cover_up)
+                cases += 1
+    assert cases == 204
+
+
 @pytest.fixture
 def five_element_only(monkeypatch):
     """Run the corpus-driven checks on the five-element example alone."""
@@ -464,11 +584,23 @@ def test_root_complement_involution_enumerates_each_size_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 20
 
 
+def _drop_first_swap_at(monkeypatch, k):
+    """Drop the first swap of every k-antichain from the one swap rule."""
+    swaps = posetforge.antichains._swaps
+
+    def patched(mask, steps_of, comp):
+        out = swaps(mask, steps_of, comp)
+        return itertools.islice(out, 1, None) if mask.bit_count() == k else out
+
+    monkeypatch.setattr(posetforge.antichains, "_swaps", patched)
+
+
 def test_root_complement_involution_sees_a_dropped_swap_on_the_larger_side(monkeypatch):
     # sizes 1 and 2 are compared once, from size 1, at n = 4 (6 antichains
-    # each); a swap lost from A_2 alone still breaks the map onto it
+    # each); a swap lost from A_2 alone still breaks the map onto it, whose
+    # covers come from the same swap rule
     assert run_check("root-complement-involution", {"n": 4}).passed
-    _drop_first_step_at(monkeypatch, 2)
+    _drop_first_swap_at(monkeypatch, 2)
     report = run_check("root-complement-involution", {"n": 4})
     assert report.verdict == "fail"
     assert report.certificate == {"counterexample": {"n": 4, "k": 1, "reason": "not an iso"}}
@@ -551,9 +683,10 @@ PLANTED_FAULTS = [
         id="durfee-product-cut",
     ),
     pytest.param(
-        # (1) < (1,1) among the Durfee-length-1 diagrams of the 1x2 box
-        "grid-antichain-durfee", posetforge.ferrers, "durfee_poset",
-        _drop_first_cover,
+        # (1) < (1,1) among the Durfee-length-1 diagrams of the 1x2 box: the
+        # last bump of each padded height tuple is lost from the bump rule
+        "grid-antichain-durfee", checks, "_bumps",
+        lambda bumps: lambda index, e: bumps(index, e)[:-1],
         {"a": 1, "b": 2, "k": 1, "sizes": [2, 2]},
         id="grid-antichain-durfee",
     ),

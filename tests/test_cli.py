@@ -275,6 +275,17 @@ def test_star_command(capsys):
     assert out.strip() == "[1,3],[3,4]"
     assert main(["star", "4", "[3,3]"]) == 2
     assert "error: need 1 <= i < j, got [3,3]" in capsys.readouterr()[1]
+    # spaces inside and between roots, and the braces that ak prints, are read
+    for text in ["[1, 3]", " [ 1 ,3 ] ", "{[1,3]}"]:
+        assert main(["star", "6", text]) == 0
+        assert capsys.readouterr()[0].strip() == "[1,3],[3,4],[4,5],[5,6]"
+    for text in ["{[1,3],[2,5]}", "{ [1,3] , [2,5] }", "[1,3] [2,5]", "[1, 3],[2, 5]"]:
+        assert main(["star", "6", text]) == 0
+        assert capsys.readouterr()[0].strip() == "[1,4],[3,5],[5,6]"
+    # text left over around the roots is refused
+    for text, left in [("{[1,3]", "{"), ("[1,3]}", "}"), ("[1,3", "[1"), ("[1,3]x", "x"), ("{[1,3]}}", "}")]:
+        assert main(["star", "6", text]) == 2
+        assert f"error: not a root label: {left!r}" in capsys.readouterr()[1]
 
 
 def test_export_dot(monkeypatch, capsys):

@@ -52,7 +52,7 @@ from posetforge.poset import (
 from posetforge.roots import _root_pairs, root_label
 from posetforge.sequences import gale_entries, weak_chain_entries
 
-from conftest import closure, label_points, leq_matrix, mask_rows, posets
+from conftest import closure, induced, label_points, leq_matrix, mask_rows, posets
 
 
 def bowtie():
@@ -1071,7 +1071,7 @@ def test_induced_matches_comprehension(corpus6):
     for P in corpus6:
         idx = rng.sample(range(P.n), rng.randint(0, P.n))
         up = tuple(sum(1 << q for q, j in enumerate(idx) if P.up[i] >> j & 1) for i in idx)
-        S = P.induced(idx)
+        S = induced(P, idx)
         assert S.labels == tuple(P.labels[i] for i in idx) and S.up == up
 
 
