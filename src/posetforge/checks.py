@@ -712,13 +712,14 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
         if w != (nn + 2) // 2:
             return False, {"counterexample": {"n": nn, "width": w}}
         for k in range(w + 1):
-            target_up = seq.gale_poset(nn + 2, 2 * k).cover_up
+            entries = seq.gale_entries(nn + 2, 2 * k)  # in gale_rank order; covers bump one entry
+            at = {e: j for j, e in enumerate(entries)}
             # the base map is an isomorphism, so antichains go to antichains of pairs
             images = {
                 mask: seq.gale_rank(ferrers.merge_pairs([pairs[t] for t in _bits(mask)]))
                 for mask in P._antichain_masks(k)
             }
-            matched = ac.swap_map_covers(P, images, range(len(target_up)), lambda t: _bits(target_up[t]))
+            matched = ac.swap_map_covers(P, images, range(len(entries)), lambda t: _bumps(at, entries[t]))
             if matched is None:
                 return False, {"counterexample": {"n": nn, "k": k}}
             cover_counts += matched

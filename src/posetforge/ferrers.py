@@ -88,10 +88,12 @@ def durfee_stack(k: int, top: tuple[int, ...], side: tuple[int, ...]) -> tuple[i
 def frobenius(heights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Frobenius coordinates (h_j - j + 1) and (r_j - j + 1), j = k..1, of the weakly
     decreasing column heights h, with row lengths r and Durfee length k."""
-    k = durfee_length(heights)
-    xs = tuple(heights[j - 1] - j + 1 for j in range(k, 0, -1))
-    ys = tuple(sum(h >= j for h in heights) - j + 1 for j in range(k, 0, -1))
-    return xs, ys
+    k, r, ys = durfee_length(heights), len(heights), []
+    for j in range(1, k + 1):
+        while heights[r - 1] < j:  # r_j, the number of heights >= j, falls as j grows
+            r -= 1
+        ys.append(r - j + 1)
+    return tuple(heights[j - 1] - j + 1 for j in range(k, 0, -1)), tuple(reversed(ys))
 
 
 def split_points(points: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:

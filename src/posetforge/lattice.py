@@ -4,17 +4,19 @@ A finite poset is a lattice when every pair of elements has a greatest
 lower bound and a least upper bound.  Distributivity is certified first:
 the canonical map x -> {join-irreducibles below x} is built and checked
 as an order isomorphism onto the ideals of the join-irreducible
-sub-poset.  Ideal lattices are distributive (Birkhoff), so a verified
-map proves the claim outright.  Only when the map fails are the meet/join
-table and the triple scan of x ^ (y v z) = (x ^ y) v (x ^ z) computed,
-to name the missing bound or the failing triple.
+sub-poset.  Ideal lattices are distributive (Birkhoff, "Rings of sets",
+Duke Math. J. 1937; Stanley, *EC1* 3.4), so a verified map proves the
+claim outright.  Only when the map fails are the meet/join table and the
+triple scan of x ^ (y v z) = (x ^ y) v (x ^ z) computed, to name the
+missing bound or the failing triple.
 
-The certificate reads P's cover rows alone.  The join-irreducibles are
-the elements with exactly one lower cover, each element's irreducibles
-are a small mask ORed up the covers, and the target ideal lattice is a
-cover-first order: its cover rows are generated (an ideal is covered by
-each ideal one element larger) and its dense ``up`` is closed only if it
-is read.  No down-set of P is built, and no label of either order.
+The certificate is local and reads P's cover rows alone: the masks of
+irreducibles must be distinct, one of them empty, and each element's
+upper covers exactly the elements whose masks are its own plus one
+irreducible that may be added to it (``_ideal_witness`` has the proof).
+No ideal is enumerated, and no down-set of P and no label of either
+order is built: the target is the ideal lattice listed in P's order, on
+P's cover rows, so the witness is the identity on indices.
 
 Everything here runs on Python ints: the certificate on bitsets, the
 meet/join table as tuples of int rows.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import SizeLimitExceeded
 from .poset import Poset, PosetIso, _bits, _Frozen, _Record
 
 
@@ -160,58 +161,52 @@ def _irreducible_masks(P: Poset) -> tuple[list[int], list[int]]:
     return irr, below
 
 
-def _ideal_covers(strict: Sequence[int], masks: Sequence[int], index: dict[int, int]) -> list[int]:
-    """Cover rows of the containment order on ``masks``, every ideal of an order.
-
-    ``strict[t]`` is the strict down-set of element t and ``index`` takes
-    each ideal to its position in ``masks``.  Ideal I is covered by I + t
-    for each t outside I whose strict down-set lies in I: those are the
-    ideals one element larger.
-    """
-    full = (1 << len(strict)) - 1
-    rows = []
-    for m in masks:
-        row, free = 0, full & ~m
-        while free:
-            low = free & -free
-            if strict[low.bit_length() - 1] & ~m == 0:
-                row |= 1 << index[m | low]
-            free ^= low
-        rows.append(row)
-    return rows
+def _ideals_covering(m: int, strict: Sequence[int], full: int) -> list[int]:
+    """The ideals one element larger than the ideal ``m``: m + t, for t in ``full``
+    outside m whose strict down-set ``strict[t]`` lies in m."""
+    out, free = [], full & ~m
+    while free:
+        low = free & -free
+        if strict[low.bit_length() - 1] & ~m == 0:
+            out.append(m | low)
+        free ^= low
+    return out
 
 
 def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
-    """The map x -> {join-irreducibles below x} with its irreducibles, if it verifies.
+    """The map x -> {join-irreducibles below x} with its irreducibles, if it certifies.
 
-    Works from P's cover rows alone: neither P's down-sets nor its labels
-    are built.  The irreducibles' order comes from their masks, and the
-    target, the containment order on the ideals of the irreducible
-    sub-poset, is built cover-first from the rows ``_ideal_covers``
-    generates; its ideals come in ``ideal_masks`` order, so it equals
-    ``irr.ideals_poset()``.  A distributive lattice on n elements has
-    exactly n such ideals, so enumeration stops past n: a non-lattice with
-    many irreducibles could otherwise have up to 2^|irr| of them.  The map
-    is checked and kept on indices, and the irreducibles read P's labels
-    only when their own are read, so nothing is labelled until it is read.
+    With below[x] the mask of x's irreducibles, an ideal of their
+    sub-poset irr, the map is an isomorphism of P onto J(irr), the
+    containment order on irr's ideals, when (a) the masks are distinct,
+    (b) one is 0 and (c) for each x the elements whose masks are the
+    ideals one element larger than below[x] are exactly x's upper covers
+    (a mask that is no element's fails).  Proof: every ideal is reached
+    from the empty one by adding a minimal element of what is left, so by
+    (b) and (c), by induction on size, the map is onto J(irr); by (a) it
+    is one-to-one; and J covers I in J(irr) exactly when J is I plus one
+    element, so by (c) it carries covers onto covers both ways, and with
+    them the order.  The target is J(irr) in P's order (element x is the
+    ideal below[x]) on P's cover rows, which (c) shows are its covers.
     """
     irr_idx, below = _irreducible_masks(P)
+    index = {m: x for x, m in enumerate(below)}
+    if len(index) != P.n or 0 not in index:  # (a), (b)
+        return None
     strict = [below[j] ^ 1 << t for t, j in enumerate(irr_idx)]
+    full = (1 << len(strict)) - 1
+    for m, covers in zip(below, P.cover_up):  # (c)
+        ys = [index.get(ideal) for ideal in _ideals_covering(m, strict, full)]
+        if None in ys or sum(1 << y for y in ys) != covers:
+            return None
     up = [0] * len(irr_idx)
     for t, d in enumerate(strict):
         for s in _bits(d):
             up[s] |= 1 << t
     irr = Poset._on_elements(P, irr_idx, up)
-    try:
-        masks = irr.ideal_masks(cap=P.n)
-    except SizeLimitExceeded:
-        return None
-    index = {m: j for j, m in enumerate(masks)}
     # irr keeps P's labels in P's order, so the target's labels name sets of P's elements
-    target = Poset._on_subsets(irr, masks, cover_up=_ideal_covers(strict, masks, index))
-    # x -> the index of its irreducibles' mask among the ideals
-    witness = PosetIso(P, target, [index.get(m) for m in below])
-    return (witness, irr) if witness.verify() else None
+    target = Poset._on_subsets(irr, below, cover_up=P.cover_up)
+    return PosetIso(P, target, range(P.n)), irr
 
 
 def is_distributive(P: Poset) -> DistributivityResult:
@@ -219,11 +214,12 @@ def is_distributive(P: Poset) -> DistributivityResult:
 
     The witness maps each element to the set of join-irreducibles below
     it, landing in the containment order on ideals of the irreducible
-    sub-poset.  It is built first and verified directly rather than
-    trusted: an order isomorphism onto an ideal lattice proves P is a
-    distributive lattice (Birkhoff), so success needs nothing more.
-    When the witness fails, the meet/join table and the triple scan name
-    the missing bound or the failing triple.
+    sub-poset, listed in P's order.  It is certified first, element by
+    element against its upper covers (``_ideal_witness``): an order
+    isomorphism onto an ideal lattice proves P a distributive lattice
+    (Birkhoff), so success needs nothing more.  When the certificate
+    fails, the meet/join table and the triple scan name the missing bound
+    or the failing triple.
     """
     certified = _ideal_witness(P)
     if certified is not None:

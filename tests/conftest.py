@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posetforge import SizeLimitExceeded, SizeMismatch, build_poset, checks
 from posetforge.corpus import small_posets
-from posetforge.poset import Poset, PosetIso, _bits, _image, _matching_size
+from posetforge.poset import Poset, PosetIso, _bits, _image, _matching_size, index_map_order_equal
 
 
 @st.composite
@@ -72,7 +72,7 @@ def dense_ideal_witness(P):
     The irreducibles are ``induced`` on the elements of P with one lower
     cover, the target is their ``ideals_poset()`` and x goes to the mask
     of the irreducibles in its closed down-set, read from ``P.down``.  The
-    reference the cover-first ``lattice._ideal_witness`` is compared with.
+    reference the local ``lattice._ideal_witness`` is compared with.
     """
     irr_idx = [i for i, c in enumerate(P.cover_down) if c.bit_count() == 1]
     irr = induced(P, irr_idx)
@@ -85,6 +85,16 @@ def dense_ideal_witness(P):
     img = [index.get(_image((P.down[x] | 1 << x) & keep, to)) for x in range(P.n)]
     witness = PosetIso(P, target, img)
     return (witness, irr) if witness.verify() else None
+
+
+def is_reindexed_copy(T, reference, img):
+    """Whether T is ``reference`` listed in another order: T's element x is reference's
+    ``img[x]``, with its label, its cover rows and its order."""
+    return (
+        index_map_order_equal(T, reference, img)
+        and [reference.labels[j] for j in img] == list(T.labels)
+        and [_image(u, img) for u in T.up] == [reference.up[j] for j in img]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -322,9 +322,24 @@ def test_exchange_order_map_checks_build_no_order(monkeypatch, check_id):
     monkeypatch.setattr(posetforge.antichains, "_exchange_edges", refuse)
     monkeypatch.setattr(posetforge.ferrers, "durfee_poset", refuse)
     monkeypatch.setattr(Poset, "product", chains_only)
+    gale_calls = []
+    if check_id == "spin-antichain-merge":
+        # one Gale order only, Gale(n+2, 2) for the base identification at each n;
+        # the covers of Gale(n+2, 2k) come from the bump rule
+        gale_poset = posetforge.sequences.gale_poset
+
+        def base_only(n, k):
+            if k != 2 or (n, k) in gale_calls:
+                raise AssertionError(f"Gale({n}, {k}) was built")
+            gale_calls.append((n, k))
+            return gale_poset(n, k)
+
+        monkeypatch.setattr(posetforge.sequences, "gale_poset", base_only)
     report = run_check(check_id)
     assert report.verdict == "pass", report.to_json_dict()
     assert _digest(report) == DEFAULT_CAP_DIGESTS[check_id]
+    if check_id == "spin-antichain-merge":
+        assert gale_calls == [(nn + 2, 2) for nn in range(1, 7)]
 
 
 def _compare_routes(P, k, image_of, target):

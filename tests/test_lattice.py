@@ -18,9 +18,9 @@ from posetforge import (
     meet_join_table,
     minuscule_poset,
 )
-from posetforge.poset import _bits
+from posetforge.poset import Poset, _bits
 
-from conftest import dense_ideal_witness, leq_matrix
+from conftest import dense_ideal_witness, is_reindexed_copy, leq_matrix
 
 
 def pentagon():
@@ -119,9 +119,13 @@ def test_ideal_lattices_distributive_with_verified_witness(corpus6):
         J = Q.ideals_poset()
         verdict = is_distributive(J)
         assert verdict.distributive, Q.covers()
-        # re-verify the witness, onto a target rebuilt from the irreducibles
+        # re-verify the witness; its target is the ideal lattice rebuilt from the
+        # irreducibles, listed in J's order through the dense route's map
         assert verdict.witness.source is J and verdict.witness.verify()
-        assert verdict.witness.target == verdict.irreducibles.ideals_poset()
+        dense, irr = dense_ideal_witness(J)
+        assert verdict.irreducibles == irr
+        assert is_reindexed_copy(verdict.witness.target, irr.ideals_poset(), dense.img)
+        assert verdict.witness.forward == dense.forward
 
 
 def test_singleton_distributive():
@@ -291,8 +295,31 @@ def test_ideal_cap_stops_non_lattice_with_many_irreducibles():
     assert verdict.failure["reason"] == "no join"
 
 
+def test_certificate_enumerates_no_ideals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ideals were enumerated")
+
+    # the spin poset is itself built as an ideal lattice, so both orders come first
+    orders = [
+        antichain_exchange_poset(grid_poset(5, 5), 2),
+        antichain_exchange_poset(minuscule_poset(SpinD(8)), 2),
+    ]
+    monkeypatch.setattr(Poset, "ideal_masks", refuse)
+    for E in orders:
+        assert is_distributive(E).distributive
+    # 30 disjoint 2-chains: 30 join-irreducibles, 2^30 ideals of them, and no
+    # cap on an enumeration to stop the certificate
+    labels = [f"{s}{i}" for i in range(30) for s in "ab"]
+    P = build_poset(labels, [(f"a{i}", f"b{i}") for i in range(30)])
+    start = time.perf_counter()
+    verdict = is_distributive(P)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.failure["reason"] == "no meet" and not verdict.is_lattice
+
+
 def assert_matches_dense_route(P):
-    """The cover-first certificate and ``dense_ideal_witness`` give one verdict, map, target and irreducibles."""
+    """The local certificate and ``dense_ideal_witness`` give one verdict, map and irreducibles,
+    and one target, which the local route lists in P's order: the dense route's map reindexes it."""
     new = is_distributive(P)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_ideal_witness", dense_ideal_witness)
@@ -302,9 +329,9 @@ def assert_matches_dense_route(P):
     if old.witness is None:
         assert new.witness is None and new.irreducibles is None
         return
-    got, want = new.witness.target, old.witness.target
-    assert new.witness.img == old.witness.img
-    assert got.labels == want.labels and got.cover_up == want.cover_up and got.up == want.up
+    assert new.witness.img == tuple(range(P.n))
+    assert is_reindexed_copy(new.witness.target, old.witness.target, old.witness.img)
+    assert new.witness.forward == old.witness.forward
     assert new.irreducibles == old.irreducibles
 
 
@@ -348,14 +375,15 @@ def test_certificate_labels_nothing_and_reads_no_down_sets():
     assert verdict.witness.to_json_dict() == dense_ideal_witness(E)[0].to_json_dict()
 
 
-def _first_cover_dropped(ideal_covers):
-    """``_ideal_covers`` with the lowest cover of the first row that has one dropped."""
+def _first_cover_dropped(ideals_covering):
+    """``_ideals_covering`` with the first ideal of the first call that finds one dropped."""
+    dropped = []
 
     def planted(*args):
-        rows = ideal_covers(*args)
-        i = next(i for i, row in enumerate(rows) if row)
-        rows[i] &= rows[i] - 1
-        return rows
+        ideals = ideals_covering(*args)
+        if ideals and not dropped:
+            dropped.append(ideals.pop(0))
+        return ideals
 
     return planted
 
@@ -373,7 +401,7 @@ def _last_mask_flipped(irreducible_masks):
 
 @pytest.mark.parametrize(
     "name, plant",
-    [("_ideal_covers", _first_cover_dropped), ("_irreducible_masks", _last_mask_flipped)],
+    [("_ideals_covering", _first_cover_dropped), ("_irreducible_masks", _last_mask_flipped)],
     ids=["target-cover-dropped", "irreducible-mask-flipped"],
 )
 def test_certificate_fails_on_a_planted_fault(monkeypatch, name, plant):

@@ -52,7 +52,16 @@ from posetforge.poset import (
 from posetforge.roots import _root_pairs, root_label
 from posetforge.sequences import gale_entries, weak_chain_entries
 
-from conftest import closure, induced, label_points, leq_matrix, mask_rows, posets
+from conftest import (
+    closure,
+    dense_ideal_witness,
+    induced,
+    is_reindexed_copy,
+    label_points,
+    leq_matrix,
+    mask_rows,
+    posets,
+)
 
 
 def bowtie():
@@ -729,13 +738,15 @@ def test_witnesses_label_nothing_until_read():
 
 def test_cover_first_order_closes_up_only_when_read():
     # the certificate's target is built from its cover rows alone
-    verdict = is_distributive(antichain_exchange_poset(grid_poset(3, 3), 2))
+    E = antichain_exchange_poset(grid_poset(3, 3), 2)
+    verdict = is_distributive(E)
     T, irr = verdict.witness.target, verdict.irreducibles
     assert T.n == 9 and len(T.labels) == 9 and len(T.cover_up) == 9 and repr(T)
     assert "up" not in T.__dict__
     masks = T._subsets[1]
     assert T.up == tuple(_inclusion_up(irr.n, masks, masks)) and "up" in T.__dict__
-    assert T == irr.ideals_poset()
+    # the ideal lattice, listed in E's order: the dense route's map reindexes it
+    assert is_reindexed_copy(T, irr.ideals_poset(), dense_ideal_witness(E)[0].img)
 
 
 def test_iso_search_needs_no_recursion():
