@@ -10,16 +10,19 @@ claim outright.  Only when the map fails are the meet/join table and the
 triple scan of x ^ (y v z) = (x ^ y) v (x ^ z) computed, to name the
 missing bound or the failing triple.
 
-The certificate is local and reads P's cover rows alone: the masks of
-irreducibles must be distinct, one of them empty, and each element's
-upper covers exactly the elements whose masks are its own plus one
-irreducible that may be added to it (``_ideal_witness`` has the proof).
-No ideal is enumerated, and no down-set of P and no label of either
-order is built: the target is the ideal lattice listed in P's order, on
-P's cover rows, so the witness is the identity on indices.
+The certificate is local and reads P's cover lists alone (the indices of
+each element's upper covers, ``Poset.cover_lists``): the masks of
+irreducibles must be distinct and one of them empty, each upper cover's mask
+must be its element's plus one irreducible that may be added to it, and
+every such irreducible must be reached by some cover, which holds when the
+irreducibles at or above those reached are all those outside the element's
+mask (``_ideal_witness`` has the proof).  No ideal is enumerated, and no
+down-set of P, no N-bit row and no label of either order is built: the
+target is the ideal lattice listed in P's order, sharing P's cover lists, so
+the witness is the identity on indices.
 
-Everything here runs on Python ints: the certificate on bitsets, the
-meet/join table as tuples of int rows.
+Everything here runs on Python ints: the certificate on bitsets over the
+irreducibles, the meet/join table as tuples of int rows.
 """
 
 from __future__ import annotations
@@ -129,83 +132,87 @@ class DistributivityResult(_Record):
 def _irreducible_masks(P: Poset) -> tuple[list[int], list[int]]:
     """P's join-irreducibles, and for each element the mask of those at or below it.
 
-    Reads P's cover rows alone.  Counting upper-cover bits gives each
-    element's number of lower covers, and the join-irreducibles are the
-    elements with exactly one.  Bit t of a mask stands for the t-th
+    Reads P's cover lists alone.  Counting the entries of the lists gives
+    each element's number of lower covers, and the join-irreducibles are
+    the elements with exactly one.  Bit t of a mask stands for the t-th
     irreducible in index order.  Each element ORs its mask into its upper
     covers' once all of its own lower covers have done so (Kahn's walk up
     a linear extension), so every mask is complete when it is passed on.
     """
-    n, cover_up = P.n, P.cover_up
+    n, covers = P.n, P.cover_lists
     lower = [0] * n
-    for c in cover_up:
-        while c:
-            low = c & -c
-            lower[low.bit_length() - 1] += 1
-            c ^= low
+    for ys in covers:
+        for j in ys:
+            lower[j] += 1
     irr = [j for j in range(n) if lower[j] == 1]
     below = [0] * n
     for t, j in enumerate(irr):
         below[j] = 1 << t
     order = [i for i in range(n) if not lower[i]]
     for i in order:  # grows while it is read
-        m, c = below[i], cover_up[i]
-        while c:
-            low = c & -c
-            j = low.bit_length() - 1
+        m = below[i]
+        for j in covers[i]:
             below[j] |= m
             lower[j] -= 1
             if not lower[j]:
                 order.append(j)
-            c ^= low
     return irr, below
 
 
-def _ideals_covering(m: int, strict: Sequence[int], full: int) -> list[int]:
-    """The ideals one element larger than the ideal ``m``: m + t, for t in ``full``
-    outside m whose strict down-set ``strict[t]`` lies in m."""
-    out, free = [], full & ~m
-    while free:
-        low = free & -free
-        if strict[low.bit_length() - 1] & ~m == 0:
-            out.append(m | low)
-        free ^= low
-    return out
+def _steps(strict: Sequence[int], up: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """For each irreducible t, keyed by its bit: its strict down-set ``strict[t]``, and t
+    with its strict up-set ``up[t]``."""
+    return {1 << t: (d, u | 1 << t) for t, (d, u) in enumerate(zip(strict, up))}
 
 
 def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
     """The map x -> {join-irreducibles below x} with its irreducibles, if it certifies.
 
-    With below[x] the mask of x's irreducibles, an ideal of their
-    sub-poset irr, the map is an isomorphism of P onto J(irr), the
-    containment order on irr's ideals, when (a) the masks are distinct,
-    (b) one is 0 and (c) for each x the elements whose masks are the
-    ideals one element larger than below[x] are exactly x's upper covers
-    (a mask that is no element's fails).  Proof: every ideal is reached
-    from the empty one by adding a minimal element of what is left, so by
-    (b) and (c), by induction on size, the map is onto J(irr); by (a) it
-    is one-to-one; and J covers I in J(irr) exactly when J is I plus one
-    element, so by (c) it carries covers onto covers both ways, and with
-    them the order.  The target is J(irr) in P's order (element x is the
-    ideal below[x]) on P's cover rows, which (c) shows are its covers.
+    With below[x] the mask of x's irreducibles, an ideal of their sub-poset
+    irr, the map is an isomorphism of P onto J(irr), the containment order
+    on irr's ideals, when (a) the masks are distinct, (b) one is 0 and (c)
+    for each x, the mask of each upper cover of x is below[x] plus one
+    irreducible t addable to it (outside it, with its strict down-set inside
+    it), and every irreducible addable to below[x] is reached so.  (c) is
+    read through up-sets: each cover's mask must differ from below[x] in one
+    irreducible t with its strict down-set in below[x], and the irreducibles
+    at or above the t so reached must be exactly those outside below[x],
+    which puts each t outside it.  They are all covered when every addable
+    one is reached, since each irreducible outside an ideal lies at or above
+    a minimal one, which is addable; and an addable one lies above no other
+    irreducible outside, so it is covered only when reached.  By (a) no two
+    covers of x reach one t, so x's upper covers are exactly the elements
+    whose masks are the ideals one element larger than below[x], each of
+    them some element's mask.  Proof: every ideal is reached from the empty
+    one by adding a minimal element of what is left, so by (b) and (c), by
+    induction on size, the map is onto J(irr); by (a) it is one-to-one; and
+    J covers I in J(irr) exactly when J is I plus one element, so by (c) it
+    carries covers onto covers both ways, and with them the order.  The
+    target is J(irr) in P's order (element x is the ideal below[x]) on P's
+    cover lists, which (c) shows are its covers.
     """
     irr_idx, below = _irreducible_masks(P)
-    index = {m: x for x, m in enumerate(below)}
-    if len(index) != P.n or 0 not in index:  # (a), (b)
+    masks = set(below)
+    if len(masks) != P.n or 0 not in masks:  # (a), (b)
         return None
     strict = [below[j] ^ 1 << t for t, j in enumerate(irr_idx)]
-    full = (1 << len(strict)) - 1
-    for m, covers in zip(below, P.cover_up):  # (c)
-        ys = [index.get(ideal) for ideal in _ideals_covering(m, strict, full)]
-        if None in ys or sum(1 << y for y in ys) != covers:
-            return None
     up = [0] * len(irr_idx)
     for t, d in enumerate(strict):
         for s in _bits(d):
             up[s] |= 1 << t
+    steps, full = _steps(strict, up), (1 << len(strict)) - 1
+    for m, ys in zip(below, P.cover_lists):  # (c)
+        covered = 0
+        for y in ys:
+            step = steps.get(below[y] ^ m)
+            if step is None or step[0] & ~m:  # not m plus one addable irreducible
+                return None
+            covered |= step[1]
+        if covered != full ^ m:  # an addable irreducible that no cover reaches
+            return None
     irr = Poset._on_elements(P, irr_idx, up)
     # irr keeps P's labels in P's order, so the target's labels name sets of P's elements
-    target = Poset._on_subsets(irr, below, cover_up=P.cover_up)
+    target = Poset._on_subsets(irr, below, cover_lists=P.cover_lists)
     return PosetIso(P, target, range(P.n)), irr
 
 

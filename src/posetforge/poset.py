@@ -8,13 +8,17 @@ from outside (``Poset(labels, up)``) is checked once, on entry; an order
 the package builds itself (a transitive closure, a componentwise order
 on distinct rows, inclusion of distinct sets) is trusted, because its
 construction already proves it is an order.
-Upper covers are derived from ``up`` on first use and cached; down-sets,
-lower covers, heights and depths then come together from one pass up the
-covers, on Python ints.  A cover-first order (``_on_subsets`` given
-trusted ``cover_up`` rows: the default exchange order's swap rows, the
-distributivity certificate's ideal lattice) turns this round: ``up`` is
-the closure of its cover rows, taken on first read, and ``n`` counts the
-rows, so an order only compared by its covers never builds dense rows.
+Upper covers are derived from ``up`` on first use and cached, as int rows
+(``cover_up``) and, read from those in one bit walk, as index lists
+(``cover_lists``); down-sets, lower covers, heights and depths then come
+together from one pass up the covers, on Python ints.  A cover-first
+order (``_on_subsets`` given trusted ``cover_lists``: the default
+exchange order's swap lists, the distributivity certificate's ideal
+lattice, which shares its source's lists) turns this round: it stores
+only the lists, ``cover_up`` is built from them and ``up`` closed from
+that, each on first read, and ``n`` counts the lists.  So an order read
+only through its cover lists, as the certificate reads one, builds no
+N-bit row at all.
 A poset grown by one new maximal element (``_add_maximal``, how the
 corpus is built) instead gets these views handed down from its parent,
 changed only where the new element reaches.
@@ -87,6 +91,14 @@ def _image(mask: int, to: Sequence[int] | dict[int, int]) -> int:
         low = mask & -mask
         out |= 1 << to[low.bit_length() - 1]
         mask ^= low
+    return out
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The bitset of the given indices."""
+    out = 0
+    for j in indices:
+        out |= 1 << j
     return out
 
 
@@ -302,24 +314,25 @@ class Poset:
         masks: Sequence[int],
         up: Sequence[int] | None = None,
         *,
-        cover_up: Sequence[int] | None = None,
+        cover_lists: Sequence[list[int]] | None = None,
     ) -> "Poset":
-        """An order on subsets of ``host``, given as bitmasks, from trusted up-set or cover rows.
+        """An order on subsets of ``host``, given as bitmasks, from trusted up-set rows or cover lists.
 
         Element i is labelled ``host.subset_label(_bits(masks[i]))``, from
         the host's labels, only on the first read of ``labels``: most orders
         are compared by their rows alone.  Host labels with commas can give
         two subsets one label ("a" with "b,c" and "a,b" with "c" both read
         "{a,b,c}"), which raises DuplicateLabel on that first read.  Given
-        trusted ``cover_up`` rows in place of ``up``, the order is
-        cover-first: ``up`` is closed from them on its first read.
+        trusted ``cover_lists`` (the indices of each element's upper covers)
+        in place of ``up``, the order is cover-first and keeps the lists as
+        given, not copied, so two orders can share them.
         """
-        if cover_up is None:
+        if cover_lists is None:
             P = cls.__new__(cls)
             P.up = tuple(up)
         else:
             P = _CoverFirstPoset.__new__(_CoverFirstPoset)
-            P.cover_up = tuple(cover_up)
+            P.cover_lists = cover_lists
         P._subsets = (host, masks)
         return P
 
@@ -364,7 +377,7 @@ class Poset:
         return self.n
 
     def __repr__(self) -> str:
-        covers = sum(c.bit_count() for c in self.cover_up)
+        covers = sum(map(len, self.cover_lists))
         return f"Poset({self.n} elements, {covers} covers)"
 
     def __eq__(self, other: object) -> bool:
@@ -402,6 +415,19 @@ class Poset:
                 rest &= ~(reach | low)
             out.append(u & ~reach)
         return tuple(out)
+
+    @_view
+    def cover_lists(self) -> Sequence[list[int]]:
+        """cover_lists[i] = the indices of the upper covers of i; callers must not change them."""
+        out = []
+        for c in self.cover_up:
+            row = []
+            while c:
+                low = c & -c
+                row.append(low.bit_length() - 1)
+                c ^= low
+            out.append(row)
+        return out
 
     @_view
     def _cover_pass(self) -> tuple[tuple[int, ...], ...]:
@@ -647,13 +673,18 @@ class Poset:
 
 
 class _CoverFirstPoset(Poset):
-    """A poset built from trusted cover rows, which its construction proves.
+    """A poset built from trusted cover lists, which its construction proves.
 
     The default exchange order and the certificate's Birkhoff target are
-    built so.  ``up`` is the closure of the rows, taken on first read; ``n``
-    counts them, so reading it builds no closure.  A subclass, so that every
-    other poset keeps ``up`` a plain attribute, the fastest read.
+    built so.  The lists are all it stores: ``cover_up`` is built from them
+    and ``up`` is its closure, each taken on first read; ``n`` counts the
+    lists, so reading it builds neither.  A subclass, so that every other
+    poset keeps ``up`` a plain attribute, the fastest read.
     """
+
+    @_view
+    def cover_up(self) -> tuple[int, ...]:
+        return tuple(map(_mask, self.cover_lists))
 
     @_view
     def up(self) -> tuple[int, ...]:
@@ -661,7 +692,7 @@ class _CoverFirstPoset(Poset):
 
     @property
     def n(self) -> int:
-        return len(self.cover_up)
+        return len(self.cover_lists)
 
 
 class Antichain:

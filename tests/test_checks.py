@@ -468,7 +468,7 @@ def test_explicit_maps_need_no_matcher_and_no_search(monkeypatch, five_element_o
 
 
 def _patch_exchange_steps(monkeypatch, change, *, modes):
-    """Apply ``change`` to the successor rows that ``_exchange_edges`` returns in ``modes``."""
+    """Apply ``change`` to the step lists that ``_exchange_edges`` returns in ``modes``."""
     edges = posetforge.antichains._exchange_edges
 
     def patched(P, masks, *, covers_only):
@@ -479,18 +479,18 @@ def _patch_exchange_steps(monkeypatch, change, *, modes):
 
 
 def _drop_first_step(succ):
-    # unchanged when there is no step, as at k = 0
+    # the lowest index of the first nonempty list; unchanged when there is no step, as at k = 0
     i = next((i for i, row in enumerate(succ) if row), None)
-    return [row & row - 1 if r == i else row for r, row in enumerate(succ)]
+    return [sorted(row)[1:] if r == i else row for r, row in enumerate(succ)]
 
 
 def _add_a_two_step(succ):
     # i -> j -> l made a step i -> l: the closure stays, the steps are no longer covers
     for i, row in enumerate(succ):
-        for j in posetforge.poset._bits(row):
+        for j in sorted(row):
             if succ[j]:
                 out = list(succ)
-                out[i] |= succ[j] & -succ[j]
+                out[i] = [*row, min(succ[j])]
                 return out
     return succ
 

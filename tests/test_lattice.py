@@ -1,9 +1,12 @@
 import time
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from posetforge import (
+    Grid,
     SpinD,
     antichain_exchange_poset,
     antichain_ideal_poset,
@@ -375,15 +378,16 @@ def test_certificate_labels_nothing_and_reads_no_down_sets():
     assert verdict.witness.to_json_dict() == dense_ideal_witness(E)[0].to_json_dict()
 
 
-def _first_cover_dropped(ideals_covering):
-    """``_ideals_covering`` with the first ideal of the first call that finds one dropped."""
-    dropped = []
+def _minimal_irreducible_raised(steps):
+    """``_steps`` with a second minimal irreducible put below the first: the target loses
+    the covers that add the first to an ideal without the second, which the order keeps."""
 
-    def planted(*args):
-        ideals = ideals_covering(*args)
-        if ideals and not dropped:
-            dropped.append(ideals.pop(0))
-        return ideals
+    def planted(strict, up):
+        out = steps(strict, up)
+        first, second = [1 << t for t, d in enumerate(strict) if not d][:2]
+        down, at_or_above = out[first]
+        out[first] = (down | second, at_or_above)
+        return out
 
     return planted
 
@@ -399,9 +403,16 @@ def _last_mask_flipped(irreducible_masks):
     return planted
 
 
+WITNESS_FAILED = {
+    "distributive": False,
+    "is_lattice": True,
+    "failure": {"reason": "ideal-representation witness failed verification"},
+}
+
+
 @pytest.mark.parametrize(
     "name, plant",
-    [("_ideals_covering", _first_cover_dropped), ("_irreducible_masks", _last_mask_flipped)],
+    [("_steps", _minimal_irreducible_raised), ("_irreducible_masks", _last_mask_flipped)],
     ids=["target-cover-dropped", "irreducible-mask-flipped"],
 )
 def test_certificate_fails_on_a_planted_fault(monkeypatch, name, plant):
@@ -409,8 +420,51 @@ def test_certificate_fails_on_a_planted_fault(monkeypatch, name, plant):
     assert is_distributive(E).distributive
     monkeypatch.setattr(lattice, name, plant(getattr(lattice, name)))
     # the map check must catch the fault; the triple scan then finds the law holding
-    assert is_distributive(E).to_json_dict() == {
-        "distributive": False,
-        "is_lattice": True,
-        "failure": {"reason": "ideal-representation witness failed verification"},
-    }
+    assert is_distributive(E).to_json_dict() == WITNESS_FAILED
+
+
+def _step_two_irreducibles_up(E, below):
+    # z, the join of two covers y1, y2 of x, made a cover of x too: z lies above x
+    # already and has two lower covers, so the order and every mask stay, and only
+    # the step x -> z adds two irreducibles, each addable
+    x, (y1, y2) = next((x, ys[:2]) for x, ys in enumerate(E.cover_lists) if len(ys) >= 2)
+    lists = [list(ys) for ys in E.cover_lists]
+    lists[x].append(below.index(below[y1] | below[y2]))
+    return lists
+
+
+def _cover_dropped(E, below):
+    # a cover x -> y dropped, with y above three lower covers or more: y's mask is the
+    # union of any two of theirs, so every mask stays, and the irreducible that y adds
+    # to x's mask is addable and reached by no cover
+    lower = Counter(chain.from_iterable(E.cover_lists))
+    x, y = next((x, y) for x, ys in enumerate(E.cover_lists) for y in ys if lower[y] >= 3)
+    lists = [list(ys) for ys in E.cover_lists]
+    lists[x].remove(y)
+    return lists
+
+
+@pytest.mark.parametrize(
+    "change", [_step_two_irreducibles_up, _cover_dropped], ids=["cover-two-irreducibles-up", "addable-unreached"]
+)
+def test_certificate_fails_on_changed_cover_lists(change):
+    E = antichain_exchange_poset(grid_poset(4, 4), 2)
+    irr, below = lattice._irreducible_masks(E)
+    F = Poset._on_subsets(*E._subsets, cover_lists=change(E, below))
+    assert lattice._irreducible_masks(F) == (irr, below)
+    # the certificate reads the changed lists; the fallback reads E's order, a distributive lattice
+    vars(F).update(up=E.up, cover_up=E.cover_up)
+    assert is_distributive(F).to_json_dict() == WITNESS_FAILED
+
+
+@pytest.mark.parametrize("kind", [Grid(6, 6), SpinD(9)], ids=repr)
+def test_certificate_builds_no_int_cover_rows(kind):
+    E = antichain_exchange_poset(minuscule_poset(kind), 3)
+    assert E.n > 300 and repr(E) == f"Poset({E.n} elements, {sum(map(len, E.cover_lists))} covers)"
+    verdict = is_distributive(E)
+    assert verdict.distributive
+    assert "cover_up" not in E.__dict__ and "up" not in E.__dict__
+    # the target is listed in E's order on E's own cover lists
+    target = verdict.witness.target
+    assert target.cover_lists is E.cover_lists
+    assert "cover_up" not in target.__dict__ and "up" not in target.__dict__
