@@ -9,16 +9,17 @@ exactly the single replacements along covering pairs of the host poset.
 One swap rule, ``_swaps``, lists an antichain's covers from its mask.  It
 gives the default route's swap lists, the indices of each antichain's
 covers, which are all a cover-first order stores (its int rows and its
-closure are built only when read), and ``swap_map_covers`` checks a named
-map from the masks with it, building no order.  The all-replacements route,
-closed at once, is kept as an independent reference.  Both orders at one k
+closure are built only when read), and ``swap_covers`` hands it to
+``poset.covers_map_onto``, so that a named map is checked from the masks
+with no order built.  The all-replacements route, closed at once from its
+step lists, is kept as an independent reference.  Both orders at one k
 share the host's one enumeration of the size-k antichains, and their "{a,b}"
 labels are built on first read.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import SizeMismatch
 from .poset import (
@@ -27,7 +28,6 @@ from .poset import (
     _bits,
     _comparable,
     _inclusion_up,
-    _mask,
     _Record,
     transitive_closure,
 )
@@ -93,26 +93,10 @@ def _exchange_edges(P: Poset, masks: list[int], *, covers_only: bool) -> list[li
     return out
 
 
-def swap_map_covers(
-    P: Poset, images: dict[int, int | None], targets: Collection[int], covers_of: Callable[[int], Iterable[int]]
-) -> int | None:
-    """How many exchange covers mask -> ``images[mask]`` carries onto covers, or None if no isomorphism.
-
-    ``images`` holds every size-k antichain of P, as a mask, and its image;
-    ``covers_of(t)`` lists the upper covers of target t.  The local form
-    of ``index_map_order_equal``: a bijection onto ``targets`` that maps
-    each antichain's swaps exactly onto its image's covers.  No order is built.
-    """
-    if len(images) != len(targets) or set(images.values()) != set(targets):
-        return None
+def swap_covers(P: Poset) -> Callable[[int], Iterator[int]]:
+    """A function listing the exchange covers of an antichain of P, as masks, from its mask (``_swaps``)."""
     cover_up, comp = P.cover_up, _comparable(P)
-    matched = 0
-    for m, t in images.items():
-        up = {images[s] for s in _swaps(m, cover_up, comp)}
-        if up != set(covers_of(t)):
-            return None
-        matched += len(up)
-    return matched
+    return lambda mask: _swaps(mask, cover_up, comp)
 
 
 def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Poset:
@@ -140,7 +124,7 @@ def antichain_exchange_poset(P: Poset, k: int, *, edges: str = "covers") -> Pose
     steps = _exchange_edges(P, masks, covers_only=edges == "covers")
     if edges == "covers":
         return Poset._on_subsets(P, masks, cover_lists=steps)
-    return Poset._on_subsets(P, masks, transitive_closure(list(map(_mask, steps))))
+    return Poset._on_subsets(P, masks, transitive_closure(steps))
 
 
 def antichain_ideal_poset(P: Poset, k: int) -> Poset:

@@ -8,13 +8,14 @@ witness (an isomorphism map); a passing universal check carries an
 exhaustion statement (what was enumerated); a failing check carries a
 counterexample.  Caps are overridable per run.  No check searches for a
 map it can name ({x} -> x is A_1(P) = P, a swap is its own matching,
-Frobenius coordinates are the Durfee maps) or tests pairs that cover rows
-settle; only e6-antichains and e7-self-map search.  A named map on an
-exchange order is checked from the antichain masks, with no order built:
-the swap rule that builds the exchange order gives each antichain's
-covers, and Gale cover rows, one-entry bumps or the same swap rule give
-the target's (``antichains.swap_map_covers``).  No clause re-derives what
-a passing one already implies: e7-antichains states sizes and leaves
+Frobenius coordinates are the Durfee maps) or tests pairs that covers
+settle; only e6-antichains and e7-self-map search.  Every named map is
+checked by ``poset.covers_map_onto`` on cover lists: of two built orders
+(``index_map_order_equal``), or, on an exchange order, from the antichain
+masks with no order built, where the swap rule gives each antichain's
+covers (``antichains.swap_covers``) and Gale cover lists, one-entry bumps
+or the same swap rule give the target's.  No clause re-derives what a
+passing one already implies: e7-antichains states sizes and leaves
 A_2(E7) = E7 to e7-self-map.
 """
 
@@ -39,10 +40,10 @@ from .poset import (
     Poset,
     PosetIso,
     _bits,
-    _comparable,
     _Frozen,
     _Record,
     build_poset,
+    covers_map_onto,
     discrete_poset,
     find_isomorphism,
     grid_mask_points,
@@ -306,14 +307,14 @@ def _is_singleton_copy(A1: Poset, P: Poset) -> bool:
 
     A_1(P) sits on P's singleton masks in index order, so x -> {x} is the
     identity on indices and carries P's order onto A1's when their cover
-    rows are equal; no "{x}" label is built.
+    lists are equal; no "{x}" label is built.
     """
     host, masks = A1._subsets
     return (
         host == P
         and len(masks) == P.n
         and all(m == 1 << i for i, m in enumerate(masks))
-        and A1.cover_up == P.cover_up
+        and A1.cover_lists == P.cover_lists
     )
 
 
@@ -353,8 +354,8 @@ def _check_gale_rank_covers(n: int) -> tuple[bool, dict]:
             entries = seq.gale_entries(nn, k)
             index = {e: j for j, e in enumerate(entries)}
             for i, e in enumerate(entries):
-                if mismatch := sum(1 << j for j in _bumps(index, e)) ^ P.cover_up[i]:
-                    x, y = (tuple_label(entries[t]) for t in (i, next(_bits(mismatch))))
+                if mismatch := set(_bumps(index, e)).symmetric_difference(P.cover_lists[i]):
+                    x, y = (tuple_label(entries[t]) for t in (i, min(mismatch)))
                     return False, {"counterexample": {"n": nn, "k": k, "x": x, "y": y}}
     return True, {"exhausted": {"max_n": n, "ordered_pairs": pairs}}
 
@@ -405,7 +406,7 @@ def _check_ideal_heights_iso(a: int, b: int) -> tuple[bool, dict]:
                 img.append(index.get(chain))
             if not index_map_order_equal(J, S, img):
                 return False, {"counterexample": {"a": aa, "b": bb}}
-            cover_counts += sum(c.bit_count() for c in J.cover_up)
+            cover_counts += sum(map(len, J.cover_lists))
     return True, {"exhausted": {"max_a": a, "max_b": b, "covers_matched": cover_counts}}
 
 
@@ -510,7 +511,8 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
         for k in range(w + 1):
             E = ac.antichain_exchange_poset(P, k)  # cover-first: its swap rows are its covers
             E_all = ac.antichain_exchange_poset(P, k, edges="all")  # closed at once: a cycle raises
-            if E.cover_up != E_all.cover_up:  # E_all's, from its closure; equal covers, equal orders
+            # E's lists in swap order, E_all's (from its closure) sorted; equal covers, equal orders
+            if [sorted(ys) for ys in E.cover_lists] != E_all.cover_lists:
                 return False, {
                     "counterexample": {"poset": P.covers(), "k": k, "reason": "edge routes differ"}
                 }
@@ -539,20 +541,19 @@ def _check_exchange_order_basics(max_size: int, a: int, b: int, n: int, m: int) 
             masks = P._antichain_masks(k)
             index = {mask: j for j, mask in enumerate(masks)}
             for i, mask in enumerate(masks):
-                steps = 0
+                steps = set()
                 for a in _bits(mask):
                     rest = mask & ~(1 << a)
-                    for b in _bits(P.cover_up[a]):
+                    for b in P.cover_lists[a]:
                         j = index.get(rest | 1 << b)
                         if j is not None:
-                            steps |= 1 << j
-                mismatch = steps ^ E_all.cover_up[i]
-                if mismatch:
+                            steps.add(j)
+                if mismatch := steps.symmetric_difference(E_all.cover_lists[i]):
                     return False, {
                         "counterexample": {
                             "poset": P.covers(),
                             "k": k,
-                            "pair": [E.labels[i], E.labels[next(_bits(mismatch))]],
+                            "pair": [E.labels[i], E.labels[min(mismatch)]],
                             "reason": "cover characterization mismatch",
                         }
                     }
@@ -582,7 +583,7 @@ def _check_five_element_example() -> tuple[bool, dict]:
     if not ac.ideal_leq(low, high):
         return False, {"counterexample": {"reason": "{a,b} not below {d,e} in ideal order"}}
     E = ac.antichain_exchange_poset(P, 2)
-    if any(E.cover_up):
+    if any(E.cover_lists):
         return False, {"counterexample": {"reason": "exchange order relates the two antichains"}}
     if ac.is_exchange_cover(low, high) or ac.is_exchange_cover(high, low):
         return False, {"counterexample": {"reason": "unexpected exchange cover"}}
@@ -643,7 +644,7 @@ def _check_grid_antichain_split(a: int, b: int) -> tuple[bool, dict]:
         for bb in range(1, b + 1):
             G = grid_poset(aa, bb)
             for k in range(min(aa, bb) + 1):
-                up_a, up_b = seq.gale_poset(aa, k).cover_up, seq.gale_poset(bb, k).cover_up
+                up_a, up_b = seq.gale_poset(aa, k).cover_lists, seq.gale_poset(bb, k).cover_lists
                 nb = len(up_b)
                 images = {}
                 for mask in G._antichain_masks(k):
@@ -652,9 +653,9 @@ def _check_grid_antichain_split(a: int, b: int) -> tuple[bool, dict]:
 
                 def covers_of(t):  # (x, y) -> (x', y) and (x, y') for Gale covers x' and y'
                     x, y = divmod(t, nb)
-                    return [*(u * nb + y for u in _bits(up_a[x])), *(x * nb + v for v in _bits(up_b[y]))]
+                    return [*(u * nb + y for u in up_a[x]), *(x * nb + v for v in up_b[y])]
 
-                matched = ac.swap_map_covers(G, images, range(len(up_a) * nb), covers_of)
+                matched = covers_map_onto(images, ac.swap_covers(G), range(len(up_a) * nb), covers_of)
                 if matched is None:
                     return False, {"counterexample": {"a": aa, "b": bb, "k": k}}
                 cover_counts += matched
@@ -679,8 +680,8 @@ def _check_grid_antichain_durfee(a: int, b: int) -> tuple[bool, dict]:
                 diagram_at = {ferrers.frobenius(d): i for i, d in enumerate(diagrams)}
                 masks = G._antichain_masks(k)
                 images = {m: diagram_at.get(ferrers.split_points(grid_mask_points(bb, m))) for m in masks}
-                matched = ac.swap_map_covers(
-                    G, images, range(len(diagrams)), lambda i: _bumps(padded_at, padded[i])
+                matched = covers_map_onto(
+                    images, ac.swap_covers(G), range(len(diagrams)), lambda i: _bumps(padded_at, padded[i])
                 )
                 if matched is None:
                     return False, {
@@ -707,7 +708,7 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
         pairs = [seq.shifted(seq.grid_ideal_heights(2, m)) for m in P._subsets[1]]
         if not index_map_order_equal(P, pair_poset, [seq.gale_rank(p) for p in pairs]):
             return False, {"counterexample": {"n": nn, "reason": "base identification"}}
-        cover_counts += sum(c.bit_count() for c in P.cover_up)
+        cover_counts += sum(map(len, P.cover_lists))
         w = P.width()
         if w != (nn + 2) // 2:
             return False, {"counterexample": {"n": nn, "width": w}}
@@ -719,7 +720,9 @@ def _check_spin_antichain_merge(n: int) -> tuple[bool, dict]:
                 mask: seq.gale_rank(ferrers.merge_pairs([pairs[t] for t in _bits(mask)]))
                 for mask in P._antichain_masks(k)
             }
-            matched = ac.swap_map_covers(P, images, range(len(entries)), lambda t: _bumps(at, entries[t]))
+            matched = covers_map_onto(
+                images, ac.swap_covers(P), range(len(entries)), lambda t: _bumps(at, entries[t])
+            )
             if matched is None:
                 return False, {"counterexample": {"n": nn, "k": k}}
             cover_counts += matched
@@ -853,13 +856,13 @@ def _check_e7_self_map() -> tuple[bool, dict]:
 )
 def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
     # one complement per antichain of sizes k and n-1-k, kept by mask (it raises
-    # on an image of the wrong size); a bijection (swap_map_covers) that the
+    # on an image of the wrong size); a bijection (covers_map_onto) that the
     # second table undoes has that table for its inverse, so each pair of sizes
     # is compared once, with the swap rule giving both sides' covers
     checked = 0
     for nn in range(2, n + 1):
         P = roots.type_a_root_poset(nn)
-        cover_up, comp = P.cover_up, _comparable(P)
+        swaps = ac.swap_covers(P)
         for k in range((nn + 1) // 2):
             tables = [
                 {A.mask: roots.panyushev_complement(A).mask for A in P.antichains_of_size(size)}
@@ -871,7 +874,7 @@ def _check_root_complement_involution(n: int) -> tuple[bool, dict]:
                     A, twice = (P.subset_label(_bits(m)) for m in (A, back[B]))
                     return False, {"counterexample": {"n": nn, "A": A, "twice": twice}}
             checked += sum(map(len, tables))
-            if ac.swap_map_covers(P, star, back, lambda B: ac._swaps(B, cover_up, comp)) is None:
+            if covers_map_onto(star, swaps, back, swaps) is None:
                 return False, {"counterexample": {"n": nn, "k": k, "reason": "not an iso"}}
     return True, {"exhausted": {"max_n": n, "antichains": checked}}
 

@@ -159,12 +159,6 @@ def _irreducible_masks(P: Poset) -> tuple[list[int], list[int]]:
     return irr, below
 
 
-def _steps(strict: Sequence[int], up: Sequence[int]) -> dict[int, tuple[int, int]]:
-    """For each irreducible t, keyed by its bit: its strict down-set ``strict[t]``, and t
-    with its strict up-set ``up[t]``."""
-    return {1 << t: (d, u | 1 << t) for t, (d, u) in enumerate(zip(strict, up))}
-
-
 def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
     """The map x -> {join-irreducibles below x} with its irreducibles, if it certifies.
 
@@ -200,7 +194,9 @@ def _ideal_witness(P: Poset) -> tuple[PosetIso, Poset] | None:
     for t, d in enumerate(strict):
         for s in _bits(d):
             up[s] |= 1 << t
-    steps, full = _steps(strict, up), (1 << len(strict)) - 1
+    # each irreducible t, keyed by its bit: its strict down-set, and t with its strict up-set
+    steps = {1 << t: (d, u | 1 << t) for t, (d, u) in enumerate(zip(strict, up))}
+    full = (1 << len(strict)) - 1
     for m, ys in zip(below, P.cover_lists):  # (c)
         covered = 0
         for y in ys:

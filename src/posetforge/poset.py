@@ -8,20 +8,19 @@ from outside (``Poset(labels, up)``) is checked once, on entry; an order
 the package builds itself (a transitive closure, a componentwise order
 on distinct rows, inclusion of distinct sets) is trusted, because its
 construction already proves it is an order.
-Upper covers are derived from ``up`` on first use and cached, as int rows
-(``cover_up``) and, read from those in one bit walk, as index lists
-(``cover_lists``); down-sets, lower covers, heights and depths then come
-together from one pass up the covers, on Python ints.  A cover-first
-order (``_on_subsets`` given trusted ``cover_lists``: the default
-exchange order's swap lists, the distributivity certificate's ideal
-lattice, which shares its source's lists) turns this round: it stores
-only the lists, ``cover_up`` is built from them and ``up`` closed from
-that, each on first read, and ``n`` counts the lists.  So an order read
-only through its cover lists, as the certificate reads one, builds no
-N-bit row at all.
+Upper covers are derived from ``up`` on first use and cached as index
+lists (``cover_lists``); int rows (``cover_up``) are built from them only
+when read, and down-sets, lower covers, heights and depths come together
+from one pass up the lists.  A cover-first order (``_on_subsets`` given
+trusted ``cover_lists``: the default exchange order's swap lists, the
+distributivity certificate's ideal lattice, which shares its source's
+lists) turns this round: it stores only the lists, ``up`` is their
+closure, taken on first read, and ``n`` counts them.  So an order read
+only through its cover lists, as the certificate and a map check read
+one, builds no N-bit row at all.
 A poset grown by one new maximal element (``_add_maximal``, how the
-corpus is built) instead gets these views handed down from its parent,
-changed only where the new element reaches.
+corpus is built) instead gets its int cover rows and ``_cover_pass``
+handed down from its parent, changed only where the new element reaches.
 The views are cached in the instance ``__dict__`` without a lock.
 The size-k antichains of the size asked for last are kept there too, so
 the orders built at one k share one enumeration.  An order on subsets of
@@ -30,10 +29,11 @@ builds its "{a,b}" labels, and reads the host's, on the first read of
 ``labels``; most of these orders are only compared by their rows.  So
 does a sub-poset made by ``_on_elements`` (the certificate's
 join-irreducibles), which keeps the host's labels.
-Products, the componentwise builder and the check of a map run on
-Python ints too: ``index_map_order_equal`` compares the cover rows of a
-map given as an index list ``img``, the one form of every map.  The
-checks build such lists (the points of a grid subset come from its mask,
+Products and the componentwise builder run on Python ints too.  Every
+map is checked by one local rule, ``covers_map_onto``, which
+``index_map_order_equal`` applies to two orders' cover lists for a map
+given as an index list ``img``, the one form of every map.  The checks
+build such lists (the points of a grid subset come from its mask,
 ``grid_mask_points``), and a witness ``PosetIso`` holds its source, its
 target and ``img``, and builds its label maps only when they are read.
 numpy is imported only to build the read-only matrix views ``lt`` and
@@ -57,7 +57,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     BadParameters,
@@ -119,8 +119,8 @@ def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
     return out
 
 
-def transitive_closure(succ: Sequence[int]) -> tuple[int, ...]:
-    """Strict up-sets (reachability) of a directed graph given by successor bitsets.
+def transitive_closure(succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Strict up-sets (reachability), as bitsets, of a directed graph given by successor index lists.
 
     Orders the vertices topologically, then ORs each vertex's successors
     with their up-sets in reverse order, as in Aho, Garey & Ullman, "The
@@ -129,30 +129,22 @@ def transitive_closure(succ: Sequence[int]) -> tuple[int, ...]:
     """
     n = len(succ)
     indegree = [0] * n
-    for s in succ:
-        while s:
-            low = s & -s
-            indegree[low.bit_length() - 1] += 1
-            s ^= low
+    for js in succ:
+        for j in js:
+            indegree[j] += 1
     order = [i for i in range(n) if indegree[i] == 0]
     for i in order:  # grows while it is read
-        s = succ[i]
-        while s:
-            low = s & -s
-            j = low.bit_length() - 1
+        for j in succ[i]:
             indegree[j] -= 1
             if indegree[j] == 0:
                 order.append(j)
-            s ^= low
     if len(order) < n:
         raise CycleDetected("relation has a cycle")
     up = [0] * n
     for i in reversed(order):
-        row = s = succ[i]
-        while s:
-            low = s & -s
-            row |= up[low.bit_length() - 1]
-            s ^= low
+        row = 0
+        for j in succ[i]:
+            row |= up[j] | 1 << j
         up[i] = row
     return tuple(up)
 
@@ -402,32 +394,32 @@ class Poset:
     # -- relation views derived from ``up`` --------------------------------
 
     @_view
-    def cover_up(self) -> tuple[int, ...]:
-        """cover_up[i] = bitmask of the upper covers of i."""
+    def cover_lists(self) -> Sequence[list[int]]:
+        """cover_lists[i] = the indices of the upper covers of i; callers must not change them.
+
+        Derived in increasing order: each up-set is walked upward, skipping
+        what the up-sets of the elements visited so far reach, so every cover
+        is visited, and a visited element is a cover exactly when none reaches it.
+        """
         up = self.up
         out = []
         for u in up:
-            # an element already in ``reach`` adds nothing: its up-set is in it
-            reach, rest = 0, u
+            reach, rest, row = 0, u, []
             while rest:
                 low = rest & -rest
-                reach |= up[low.bit_length() - 1]
+                j = low.bit_length() - 1
+                row.append(j)
+                reach |= up[j]
                 rest &= ~(reach | low)
-            out.append(u & ~reach)
-        return tuple(out)
-
-    @_view
-    def cover_lists(self) -> Sequence[list[int]]:
-        """cover_lists[i] = the indices of the upper covers of i; callers must not change them."""
-        out = []
-        for c in self.cover_up:
-            row = []
-            while c:
-                low = c & -c
-                row.append(low.bit_length() - 1)
-                c ^= low
+            if len(row) != (u & ~reach).bit_count():  # an element visited before one below it
+                row = [j for j in row if not reach >> j & 1]
             out.append(row)
         return out
+
+    @_view
+    def cover_up(self) -> tuple[int, ...]:
+        """cover_up[i] = bitmask of the upper covers of i, built from ``cover_lists``."""
+        return tuple(map(_mask, self.cover_lists))
 
     @_view
     def _cover_pass(self) -> tuple[tuple[int, ...], ...]:
@@ -439,13 +431,13 @@ class Poset:
         element strictly below j lies below or on one of j's lower covers.
         Depths come from the same order walked back, from the top down.
         """
-        up, cover_up, n = self.up, self.cover_up, self.n
+        up, cover_lists, n = self.up, self.cover_lists, self.n
         order = sorted(range(n), key=lambda i: up[i].bit_count(), reverse=True)
         down, cover_down, heights, depths = [0] * n, [0] * n, [0] * n, [0] * n
         for i in order:
             bit = 1 << i
             below, h = down[i] | bit, heights[i] + 1
-            for j in _bits(cover_up[i]):
+            for j in cover_lists[i]:
                 down[j] |= below
                 cover_down[j] |= bit
                 if heights[j] < h:
@@ -676,19 +668,15 @@ class _CoverFirstPoset(Poset):
     """A poset built from trusted cover lists, which its construction proves.
 
     The default exchange order and the certificate's Birkhoff target are
-    built so.  The lists are all it stores: ``cover_up`` is built from them
-    and ``up`` is its closure, each taken on first read; ``n`` counts the
-    lists, so reading it builds neither.  A subclass, so that every other
-    poset keeps ``up`` a plain attribute, the fastest read.
+    built so.  The lists are all it stores: ``up`` is their closure, taken
+    on first read, and ``n`` counts the lists, so reading it builds no row.
+    A subclass, so that every other poset keeps ``up`` a plain attribute,
+    the fastest read.
     """
 
     @_view
-    def cover_up(self) -> tuple[int, ...]:
-        return tuple(map(_mask, self.cover_lists))
-
-    @_view
     def up(self) -> tuple[int, ...]:
-        return transitive_closure(self.cover_up)
+        return transitive_closure(self.cover_lists)
 
     @property
     def n(self) -> int:
@@ -753,14 +741,14 @@ def build_poset(labels: Sequence[str], relations: Iterable[Sequence[str]]) -> Po
     """
     labels = _distinct(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    succ = [0] * len(labels)
+    succ: list[list[int]] = [[] for _ in labels]
     for pair in relations:
         a, b = pair
         a, b = str(a), str(b)
         for end in (a, b):
             if end not in index:
                 raise UnknownLabel(f"relation endpoint {end!r} is not an element")
-        succ[index[a]] |= 1 << index[b]
+        succ[index[a]].append(index[b])
     return Poset._from_up(labels, transitive_closure(succ))
 
 
@@ -829,20 +817,40 @@ def grid_mask_points(b: int, mask: int) -> list[tuple[int, int]]:
 # -- isomorphism search ----------------------------------------------------
 
 
+def covers_map_onto(
+    images: dict, covers_of: Callable, targets: Collection, target_covers_of: Callable
+) -> int | None:
+    """How many covers x -> ``images[x]`` carries onto covers, or None if it is no isomorphism.
+
+    ``images`` holds every element x of the source and its image, and
+    ``covers_of(x)`` lists x's upper covers; ``target_covers_of(t)`` lists
+    those of target t.  A bijection onto ``targets`` that maps the upper
+    covers of every element exactly onto the upper covers of its image
+    carries the cover relation onto the target's, both ways, and so the
+    order, its transitive closure, as well.  An image outside ``targets``
+    (None included) or two elements sent to one image is no bijection,
+    whatever the covers.  No order is built or closed.
+    """
+    if len(images) != len(targets) or set(images.values()) != set(targets):
+        return None
+    matched = 0
+    for x, t in images.items():
+        up = {images[y] for y in covers_of(x)}
+        if up != set(target_covers_of(t)):
+            return None
+        matched += len(up)
+    return matched
+
+
 def index_map_order_equal(P: Poset, Q: Poset, img: Sequence[int | None]) -> bool:
     """Whether i -> ``img[i]`` is a bijection of P's indices onto Q's carrying P's order exactly onto Q's.
 
-    A bijection that maps the upper covers of every element of P exactly
-    onto the upper covers of its image carries the cover relation onto
-    Q's, both ways, and so the order, its transitive closure, as well.
-    A short ``img``, an image that is no index of Q (None included) or two
-    elements sent to one image is no bijection, whatever the cover rows.
+    ``covers_map_onto`` on the two cover lists; a short ``img`` is no bijection.
     """
-    n = P.n
-    if Q.n != n or len(img) != n or set(img) != set(range(n)):
+    if Q.n != P.n or len(img) != P.n:
         return False
-    coverQ = Q.cover_up
-    return all(_image(c, img) == coverQ[img[i]] for i, c in enumerate(P.cover_up))
+    ups, upsQ = P.cover_lists, Q.cover_lists
+    return covers_map_onto(dict(enumerate(img)), ups.__getitem__, range(Q.n), upsQ.__getitem__) is not None
 
 
 class _Record:
@@ -977,7 +985,7 @@ def _refine(P: Poset) -> tuple[tuple, list[int]]:
             [
                 (
                     col[i],
-                    tuple(sorted(col[j] for j in _bits(P.cover_up[i]))),
+                    tuple(sorted(col[j] for j in P.cover_lists[i])),
                     tuple(sorted(col[j] for j in _bits(P.cover_down[i]))),
                 )
                 for i in range(n)

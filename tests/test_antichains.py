@@ -21,9 +21,9 @@ from posetforge import (
     poset_to_dict,
     refinement_report,
 )
-from posetforge.antichains import swap_map_covers
+from posetforge.antichains import swap_covers
 from posetforge.minuscule import E6Kind, E7Kind, Grid, NaturalD, SpinD, minuscule_poset
-from posetforge.poset import Poset, _bits, _check_order
+from posetforge.poset import Poset, _bits, _check_order, covers_map_onto
 from posetforge.sequences import gale_poset
 
 from conftest import closure, has_order_matching, leq_matrix, posets
@@ -426,19 +426,19 @@ def test_handed_down_covers_match_derived_covers_on_large_orders(kind):
     assert handed_down_covers_match_derived(E)
 
 
-def test_swap_map_covers_refuses_a_cover_missing_on_either_side():
+def test_covers_map_onto_refuses_a_cover_missing_on_either_side():
     # {1} < {2} is the one swap of the 2-chain's 1-antichains, and the
     # 2-antichain's have none: each side is mapped onto the other's order
-    chain, pair = chain_poset(2), discrete_poset(2)
+    chain, pair = swap_covers(chain_poset(2)), swap_covers(discrete_poset(2))
     chain_covers, no_covers = (lambda t: [1] if t == 0 else []), (lambda t: [])
-    assert swap_map_covers(chain, {0b01: 0, 0b10: 1}, range(2), chain_covers) == 1
-    assert swap_map_covers(pair, {0b01: 0, 0b10: 1}, range(2), no_covers) == 0
-    assert swap_map_covers(chain, {0b01: 0, 0b10: 1}, range(2), no_covers) is None
-    assert swap_map_covers(pair, {0b01: 0, 0b10: 1}, range(2), chain_covers) is None
+    assert covers_map_onto({0b01: 0, 0b10: 1}, chain, range(2), chain_covers) == 1
+    assert covers_map_onto({0b01: 0, 0b10: 1}, pair, range(2), no_covers) == 0
+    assert covers_map_onto({0b01: 0, 0b10: 1}, chain, range(2), no_covers) is None
+    assert covers_map_onto({0b01: 0, 0b10: 1}, pair, range(2), chain_covers) is None
     # reversed, and no bijection: one image twice, or one outside the target
-    assert swap_map_covers(chain, {0b01: 1, 0b10: 0}, range(2), chain_covers) is None
-    assert swap_map_covers(pair, {0b01: 0, 0b10: 0}, range(2), no_covers) is None
-    assert swap_map_covers(pair, {0b01: 0, 0b10: 2}, range(2), no_covers) is None
+    assert covers_map_onto({0b01: 1, 0b10: 0}, chain, range(2), chain_covers) is None
+    assert covers_map_onto({0b01: 0, 0b10: 0}, pair, range(2), no_covers) is None
+    assert covers_map_onto({0b01: 0, 0b10: 2}, pair, range(2), no_covers) is None
 
 
 @pytest.mark.parametrize("P, k", [(grid_poset(3, 3), 2), (bowtie(), 2)], ids=["grid3x3", "bowtie"])

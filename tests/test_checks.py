@@ -26,7 +26,7 @@ from posetforge import (
     minuscule_poset,
 )
 from posetforge.checks import CheckDef, check_defaults, registered_checks, run_all, run_check
-from posetforge.poset import _bits, grid_mask_points, index_map_order_equal
+from posetforge.poset import _bits, covers_map_onto, grid_mask_points, index_map_order_equal
 
 TINY_CAPS = {"a": 1, "b": 1, "n": 1, "m": 0, "max_size": 2}
 
@@ -257,7 +257,8 @@ def test_named_map_checks_compare_cover_rows_without_labels(monkeypatch, check_i
 
 # every check but boolean-cube-example, five-element-example (through
 # refinement_report and the meet/join fallback), e6-antichains and
-# e7-self-map (search), which read the full relation on purpose
+# e7-self-map (search), which read the full relation on purpose, and with it
+# the int cover rows (the down-sets and the colour refinement read them)
 COVER_ONLY_CHECKS = [
     "box-gale-composite",
     "dilworth-max-antichains",
@@ -281,13 +282,15 @@ COVER_ONLY_CHECKS = [
 @pytest.mark.parametrize("check_id", COVER_ONLY_CHECKS)
 def test_checks_do_not_close_an_exchange_order(monkeypatch, check_id):
     # the default exchange order and the Birkhoff target are cover-first; these
-    # checks compare them by their cover rows alone, so neither is ever closed
+    # checks compare them by their cover lists alone, so neither is ever closed
+    # nor given int cover rows
     def refuse(*args):
-        raise AssertionError("a cover-first order was closed")
+        raise AssertionError("a cover-first order was closed or given int cover rows")
 
-    monkeypatch.setattr(posetforge.poset._CoverFirstPoset, "up", property(refuse))
-    with pytest.raises(AssertionError, match="closed"):
-        posetforge.antichains.antichain_exchange_poset(chain_poset(2), 1).up
+    for view in ("up", "cover_up"):
+        monkeypatch.setattr(posetforge.poset._CoverFirstPoset, view, property(refuse))
+        with pytest.raises(AssertionError, match="closed"):
+            getattr(posetforge.antichains.antichain_exchange_poset(chain_poset(2), 1), view)
     report = run_check(check_id)
     assert report.verdict == "pass", report.to_json_dict()
     assert _digest(report) == DEFAULT_CAP_DIGESTS[check_id]
@@ -343,26 +346,26 @@ def test_exchange_order_map_checks_build_no_order(monkeypatch, check_id):
 
 
 def _compare_routes(P, k, image_of, target):
-    """Whether a map from P's k-antichains onto ``target`` is an isomorphism, by
-    both routes: ``swap_map_covers`` on masks and ``index_map_order_equal`` on
-    the built exchange order, which must agree, also with two images exchanged."""
+    """Whether a map from P's k-antichains onto ``target`` is an isomorphism, by both
+    routes through ``covers_map_onto``: the swap rule on masks, and the built exchange
+    order's cover lists through ``index_map_order_equal``, which must agree, also with
+    two images exchanged."""
     E = posetforge.antichains.antichain_exchange_poset(P, k)
     masks = E._subsets[1]
     img = [image_of(m) for m in masks]
+    swaps, target_covers = posetforge.antichains.swap_covers(P), target.cover_lists.__getitem__
     verdicts = []
     for trial in [img, [*img[1:2], *img[:1], *img[2:]]]:
-        local = posetforge.antichains.swap_map_covers(
-            P, dict(zip(masks, trial)), range(target.n), lambda t: _bits(target.cover_up[t])
-        )
+        local = covers_map_onto(dict(zip(masks, trial)), swaps, range(target.n), target_covers)
         built = index_map_order_equal(E, target, trial)
         assert (local is not None) == built, (P, k, len(verdicts))
         if built:
-            assert local == sum(c.bit_count() for c in E.cover_up)
+            assert local == sum(map(len, E.cover_lists))
         verdicts.append(built)
     return verdicts[0]
 
 
-def test_swap_map_covers_agrees_with_the_built_orders_up_to_raised_caps():
+def test_swap_rule_agrees_with_the_built_orders_up_to_raised_caps():
     seq, ferrers = posetforge.sequences, posetforge.ferrers
     a, b, n = RAISED_CAPS["a"], RAISED_CAPS["b"], RAISED_CAPS["n"]
     cases = 0

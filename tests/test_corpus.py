@@ -139,12 +139,13 @@ def test_every_labeled_poset_on_three_points_is_covered():
     reps = [P for P in small_posets(3) if P.n == 3]
     seen = set()
     for bits in range(1 << 6):
-        succ = [0, 0, 0]
+        succ = [[], [], []]
         pos = 0
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    succ[i] |= ((bits >> pos) & 1) << j
+                    if bits >> pos & 1:
+                        succ[i].append(j)
                     pos += 1
         try:
             up = transitive_closure(succ)

@@ -378,16 +378,17 @@ def test_certificate_labels_nothing_and_reads_no_down_sets():
     assert verdict.witness.to_json_dict() == dense_ideal_witness(E)[0].to_json_dict()
 
 
-def _minimal_irreducible_raised(steps):
-    """``_steps`` with a second minimal irreducible put below the first: the target loses
-    the covers that add the first to an ideal without the second, which the order keeps."""
+def _minimal_irreducible_raised(irreducible_masks):
+    """``_irreducible_masks`` naming, for the first minimal irreducible, the element whose
+    mask adds a second one: every mask stays, but the second now lies below the first, so
+    the target loses the covers that add the first to an ideal without the second, which
+    the order keeps."""
 
-    def planted(strict, up):
-        out = steps(strict, up)
-        first, second = [1 << t for t, d in enumerate(strict) if not d][:2]
-        down, at_or_above = out[first]
-        out[first] = (down | second, at_or_above)
-        return out
+    def planted(P):
+        irr, below = irreducible_masks(P)
+        first, second = [t for t, j in enumerate(irr) if below[j] == 1 << t][:2]
+        irr[first] = below.index(1 << first | 1 << second)
+        return irr, below
 
     return planted
 
@@ -412,7 +413,7 @@ WITNESS_FAILED = {
 
 @pytest.mark.parametrize(
     "name, plant",
-    [("_steps", _minimal_irreducible_raised), ("_irreducible_masks", _last_mask_flipped)],
+    [("_irreducible_masks", _minimal_irreducible_raised), ("_irreducible_masks", _last_mask_flipped)],
     ids=["target-cover-dropped", "irreducible-mask-flipped"],
 )
 def test_certificate_fails_on_a_planted_fault(monkeypatch, name, plant):
@@ -453,7 +454,7 @@ def test_certificate_fails_on_changed_cover_lists(change):
     F = Poset._on_subsets(*E._subsets, cover_lists=change(E, below))
     assert lattice._irreducible_masks(F) == (irr, below)
     # the certificate reads the changed lists; the fallback reads E's order, a distributive lattice
-    vars(F).update(up=E.up, cover_up=E.cover_up)
+    vars(F).update(up=E.up, cover_up=E.cover_up, _cover_pass=E._cover_pass)
     assert is_distributive(F).to_json_dict() == WITNESS_FAILED
 
 
@@ -468,3 +469,6 @@ def test_certificate_builds_no_int_cover_rows(kind):
     target = verdict.witness.target
     assert target.cover_lists is E.cover_lists
     assert "cover_up" not in target.__dict__ and "up" not in target.__dict__
+    # re-verifying the witness compares the two orders' cover lists alone
+    assert verdict.witness.verify()
+    assert "cover_up" not in E.__dict__ and "cover_up" not in target.__dict__

@@ -258,7 +258,7 @@ def test_direct_constructor_leaves_numpy_unloaded():
 def test_transitive_closure_of_bitsets():
     from posetforge.poset import transitive_closure
 
-    assert transitive_closure([0b010, 0b100, 0]) == (0b110, 0b100, 0)
+    assert transitive_closure([[1], [2], []]) == (0b110, 0b100, 0)
     assert transitive_closure([]) == ()
 
 
@@ -266,24 +266,24 @@ def test_transitive_closure_rejects_two_cycle():
     from posetforge.poset import transitive_closure
 
     with pytest.raises(CycleDetected):
-        transitive_closure([0b10, 0b01])
+        transitive_closure([[1], [0]])
 
 
 @st.composite
-def successor_bitsets(draw, max_size: int = 12):
-    """Random digraphs, loops and cycles included, as successor bitsets."""
+def successor_lists(draw, max_size: int = 12):
+    """Random digraphs, loops, cycles and repeated edges included, as successor index lists."""
     n = draw(st.integers(min_value=0, max_value=max_size))
-    succ = [0] * n
+    succ = [[] for _ in range(n)]
     if n:
         vertex = st.integers(min_value=0, max_value=n - 1)
         for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
-            succ[i] |= 1 << j
+            succ[i].append(j)
     return succ
 
 
 def reachability_oracle(succ):
-    """Strict reachability by repeated one-step extension until nothing changes."""
-    reach = list(succ)
+    """Strict reachability, as bitsets, by repeated one-step extension until nothing changes."""
+    reach = [sum(1 << j for j in set(js)) for js in succ]
     changed = True
     while changed:
         changed = False
@@ -296,7 +296,7 @@ def reachability_oracle(succ):
     return tuple(reach)
 
 
-@given(successor_bitsets())
+@given(successor_lists())
 @settings(deadline=None, max_examples=200)
 def test_transitive_closure_output_is_an_order(succ):
     # the trusted builders rest on this: a closure that does not raise is
@@ -369,6 +369,16 @@ def test_grid_cover_count():
 def test_covers_match_oracle_on_corpus(corpus5):
     for P in corpus5:
         assert P.covers() == covers_oracle(P)
+
+
+def test_cover_lists_match_oracle_in_reversed_index_order(corpus5):
+    # the corpus's index order is a linear extension; reversed, the walk of an
+    # up-set meets elements before others below them, which are no covers
+    for P in corpus5:
+        n = P.n
+        R = Poset(P.labels[::-1], [_image(u, range(n - 1, -1, -1)) for u in reversed(P.up)])
+        assert R.covers() == covers_oracle(R)
+        assert R.cover_lists == [sorted(ys) for ys in R.cover_lists]
 
 
 @given(posets())
